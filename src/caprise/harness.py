@@ -17,7 +17,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -350,14 +349,12 @@ def run_suite(selection, *, models: tuple[str, ...] = ("classical", "extended"),
               scalings: tuple[str, ...] = ("none",),
               out_dir: str | Path | None = None, with_pde: int | None = None,
               t_end: float | None = None, dt_out: float | None = None,
-              workers: int | None = None,
               timings: bool = False) -> list[BenchResult]:
     """Run every (case, model) pair, export CSVs and one summary.json.
 
-    Cases run concurrently up to the worker limit; outputs are collected
-    in input order, so file contents do not depend on scheduling.  A case
-    that fails numerically is recorded in the summary with an ``error``
-    field and the suite continues.  Returns the successful results.
+    Pairs run one after another in input order.  A case that fails
+    numerically is recorded in the summary with an ``error`` field and
+    the suite continues.  Returns the successful results.
     """
     selection = list(selection)
     labels = [c.label for c in selection]
@@ -380,20 +377,17 @@ def run_suite(selection, *, models: tuple[str, ...] = ("classical", "extended"),
     jobs = [(case, m) for case in selection for m in models]
     results: list[BenchResult] = []
     entries: list[dict] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_case, case, m, t_end=t_end, dt_out=dt_out,
-                               nx=with_pde, timings=timings)
-                   for case, m in jobs]
-        for (case, m), fut in zip(jobs, futures):
-            try:
-                res = fut.result()
-            except (CapriseError, ValueError) as exc:
-                entries.append(_failure_entry(case, m, exc))
-                continue
-            results.append(res)
-            entries.append(_summary_entry(case, m, res))
-            if out is not None:
-                _export_case(out, case, m, res.trajectory, tuple(scalings))
+    for case, m in jobs:
+        try:
+            res = run_case(case, m, t_end=t_end, dt_out=dt_out, nx=with_pde,
+                           timings=timings)
+        except (CapriseError, ValueError) as exc:
+            entries.append(_failure_entry(case, m, exc))
+            continue
+        results.append(res)
+        entries.append(_summary_entry(case, m, res))
+        if out is not None:
+            _export_case(out, case, m, res.trajectory, tuple(scalings))
     if out is not None:
         with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(entries, fh, indent=2, sort_keys=True)

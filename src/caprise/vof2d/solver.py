@@ -298,12 +298,8 @@ class Simulator:
         c_flag = (st.alpha >= 0.5).astype(float)
         influx = 0.0
 
-        sweeps = ("x", "y") if st.step_count % 2 == 0 else ("y", "x")
-        for axis in sweeps:
-            if axis == "x":
-                influx += self._sweep_x(dt, c_flag)
-            else:
-                influx += self._sweep_y(dt, c_flag)
+        for axis in (0, 1) if st.step_count % 2 == 0 else (1, 0):
+            influx += self._sweep(dt, c_flag, axis)
         self._boundary_influx += influx
 
         vol_after = st.alpha.sum() * cell
@@ -320,83 +316,44 @@ class Simulator:
             np.abs(st.alpha - clipped).sum()) * cell
         st.alpha = clipped
 
-    def _donor_flux(self, A_pad, d, j, w, dx, dy, upwind_slab) -> float:
-        # donor outside the domain: treat the ghost as a uniform cell
-        nx = self.state.grid.nx
-        if d < 0 or d >= nx:
-            a = A_pad[min(max(d + 1, 0), nx + 1), j + 1]
-            return w * a
-        a = A_pad[d + 1, j + 1]
-        if a <= _MIXED_EPS:
-            return 0.0
-        if a >= 1.0 - _MIXED_EPS:
-            return w
-        sten = A_pad[d:d + 3, j:j + 3]
-        sten = np.clip(sten, 0.0, 1.0)
-        plane = plic_reconstruct(sten.tolist(), dx, dy)
-        return upwind_slab(plane)
-
-    def _sweep_x(self, dt: float, c_flag) -> float:
+    def _sweep(self, dt: float, c_flag, axis: int) -> float:
+        """Move fractions along one axis (0 = x, 1 = y); returns the
+        boundary influx."""
         st = self.state
-        nx, ny = st.grid.nx, st.grid.ny
-        dx, dy = st.grid.dx, st.grid.dy
-        cell = dx * dy
+        h = (st.grid.dx, st.grid.dy)
+        h_side = h[1 - axis]
+        vel = st.u if axis == 0 else st.v
         A_pad = self._pad_alpha(st.alpha)
-        F = np.zeros((nx + 1, ny))
-        ii, jj = np.nonzero(st.u)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            uf = st.u[i, j]
-            w = abs(uf) * dt
-            if uf > 0.0:
-                d = i - 1
-                slab = lambda pl: pl.slab_area(dx - w, dx, 0.0, dy) / dy
+        faces = np.nonzero(vel)
+        vf = vel[faces]
+        up = vf > 0.0
+        w = np.abs(vf) * dt
+        # padded index of each face's upwind (donor) cell
+        donor = [faces[0] + 1, faces[1] + 1]
+        donor[axis] = faces[axis] + ~up
+        a = A_pad[tuple(donor)]
+        # a donor outside the domain acts as a uniform cell
+        ghost = (donor[axis] == 0) | (donor[axis] == A_pad.shape[axis] - 1)
+        f = np.where(ghost, w * a, np.where(a >= 1.0 - _MIXED_EPS, w, 0.0))
+        mixed = np.flatnonzero(
+            ~(ghost | (a <= _MIXED_EPS) | (a >= 1.0 - _MIXED_EPS)))
+        for k, i, j, wk, upk in zip(mixed.tolist(), donor[0][mixed].tolist(),
+                                    donor[1][mixed].tolist(),
+                                    w[mixed].tolist(), up[mixed].tolist()):
+            sten = np.clip(A_pad[i - 1:i + 2, j - 1:j + 2], 0.0, 1.0)
+            plane = plic_reconstruct(sten.tolist(), h[0], h[1])
+            # the slab of depth w on the donor's downwind side
+            lo, hi = [0.0, 0.0], list(h)
+            if upk:
+                lo[axis] = h[axis] - wk
             else:
-                d = i
-                slab = lambda pl: pl.slab_area(0.0, w, 0.0, dy) / dy
-            f = self._donor_flux(A_pad, d, j, w, dx, dy, slab) * dy
-            F[i, j] = math.copysign(f, uf)
-        st.alpha += (F[:-1, :] - F[1:, :]) / cell
-        st.alpha += c_flag * dt * (st.u[1:, :] - st.u[:-1, :]) / dx
-        return float(F[0, :].sum() - F[-1, :].sum())
-
-    def _sweep_y(self, dt: float, c_flag) -> float:
-        st = self.state
-        nx, ny = st.grid.nx, st.grid.ny
-        dx, dy = st.grid.dx, st.grid.dy
-        cell = dx * dy
-        A_pad = self._pad_alpha(st.alpha)
-        G = np.zeros((nx, ny + 1))
-        ii, jj = np.nonzero(st.v)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            vf = st.v[i, j]
-            w = abs(vf) * dt
-            if vf > 0.0:
-                d = j - 1
-                slab = lambda pl: pl.slab_area(0.0, dx, dy - w, dy) / dx
-            else:
-                d = j
-                slab = lambda pl: pl.slab_area(0.0, dx, 0.0, w) / dx
-            # donor stencil indexes the column direction second
-            f = self._donor_flux_y(A_pad, i, d, w, dx, dy, slab) * dx
-            G[i, j] = math.copysign(f, vf)
-        st.alpha += (G[:, :-1] - G[:, 1:]) / cell
-        st.alpha += c_flag * dt * (st.v[:, 1:] - st.v[:, :-1]) / dy
-        return float(G[:, 0].sum() - G[:, -1].sum())
-
-    def _donor_flux_y(self, A_pad, i, d, w, dx, dy, upwind_slab) -> float:
-        ny = self.state.grid.ny
-        if d < 0 or d >= ny:
-            a = A_pad[i + 1, min(max(d + 1, 0), ny + 1)]
-            return w * a
-        a = A_pad[i + 1, d + 1]
-        if a <= _MIXED_EPS:
-            return 0.0
-        if a >= 1.0 - _MIXED_EPS:
-            return w
-        sten = A_pad[i:i + 3, d:d + 3]
-        sten = np.clip(sten, 0.0, 1.0)
-        plane = plic_reconstruct(sten.tolist(), dx, dy)
-        return upwind_slab(plane)
+                hi[axis] = wk
+            f[k] = plane.slab_area(lo[0], hi[0], lo[1], hi[1]) / h_side
+        F = np.zeros(vel.shape)
+        F[faces] = np.copysign(f * h_side, vf)
+        st.alpha -= np.diff(F, axis=axis) / (h[0] * h[1])
+        st.alpha += c_flag * dt * np.diff(vel, axis=axis) / h[axis]
+        return float(F.take(0, axis).sum() - F.take(-1, axis).sum())
 
     def step(self, dt: float) -> None:
         st = self.state
@@ -524,15 +481,3 @@ def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
         p = p - p.mean()
     return p
 
-
-def dump_fields(state: SimState, path) -> None:
-    """Write cell-centred fields as CSV rows i,j,alpha,p,u,v."""
-    u_c = 0.5 * (state.u[:-1, :] + state.u[1:, :])
-    v_c = 0.5 * (state.v[:, :-1] + state.v[:, 1:])
-    with open(path, "w", newline="") as f:
-        f.write("i,j,alpha,p,u,v\n")
-        for i in range(state.grid.nx):
-            for j in range(state.grid.ny):
-                f.write(f"{i},{j},{state.alpha[i, j]:.17g},"
-                        f"{state.p[i, j]:.17g},{u_c[i, j]:.17g},"
-                        f"{v_c[i, j]:.17g}\n")

@@ -204,14 +204,19 @@ class TestAdvection:
             slip=SlipSpec.numerical(), nx=8, t_end=1.0)
         return Simulator(setup, state=state)
 
-    def test_uniform_translation_of_square_blob(self):
+    @pytest.mark.parametrize("U, V", [(0.05, -0.3), (-0.05, -0.3),
+                                      (0.05, 0.3), (-0.05, 0.3)],
+                             ids=["+x-y", "-x-y", "+x+y", "-x+y"])
+    def test_uniform_translation_of_square_blob(self, U, V):
         sim = self._blob_sim()
         grid = sim.state.grid
-        U, V = 0.05, -0.3
         dt = 0.4 * grid.dx / abs(V)
         n = 12
         sim.state.u[:, :] = U
         sim.state.v[:, :] = V
+        # the bottom ghost row is the liquid reservoir: close its face so
+        # upward flow moves only the blob
+        sim.state.v[:, 0] = 0.0
         a0 = sim.state.alpha.copy()
         v0 = a0.sum()
         ii = np.arange(grid.nx)[:, None]
