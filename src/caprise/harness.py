@@ -253,23 +253,19 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
     if t_end is None:
         t_end = auto_t_end(case.fluid, case.geom)
     t0 = time.perf_counter()
-    if model == "classical":
-        traj = integrate(ModelSpec.classical(), case.fluid, case.geom,
-                         RiseState(h=case.geom.h0, v=0.0), t_end,
-                         dt_out=dt_out, label=case.label)
-    elif model == "extended":
-        # numerical slip has no continuum parameter; its mesh-converged
-        # limit is no slip, so the reduced model runs with L = 0
-        L = case.slip.L if case.slip.kind == "navier" else 0.0
-        traj = integrate(ModelSpec.extended(slip_length=L), case.fluid,
-                         case.geom, RiseState(h=case.geom.h0, v=0.0), t_end,
-                         dt_out=dt_out, label=case.label)
-    else:
+    if model == "vof2d":
         if nx is None:
             raise ValueError("vof2d runs need an explicit cells-per-radius nx")
         setup = CaseSetup2D(fluid=case.fluid, geom=case.geom, slip=case.slip,
                             nx=nx, t_end=t_end, dt_out=dt_out)
         traj, _ = run_vof2d(setup)
+    else:
+        # numerical slip has no continuum parameter; its mesh-converged
+        # limit is no slip, so the extended model runs with L = 0
+        L = case.slip.L if case.slip.kind == "navier" else 0.0
+        spec = ModelSpec.classical() if model == "classical" else ModelSpec.extended(L)
+        traj = integrate(spec, case.fluid, case.geom, RiseState(h=case.geom.h0, v=0.0),
+                         t_end, dt_out=dt_out, label=case.label)
     wall = time.perf_counter() - t0
 
     traj.metadata["h_inf"] = _own_target(case, model)

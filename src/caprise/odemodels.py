@@ -127,6 +127,24 @@ class SettleMetrics:
     overshoot: float
 
 
+def rise_rhs(A: float, B: float, C: float, D: float, h_hat: float,
+             eps: float) -> Callable[[float, float], tuple[float, float]]:
+    """The one rise-model right-hand side, f(h, v) -> (dh, dv).
+
+    Every model and scaling is the balance H v' = A - B H - C v H + D v^2
+    for the column H = h + h_hat; only the coefficient row differs.
+    Raises SingularHeight once H <= eps.
+    """
+
+    def f(h: float, v: float) -> tuple[float, float]:
+        H = h + h_hat
+        if H <= eps:
+            raise SingularHeight(f"column length {H!r} <= {eps!r}")
+        return v, (A - B * H - C * v * H + D * v * v) / H
+
+    return f
+
+
 def _rhs_terms(model: ModelSpec, fluid: FluidPair,
                geom: Geometry) -> Callable[[float, float], tuple[float, float]]:
     """Bind model constants, return f(h, v) -> (dh, dv)."""
@@ -136,14 +154,7 @@ def _rhs_terms(model: ModelSpec, fluid: FluidPair,
     eps = 1e-14 * R
 
     if model.kind == "classical":
-        fric = 3.0 * mu / (rho * R * R)
-
-        def f(h: float, v: float) -> tuple[float, float]:
-            if h <= eps:
-                raise SingularHeight(f"column length {h!r} <= {eps!r}")
-            return v, (drive - g * h - fric * v * h - v * v) / h
-
-        return f
+        return rise_rhs(drive, g, 3.0 * mu / (rho * R * R), -1.0, 0.0, eps)
 
     h_hat = (model.h_hat_override if model.h_hat_override is not None
              else height_correction(geom))
@@ -152,14 +163,7 @@ def _rhs_terms(model: ModelSpec, fluid: FluidPair,
     # convective correction coefficient of the slip-velocity profile
     q = 3.0 * (15.0 * L * L + 10.0 * L * R + 2.0 * R * R) / (5.0 * (R + 3.0 * L) ** 2)
     conv = (q - 1.0) if model.include_convective else -1.0
-
-    def f(h: float, v: float) -> tuple[float, float]:
-        H = h + h_hat
-        if H <= eps:
-            raise SingularHeight(f"effective column length {H!r} <= {eps!r}")
-        return v, (drive - g * H - fric * v * H + conv * v * v) / H
-
-    return f
+    return rise_rhs(drive, g, fric, conv, h_hat, eps)
 
 
 def rhs(model: ModelSpec, fluid: FluidPair, geom: Geometry,
@@ -180,12 +184,22 @@ def output_times(t_end: float, dt_out: float) -> np.ndarray:
 
 
 def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: float,
-               t_end: float, rtol: float, atol: float, dt_out: float,
+               t_end: float, rtol: float, atol: float, dt_out: float | None,
                metadata: dict) -> Trajectory:
     """Dormand-Prince 5(4) with dense output on a uniform grid.
 
-    Shared by the dimensional and the scaled integrators.
+    Shared by the dimensional and the scaled integrators, so it owns their
+    argument checks.  dt_out defaults to t_end/2000; the last sample lands
+    exactly on t_end.
     """
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
+    if not 1e-12 <= rtol <= 1e-3:
+        raise ValueError("rtol must lie in [1e-12, 1e-3]")
+    if dt_out is None:
+        dt_out = t_end / 2000.0
+    if not 0.0 < dt_out <= t_end:
+        raise ValueError("dt_out must lie in (0, t_end]")
     t_eval = output_times(t_end, dt_out)
 
     def fun(t, y):
@@ -195,8 +209,7 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
                     rtol=rtol, atol=atol, t_eval=t_eval)
     if not sol.success:
         raise StepSizeUnderflow(sol.message)
-    meta = dict(metadata)
-    meta["nfev"] = int(sol.nfev)
+    meta = dict(metadata, rtol=rtol, atol=atol, dt_out=dt_out, nfev=int(sol.nfev))
     return Trajectory(t=sol.t, h=sol.y[0], v=sol.y[1], metadata=meta)
 
 
@@ -207,23 +220,14 @@ def integrate(model: ModelSpec, fluid: FluidPair, geom: Geometry, init: RiseStat
 
     dt_out defaults to t_end/2000; the last sample lands exactly on t_end.
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if not 1e-12 <= rtol <= 1e-3:
-        raise ValueError("rtol must lie in [1e-12, 1e-3]")
     if model.kind == "classical" and init.h <= 1e-9 * geom.R:
         # the classical equation is singular at h=0; refuse rather than regularize
         raise ValueError("classical model requires h0 > 1e-9*R")
-    if dt_out is None:
-        dt_out = t_end / 2000.0
-    if not 0.0 < dt_out <= t_end:
-        raise ValueError("dt_out must lie in (0, t_end]")
-    f = _rhs_terms(model, fluid, geom)
-    meta = {"label": label, "model": model.kind, "rtol": rtol, "atol": atol,
-            "dt_out": dt_out}
+    meta = {"label": label, "model": model.kind}
     if model.kind == "extended":
         meta["slip_length"] = model.slip_length
-    return solve_rk45(f, init.h, init.v, t_end, rtol, atol, dt_out, meta)
+    return solve_rk45(_rhs_terms(model, fluid, geom), init.h, init.v, t_end,
+                      rtol, atol, dt_out, meta)
 
 
 def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4,

@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .core import FluidPair, Geometry
-from .errors import NonWettingAngle, SingularHeight
-from .odemodels import RiseState, Trajectory, solve_rk45, DEFAULT_RTOL, DEFAULT_ATOL
+from .errors import NonWettingAngle
+from .odemodels import (RiseState, Trajectory, rise_rhs, solve_rk45, DEFAULT_RTOL,
+                        DEFAULT_ATOL)
 
 SCALING_KINDS = ("I", "II", "III")
 
@@ -139,40 +140,18 @@ def redimensionalize(traj: Trajectory, kind: str, s: ScaleSet) -> Trajectory:
 
 
 def _rhs_scaled_terms(kind: str, omega: float, groups: SlipGroups, h_hat_star: float):
+    """Coefficient row of scaling ``kind`` bound into :func:`rise_rhs`."""
     k, q = groups.k, groups.q
-    eps = 1e-14  # scaled heights are O(1)
-
     if kind == "I":
         om2 = omega * omega
-
-        def f(h: float, v: float) -> tuple[float, float]:
-            H = h + h_hat_star
-            if H <= eps:
-                raise SingularHeight(f"scaled column length {H!r} <= {eps!r}")
-            return v, (om2 * (1.0 - H - k * v * H) + (q - 1.0) * v * v) / H
-
-        return f
-    if kind == "II":
-
-        def f(h: float, v: float) -> tuple[float, float]:
-            H = h + h_hat_star
-            if H <= eps:
-                raise SingularHeight(f"scaled column length {H!r} <= {eps!r}")
-            return v, (1.0 - H - k * omega * v * H + (q - 1.0) * v * v) / H
-
-        return f
-    if kind == "III":
-        rt2_over_om = math.sqrt(2.0) / omega
-
-        def f(h: float, v: float) -> tuple[float, float]:
-            H = h + h_hat_star
-            if H <= eps:
-                raise SingularHeight(f"scaled column length {H!r} <= {eps!r}")
-            return v, (0.5 * (1.0 - rt2_over_om * H) - k * v * H
-                       + (q - 1.0) * v * v) / H
-
-        return f
-    raise ValueError(f"unknown scaling kind {kind!r}")
+        A, B, C = om2, om2, om2 * k
+    elif kind == "II":
+        A, B, C = 1.0, 1.0, k * omega
+    elif kind == "III":
+        A, B, C = 0.5, 0.5 * (math.sqrt(2.0) / omega), k
+    else:
+        raise ValueError(f"unknown scaling kind {kind!r}")
+    return rise_rhs(A, B, C, q - 1.0, h_hat_star, 1e-14)  # scaled heights are O(1)
 
 
 def rhs_scaled(kind: str, omega: float, groups: SlipGroups, h_hat_star: float,
@@ -191,16 +170,11 @@ def integrate_scaled(kind: str, omega: float, groups: SlipGroups, h_hat_star: fl
                      atol: float = DEFAULT_ATOL, dt_out: float | None = None,
                      label: str = "") -> Trajectory:
     """Integrate the scaled extended model directly in scaled variables."""
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
     if not omega > 0.0:
         raise ValueError("omega must be positive")
-    if dt_out is None:
-        dt_out = t_end / 2000.0
-    f = _rhs_scaled_terms(kind, omega, groups, h_hat_star)
-    meta = {"label": label, "model": f"scaled-{kind}", "rtol": rtol, "atol": atol,
-            "dt_out": dt_out, "scaling": kind, "omega": omega}
-    return solve_rk45(f, init.h, init.v, t_end, rtol, atol, dt_out, meta)
+    meta = {"label": label, "model": f"scaled-{kind}", "scaling": kind, "omega": omega}
+    return solve_rk45(_rhs_scaled_terms(kind, omega, groups, h_hat_star), init.h,
+                      init.v, t_end, rtol, atol, dt_out, meta)
 
 
 def auto_t_end(fluid: FluidPair, geom: Geometry, *, factor: float = 10.0) -> float:

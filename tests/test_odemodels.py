@@ -18,7 +18,7 @@ from caprise.odemodels import (
     rhs,
     settle_metrics,
 )
-from caprise.scaling import auto_t_end
+from caprise.scaling import auto_t_end, integrate_scaled, slip_groups
 from caprise.study import synth_params
 
 FLUID_OM1_TAB = FluidPair(rho_l=83.1, rho_g=0.0831, mu_l=0.01, mu_g=1e-5,
@@ -123,13 +123,8 @@ def test_trajectory_validation():
 
 
 def test_integrate_argument_checks():
+    # t_end, rtol and dt_out: see test_integrate_rejects_bad_arguments
     fluid, geom = synth_params(1.0, 0.04)
-    with pytest.raises(ValueError):
-        integrate(ModelSpec.classical(), fluid, geom, RiseState(h=0.01, v=0.0),
-                  t_end=-1.0)
-    with pytest.raises(ValueError):
-        integrate(ModelSpec.classical(), fluid, geom, RiseState(h=0.01, v=0.0),
-                  t_end=1.0, rtol=1e-2)
     # classical model refuses a (near-)dry start
     with pytest.raises(ValueError):
         integrate(ModelSpec.classical(), fluid, geom, RiseState(h=1e-13, v=0.0),
@@ -137,6 +132,33 @@ def test_integrate_argument_checks():
     # extended model accepts h0 = 0
     integrate(ModelSpec.extended(0.001), fluid, geom, RiseState(h=0.0, v=0.0),
               t_end=1e-3)
+
+
+def _integrate_dimensional(**kw):
+    fluid, geom = synth_params(1.0, 0.04)
+    return integrate(ModelSpec.extended(0.001), fluid, geom, RiseState(h=0.01, v=0.0),
+                     **kw)
+
+
+def _integrate_scaled_ii(**kw):
+    return integrate_scaled("II", 1.0, slip_groups(0.001, 0.005), 0.04,
+                            RiseState(h=0.46, v=0.0), **kw)
+
+
+@pytest.mark.parametrize("entry", [_integrate_dimensional, _integrate_scaled_ii],
+                         ids=["integrate", "integrate_scaled"])
+@pytest.mark.parametrize("bad", [
+    {"t_end": -1.0}, {"t_end": 0.0},
+    {"t_end": 1.0, "rtol": 1e-2}, {"t_end": 1.0, "rtol": 0.5},
+    {"t_end": 1.0, "rtol": 1e-13},
+    {"t_end": 1.0, "dt_out": -1.0}, {"t_end": 1.0, "dt_out": 0.0},
+    {"t_end": 1.0, "dt_out": 2.0},
+], ids=["t_end<0", "t_end=0", "rtol=1e-2", "rtol=0.5", "rtol=1e-13",
+        "dt_out<0", "dt_out=0", "dt_out>t_end"])
+def test_integrate_rejects_bad_arguments(entry, bad):
+    # both entry points share solve_rk45, which owns these checks
+    with pytest.raises(ValueError):
+        entry(**bad)
 
 
 def test_integrate_sampling_grid():

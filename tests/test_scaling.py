@@ -9,7 +9,8 @@ import pytest
 from caprise.core import FluidPair, Geometry, dimensionless_numbers, \
     height_correction, jurin_height
 from caprise.errors import NonWettingAngle
-from caprise.odemodels import ModelSpec, RiseState, Trajectory, integrate
+from caprise.odemodels import ModelSpec, RiseState, Trajectory, detect_peaks, \
+    integrate
 from caprise.scaling import (
     SCALING_KINDS,
     ScaleSet,
@@ -229,6 +230,47 @@ def test_integrate_scaled_reaches_equilibrium():
                           RiseState(h=0.01 * units("II", s).h_rate, v=0.0),
                           t_end=60.0)
     assert tr.h[-1] + hh == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("omega", [0.1, 0.2])
+@pytest.mark.parametrize("L", [1e-3, 1e-4])
+def test_scaled_ii_small_omega_linearisation(omega, L):
+    # oracle: around H = 1 scaling II is x'' + k omega x' + x = 0, a damped
+    # oscillator of period T = 2 pi/sqrt(1 - (k omega/2)^2) whose successive
+    # overshoots shrink by exp(-k omega/2 T)
+    hh = 0.04
+    groups = slip_groups(L, 0.005)
+    tr = integrate_scaled("II", omega, groups, hh, RiseState(h=0.46, v=0.0), 200.0,
+                          dt_out=0.005)
+    decay = groups.k * omega / 2.0
+    period = 2.0 * math.pi / math.sqrt(1.0 - decay * decay)
+    ratio = math.exp(-decay * period)
+    maxima = detect_peaks(tr, eps_peak=1e-12, h_ref=1.0).maxima()
+    # late enough to be linear, early enough to stand above sampling noise
+    pairs = [(a, b) for a, b in zip(maxima, maxima[1:])
+             if 1e-5 <= a.h + hh - 1.0 <= 5e-3]
+    assert len(pairs) >= 2
+    for a, b in pairs:
+        assert abs((b.t - a.t) / period - 1.0) <= 1e-4
+        assert abs((b.h + hh - 1.0) / (a.h + hh - 1.0) / ratio - 1.0) <= 1e-3
+
+
+def test_scaled_i_viscous_limit():
+    # oracle: as omega -> inf scaling I tends to k H H' = 1 - H, solved by
+    # t = k[(H0 - H) + ln((1 - H0)/(1 - H))]; the gap closes as 1/omega^2
+    hh, H0 = 0.04, 0.5
+    groups = slip_groups(0.2, 1.0)  # k = 0.625
+    k = groups.k
+    gaps = []
+    for omega in (10.0, 30.0):
+        tr = integrate_scaled("I", omega, groups, hh, RiseState(h=H0 - hh, v=0.0), 3.0)
+        late = tr.t > 0.5  # past the inertial start-up layer
+        H = tr.h[late] + hh
+        t_closed = k * ((H0 - H) + np.log((1.0 - H0) / (1.0 - H)))
+        gaps.append(float(np.max(np.abs(tr.t[late] - t_closed))))
+    order = math.log(gaps[0] / gaps[1]) / math.log(3.0)
+    assert 1.8 <= order <= 2.2
+    assert gaps[1] <= 0.02
 
 
 @pytest.mark.parametrize("kind", SCALING_KINDS)
