@@ -140,8 +140,12 @@ def _cmd_sim2d(args) -> int:
     t_end = args.t_end if args.t_end is not None else auto_t_end(fluid, geom)
     setup = CaseSetup2D(fluid=fluid, geom=geom, slip=args.slip,
                         nx=args.cells_per_radius, t_end=t_end)
-    traj, _ = run_vof2d(setup)
+    traj, diag = run_vof2d(setup)
     write_trajectory_csv(traj, args.out)
+    # wall time is the one field that differs between identical runs
+    fields = dataclasses.asdict(diag)
+    del fields["wall_time_s"]
+    print(json.dumps(fields, sort_keys=True), file=sys.stderr)
     return 0
 
 

@@ -17,8 +17,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, solveh_banded
 
 from ..core import FluidPair, Geometry, SlipSpec, stationary_height
 from ..errors import CourantViolation, SolverDiverged
@@ -172,7 +171,6 @@ class Simulator:
     def _momentum(self, dt: float, A_pad, u_full, v_full, kappa):
         st = self.state
         fl = self.setup.fluid
-        nx, ny = st.grid.nx, st.grid.ny
         dx, dy = st.grid.dx, st.grid.dy
         u, v, alpha = st.u, st.v, st.alpha
 
@@ -238,7 +236,6 @@ class Simulator:
 
     def _project(self, dt: float, u_star, v_star, rho_pad):
         st = self.state
-        nx, ny = st.grid.nx, st.grid.ny
         dx, dy = st.grid.dx, st.grid.dy
 
         beta_x = 1.0 / (0.5 * (rho_pad[:-1, 1:-1] + rho_pad[1:, 1:-1]))
@@ -424,60 +421,57 @@ def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
     x-boundaries are always Neumann (wall or symmetry plane); bottom and
     top are "dirichlet" (ghost p = -p, boundary value 0) or "neumann".
     The all-Neumann system is singular: the mean is removed from rhs,
-    one cell is pinned, and the returned field has zero mean.
+    one cell is pinned, and the returned field has zero mean.  With the
+    cell index k = i + nx*j, -div(beta grad) is a symmetric positive
+    definite band matrix of half-bandwidth nx: one banded Cholesky solve.
     """
     nx, ny = grid.nx, grid.ny
-    dx2, dy2 = grid.dx ** 2, grid.dy ** 2
-
-    aW = np.zeros((nx, ny))
-    aE = np.zeros((nx, ny))
-    aS = np.zeros((nx, ny))
-    aN = np.zeros((nx, ny))
-    diag_extra = np.zeros((nx, ny))
-    aW[1:, :] = beta_x[1:-1, :] / dx2
-    aE[:-1, :] = beta_x[1:-1, :] / dx2
-    aS[:, 1:] = beta_y[:, 1:-1] / dy2
-    aN[:, :-1] = beta_y[:, 1:-1] / dy2
+    # couplings across the interior x and y faces
+    cx = beta_x[1:-1, :] / grid.dx ** 2
+    cy = beta_y[:, 1:-1] / grid.dy ** 2
+    diag = np.zeros((nx, ny))
+    diag[1:, :] += cx
+    diag[:-1, :] += cx
+    diag[:, 1:] += cy
+    diag[:, :-1] += cy
     if bottom == "dirichlet":
-        diag_extra[:, 0] -= 2.0 * beta_y[:, 0] / dy2
+        diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dy ** 2
     if top == "dirichlet":
-        diag_extra[:, -1] -= 2.0 * beta_y[:, -1] / dy2
-    diag_main = -(aW + aE + aS + aN) + diag_extra
-
-    D = diag_main.flatten("F")
-    W = aW.flatten("F")
-    E = aE.flatten("F")
-    S = aS.flatten("F")
-    Nb = aN.flatten("F")
-    rhs_vec = np.asarray(rhs, dtype=float).flatten("F").copy()
+        diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dy ** 2
+    b = -np.asarray(rhs, dtype=float)
 
     singular = bottom == "neumann" and top == "neumann"
     if singular:
-        rhs_vec -= rhs_vec.mean()
-        # pin the first cell; re-centre afterwards
-        D = D.copy()
-        W = W.copy()
-        E = E.copy()
-        S = S.copy()
-        Nb = Nb.copy()
-        D[0] = 1.0
-        E[0] = 0.0
-        Nb[0] = 0.0
-        rhs_vec[0] = 0.0
+        b -= b.mean()
+        # pin p[0, 0] = 0 and drop its couplings; re-centre afterwards
+        diag[0, 0] = 1.0
+        cx[0, 0] = 0.0
+        cy[0, 0] = 0.0
+        b[0, 0] = 0.0
 
-    n = nx * ny
-    A = diags([D, W[1:], E[:-1], S[nx:], Nb[:-nx]],
-              [0, -1, 1, -nx, nx], shape=(n, n), format="csc")
-    p_vec = splu(A).solve(rhs_vec)
+    # lower band: diagonal, east coupling (row 1), north coupling (row nx)
+    band = np.zeros((nx + 1, nx, ny), order="F")
+    band[0] = diag
+    band[1, :-1, :] = -cx
+    band[nx, :, :-1] = -cy
+    try:
+        p_vec = solveh_banded(band.reshape((nx + 1, nx * ny), order="F"),
+                              b.flatten("F"), lower=True, overwrite_ab=True,
+                              overwrite_b=True, check_finite=False)
+    except LinAlgError as exc:
+        raise SolverDiverged(f"pressure factorization failed: {exc}") from exc
     if not np.all(np.isfinite(p_vec)):
         raise SolverDiverged("pressure solve produced non-finite values")
-    res = A @ p_vec - rhs_vec
-    denom = max(float(np.linalg.norm(rhs_vec)), 1e-300)
-    rel = float(np.linalg.norm(res)) / denom
-    if rel > _POISSON_TOL and float(np.linalg.norm(res)) > 1e-12:
-        raise SolverDiverged(f"pressure residual {rel} above {_POISSON_TOL}")
     p = p_vec.reshape((nx, ny), order="F")
+    res = diag * p - b
+    res[:-1, :] -= cx * p[1:, :]
+    res[1:, :] -= cx * p[:-1, :]
+    res[:, :-1] -= cy * p[:, 1:]
+    res[:, 1:] -= cy * p[:, :-1]
+    res_norm = float(np.linalg.norm(res))
+    rel = res_norm / max(float(np.linalg.norm(b)), 1e-300)
+    if not (rel <= _POISSON_TOL or res_norm <= 1e-12):  # NaN fails too
+        raise SolverDiverged(f"pressure residual {rel} above {_POISSON_TOL}")
     if singular:
         p = p - p.mean()
     return p
-

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from caprise.cli import main
+from caprise.core import SlipSpec
 from caprise.errors import StepSizeUnderflow
-from caprise.harness import read_trajectory_csv, write_trajectory_csv
+from caprise.harness import (read_trajectory_csv, trajectory_csv_text,
+                             write_trajectory_csv)
 from caprise.odemodels import Trajectory
+from caprise.study import synth_params
+from caprise.vof2d import CaseSetup2D
+from caprise.vof2d import run as run_vof2d
 
 
 def run_ok(capsys, argv):
@@ -131,6 +136,32 @@ class TestSim2d:
         traj = read_trajectory_csv(out)
         assert traj.t[-1] == 0.005
         assert np.all(traj.h > 0.0)
+
+    def test_prints_diagnostics(self, tmp_path, capsys):
+        out = tmp_path / "pde.csv"
+        argv = ["sim2d", "--omega", "1", "--sigma", "0.04",
+                "--cells-per-radius", "4", "--slip", "navier:0.001",
+                "--t-end", "0.005", "--out", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert set(diag) == {
+            "n_steps", "dt_min", "dt_max", "cfl_max", "div_step_rel_max",
+            "div_reduction_max", "vol_balance_rel_max", "vol_drift_rel",
+            "clipped_area_total", "alpha_overshoot_max"}
+        assert diag["n_steps"] > 0
+        assert 0.0 < diag["dt_min"] <= diag["dt_max"]
+        assert 0.0 < diag["cfl_max"] <= 1.0
+
+        fluid, geom = synth_params(1.0, 0.04)
+        traj, run_diag = run_vof2d(CaseSetup2D(
+            fluid=fluid, geom=geom, slip=SlipSpec.navier(0.001), nx=4,
+            t_end=0.005))
+        assert diag["n_steps"] == run_diag.n_steps
+        assert out.read_text(encoding="utf-8") == trajectory_csv_text(traj)
 
     def test_bad_slip(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from caprise.core import FluidPair, Geometry, SlipSpec
-from caprise.errors import CourantViolation, StencilInvalid
+from caprise.errors import CourantViolation, SolverDiverged, StencilInvalid
 from caprise.vof2d.curvature import (column_height, contact_angle_ghost,
                                      curvature_height_function,
                                      interface_cell)
@@ -116,6 +116,37 @@ class TestSlipGhost:
         assert g[0] == pytest.approx((0.4 - 0.1) / (0.4 + 0.1))
 
 
+def _dense_operator(grid, beta_x, beta_y, bottom, top):
+    """div(beta grad) as a dense matrix, cell (i, j) in row i + nx*j."""
+    nx, ny = grid.nx, grid.ny
+    dx2, dy2 = grid.dx ** 2, grid.dy ** 2
+    A = np.zeros((nx * ny, nx * ny))
+    for j in range(ny):
+        for i in range(nx):
+            k = i + nx * j
+            neighbours = []
+            if i > 0:
+                neighbours.append((k - 1, beta_x[i, j] / dx2))
+            if i < nx - 1:
+                neighbours.append((k + 1, beta_x[i + 1, j] / dx2))
+            if j > 0:
+                neighbours.append((k - nx, beta_y[i, j] / dy2))
+            elif bottom == "dirichlet":
+                neighbours.append((None, beta_y[i, 0] / dy2))
+            if j < ny - 1:
+                neighbours.append((k + nx, beta_y[i, j + 1] / dy2))
+            elif top == "dirichlet":
+                neighbours.append((None, beta_y[i, ny] / dy2))
+            for m, c in neighbours:
+                A[k, k] -= c
+                if m is None:
+                    # ghost value -p puts the boundary value at zero
+                    A[k, k] -= c
+                else:
+                    A[k, m] += c
+    return A
+
+
 class TestPoisson:
     def _mms_error(self, nx, bottom, top):
         R = 1.0
@@ -124,35 +155,98 @@ class TestPoisson:
         x = (np.arange(grid.nx) + 0.5) * grid.dx
         y = (np.arange(grid.ny) + 0.5) * grid.dy
         X, Y = np.meshgrid(x, y, indexing="ij")
-        if bottom == "neumann":
-            p_exact = np.cos(math.pi * X / R) * np.cos(math.pi * Y / H)
+        # the y profile meets the bottom/top conditions at y = 0 and H
+        if bottom == "dirichlet":
+            ky, profile = math.pi / H, np.sin
+        elif top == "dirichlet":
+            ky, profile = 0.5 * math.pi / H, np.cos
         else:
-            p_exact = np.cos(math.pi * X / R) * np.sin(math.pi * Y / H)
-        lap = -(math.pi ** 2) * (1.0 / R ** 2 + 1.0 / H ** 2) * p_exact
+            ky, profile = math.pi / H, np.cos
+        p_exact = np.cos(math.pi * X / R) * profile(ky * Y)
+        lap = -((math.pi / R) ** 2 + ky ** 2) * p_exact
         beta_x = np.ones((grid.nx + 1, grid.ny))
         beta_y = np.ones((grid.nx, grid.ny + 1))
         p = poisson_solve(grid, beta_x, beta_y, lap, bottom=bottom, top=top)
-        if bottom == "neumann":
+        if bottom == "neumann" and top == "neumann":
             p_exact = p_exact - p_exact.mean()
         return float(np.abs(p - p_exact).max())
 
-    def test_all_neumann_second_order(self):
-        e8 = self._mms_error(8, "neumann", "neumann")
-        e16 = self._mms_error(16, "neumann", "neumann")
+    def _assert_second_order(self, bottom, top):
+        e8 = self._mms_error(8, bottom, top)
+        e16 = self._mms_error(16, bottom, top)
         assert e8 / e16 > 3.4
         assert e16 < 5e-3
 
+    def test_all_neumann_second_order(self):
+        self._assert_second_order("neumann", "neumann")
+
     def test_dirichlet_second_order(self):
-        e8 = self._mms_error(8, "dirichlet", "dirichlet")
-        e16 = self._mms_error(16, "dirichlet", "dirichlet")
-        assert e8 / e16 > 3.4
-        assert e16 < 5e-3
+        self._assert_second_order("dirichlet", "dirichlet")
+
+    def test_closed_bottom_second_order(self):
+        self._assert_second_order("neumann", "dirichlet")
+
+    @pytest.mark.parametrize("bottom,top", [("dirichlet", "dirichlet"),
+                                            ("neumann", "dirichlet"),
+                                            ("neumann", "neumann")])
+    def test_matches_dense_solve(self, bottom, top):
+        # mobilities spread over the liquid/gas density ratio of 1000
+        rng = np.random.default_rng(7)
+        grid = Grid.half_gap(6, 1.0)
+        nx, ny = grid.nx, grid.ny
+        beta_x = 10.0 ** rng.uniform(-3.0, 0.0, (nx + 1, ny))
+        beta_y = 10.0 ** rng.uniform(-3.0, 0.0, (nx, ny + 1))
+        rhs = rng.standard_normal((nx, ny))
+        p = poisson_solve(grid, beta_x, beta_y, rhs, bottom=bottom, top=top)
+
+        A = _dense_operator(grid, beta_x, beta_y, bottom, top)
+        b = rhs.flatten("F")
+        if bottom == "neumann" and top == "neumann":
+            # constants span the null space; compare zero-mean fields
+            b = b - b.mean()
+            ref = np.linalg.lstsq(A, b, rcond=None)[0]
+            ref -= ref.mean()
+        else:
+            ref = np.linalg.solve(A, b)
+        ref = ref.reshape((nx, ny), order="F")
+        assert np.abs(p - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_zero_rhs_gives_zero_field(self):
         grid = Grid.half_gap(4, 1.0)
         p = poisson_solve(grid, np.ones((5, 32)), np.ones((4, 33)),
                           np.zeros((4, 32)))
         assert np.all(p == 0.0)
+
+    @pytest.mark.parametrize("bottom,top", [("dirichlet", "dirichlet"),
+                                            ("neumann", "neumann")])
+    @pytest.mark.parametrize("bad", ["nan-rhs", "nan-beta-x", "inf-beta-y",
+                                     "zero-beta"])
+    def test_bad_input_raises_solver_diverged(self, bad, bottom, top):
+        grid = Grid.half_gap(4, 1.0)
+        beta_x = np.ones((5, 32))
+        beta_y = np.ones((4, 33))
+        rhs = np.ones((4, 32))
+        if bad == "nan-rhs":
+            rhs[2, 5] = np.nan
+        elif bad == "nan-beta-x":
+            beta_x[2, 5] = np.nan
+        elif bad == "inf-beta-y":
+            beta_y[1, 5] = np.inf
+        else:
+            beta_x[:] = 0.0
+            beta_y[:] = 0.0
+        with pytest.raises(SolverDiverged):
+            poisson_solve(grid, beta_x, beta_y, rhs, bottom=bottom, top=top)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_residual_raises_solver_diverged(self):
+        # an infinite Dirichlet face mobility yields a finite p whose
+        # residual is NaN; the residual check must not let that through
+        grid = Grid.half_gap(4, 1.0)
+        beta_y = np.ones((4, 33))
+        beta_y[1, 0] = np.inf
+        with pytest.raises(SolverDiverged, match="residual"):
+            poisson_solve(grid, np.ones((5, 32)), beta_y, np.ones((4, 32)))
 
 
 def _single_phase_setup(closed_bottom):
