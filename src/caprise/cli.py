@@ -142,10 +142,7 @@ def _cmd_sim2d(args) -> int:
                         nx=args.cells_per_radius, t_end=t_end)
     traj, diag = run_vof2d(setup)
     write_trajectory_csv(traj, args.out)
-    # wall time is the one field that differs between identical runs
-    fields = dataclasses.asdict(diag)
-    del fields["wall_time_s"]
-    print(json.dumps(fields, sort_keys=True), file=sys.stderr)
+    print(json.dumps(diag.deterministic_fields(), sort_keys=True), file=sys.stderr)
     return 0
 
 

@@ -44,6 +44,7 @@ from .scaling import SCALING_KINDS, auto_t_end, coefficients, nondimensionalize
 from .study import synth_params
 from .vof2d import CaseSetup2D
 from .vof2d import run as run_vof2d
+from .vof2d.solver import RunDiagnostics
 
 MODELS = ("classical", "extended", "vof2d")
 
@@ -172,8 +173,9 @@ def compare(a: Trajectory, b: Trajectory, *,
 def trajectory_csv_text(traj: Trajectory) -> str:
     """The trajectory as CSV text: header t,h,hdot then 17-digit values."""
     lines = ["t,h,hdot"]
+    # Python floats format to the same bytes as np.float64, and faster
     lines += [f"{t:.17g},{h:.17g},{v:.17g}"
-              for t, h, v in zip(traj.t, traj.h, traj.v)]
+              for t, h, v in zip(traj.t.tolist(), traj.h.tolist(), traj.v.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -215,7 +217,8 @@ class BenchResult:
     rel_stationary_err is measured against the corrected stationary
     height (h_inf_predicted) for every model; t_settle and the peak list
     use the model's own limit, which for the classical model is the
-    uncorrected Jurin height.
+    uncorrected Jurin height.  diagnostics holds the vof2d run's
+    conservation and stability figures and is None for the ODE models.
     """
 
     case: CaseSpec
@@ -229,6 +232,7 @@ class BenchResult:
     t_settle: float | None
     wall_time_s: float | None
     step_count: int
+    diagnostics: RunDiagnostics | None = None
 
 
 def _own_target(case: CaseSpec, model: str) -> float:
@@ -253,12 +257,13 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
     if t_end is None:
         t_end = auto_t_end(case.fluid, case.geom)
     t0 = time.perf_counter()
+    diag = None
     if model == "vof2d":
         if nx is None:
             raise ValueError("vof2d runs need an explicit cells-per-radius nx")
         setup = CaseSetup2D(fluid=case.fluid, geom=case.geom, slip=case.slip,
                             nx=nx, t_end=t_end, dt_out=dt_out)
-        traj, _ = run_vof2d(setup)
+        traj, diag = run_vof2d(setup)
     else:
         # numerical slip has no continuum parameter; its mesh-converged
         # limit is no slip, so the extended model runs with L = 0
@@ -279,12 +284,13 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
         rel_stationary_err=abs(h_final - h_inf_pred) / h_inf_pred,
         peaks=detect_peaks(traj), ca_max=ca_max(traj, case.fluid),
         t_settle=settle.t_settle,
-        wall_time_s=wall if timings else None, step_count=int(steps))
+        wall_time_s=wall if timings else None, step_count=int(steps),
+        diagnostics=diag)
 
 
 def _summary_entry(case: CaseSpec, model: str, res: BenchResult) -> dict:
     f, gm = case.fluid, case.geom
-    return {
+    entry = {
         "label": case.label,
         "omega": case.omega_nominal,
         "model": model,
@@ -304,6 +310,9 @@ def _summary_entry(case: CaseSpec, model: str, res: BenchResult) -> dict:
         "n_steps": res.step_count,
         "wall_time_s": res.wall_time_s,
     }
+    if res.diagnostics is not None:
+        entry["diagnostics"] = res.diagnostics.deterministic_fields()
+    return entry
 
 
 def _failure_entry(case: CaseSpec, model: str, exc: Exception) -> dict:

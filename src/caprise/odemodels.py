@@ -17,13 +17,41 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import FluidPair, Geometry, height_correction
 from .errors import SingularHeight, StepSizeUnderflow
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12  # m
+
+# Dormand & Prince (1980) 5(4) pair: stage matrix, 5th-order weights, error
+# row, and Shampine's (1986) quartic dense-output matrix.  The literals are
+# those of scipy.integrate's RK45 (scipy/integrate/_ivp/rk.py), written out
+# so that this module does not import scipy.integrate.
+_DP_A = ((1/5,),
+         (3/40, 9/40),
+         (44/45, -56/15, 32/9),
+         (19372/6561, -25360/2187, 64448/6561, -212/729),
+         (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
+_DP_B = (35/384, 0, 500/1113, 125/192, -2187/6784, 11/84)
+_DP_E = (-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_DP_P = ((1, -8048581381/2820520608, 8663915743/2820520608,
+          -12715105075/11282082432),
+         (0, 0, 0, 0),
+         (0, 131558114200/32700410799, -68118460800/10900136933,
+          87487479700/32700410799),
+         (0, -1754552775/470086768, 14199869525/1410260304,
+          -10690763975/1880347072),
+         (0, 127303824393/49829197408, -318862633887/49829197408,
+          701980252875/199316789632),
+         (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+         (0, 40617522/29380423, -110615467/29380423, 69997945/29380423))
+_SQRT2 = 2 ** 0.5
+
+
+def _rms(a: float, b: float) -> float:
+    """RMS norm of the 2-vector (a, b), the norm of scipy's step control."""
+    return math.sqrt(a * a + b * b) / _SQRT2
 
 
 @dataclass(frozen=True)
@@ -191,26 +219,113 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
     Shared by the dimensional and the scaled integrators, so it owns their
     argument checks.  dt_out defaults to t_end/2000; the last sample lands
     exactly on t_end.
+
+    The stepper is scipy's ``RK45`` written out for the (h, v) state in
+    plain floats: the same tableau, Hairer-Norsett-Wanner initial step,
+    step control and dense output, so it takes the same steps up to
+    rounding.  A step that would fall below ten float spacings of t (also
+    a NaN step) raises StepSizeUnderflow.
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
     if not 1e-12 <= rtol <= 1e-3:
         raise ValueError("rtol must lie in [1e-12, 1e-3]")
+    if not atol >= 0.0:
+        raise ValueError("atol must be >= 0")
     if dt_out is None:
         dt_out = t_end / 2000.0
     if not 0.0 < dt_out <= t_end:
         raise ValueError("dt_out must lie in (0, t_end]")
     t_eval = output_times(t_end, dt_out)
+    samples = t_eval.tolist()
+    n_out = len(samples)
+    hs: list[float] = []
+    vs: list[float] = []
+    i_out = 0
 
-    def fun(t, y):
-        return f(y[0], y[1])
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A
+    b1, _, b3, b4, b5, b6 = _DP_B
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    (_, p12, p13, p14), _, (_, p32, p33, p34), (_, p42, p43, p44), \
+        (_, p52, p53, p54), (_, p62, p63, p64), (_, p72, p73, p74) = _DP_P
 
-    sol = solve_ivp(fun, (0.0, t_end), [h0, v0], method="RK45",
-                    rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-    meta = dict(metadata, rtol=rtol, atol=atol, dt_out=dt_out, nfev=int(sol.nfev))
-    return Trajectory(t=sol.t, h=sol.y[0], v=sol.y[1], metadata=meta)
+    t = 0.0
+    h, v = float(h0), float(v0)
+    kh1, kv1 = f(h, v)
+    # initial step of Hairer, Norsett & Wanner (1993), sec. II.4, for an
+    # error estimator of order 4
+    sh, sv = atol + abs(h) * rtol, atol + abs(v) * rtol
+    d0 = _rms(h / sh, v / sv)
+    d1 = _rms(kh1 / sh, kv1 / sv)
+    dt = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    dt = min(dt, t_end)
+    fh, fv = f(h + dt * kh1, v + dt * kv1)
+    d2 = _rms((fh - kh1) / sh, (fv - kv1) / sv) / dt
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        dt_first = max(1e-6, dt * 1e-3)
+    else:
+        dt_first = (0.01 / max(d1, d2)) ** 0.2
+    dt = min(100.0 * dt, dt_first, t_end)
+    nfev = 2
+
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        dt = max(dt, min_step)
+        rejected = False
+        while True:
+            if not dt >= min_step:
+                raise StepSizeUnderflow(
+                    f"step size {dt!r} fell below {min_step!r} at t = {t!r}")
+            t_new = min(t + dt, t_end)
+            dt = t_new - t
+            kh2, kv2 = f(h + a21 * kh1 * dt, v + a21 * kv1 * dt)
+            kh3, kv3 = f(h + (a31 * kh1 + a32 * kh2) * dt,
+                         v + (a31 * kv1 + a32 * kv2) * dt)
+            kh4, kv4 = f(h + (a41 * kh1 + a42 * kh2 + a43 * kh3) * dt,
+                         v + (a41 * kv1 + a42 * kv2 + a43 * kv3) * dt)
+            kh5, kv5 = f(h + (a51 * kh1 + a52 * kh2 + a53 * kh3 + a54 * kh4) * dt,
+                         v + (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4) * dt)
+            kh6, kv6 = f(h + (a61 * kh1 + a62 * kh2 + a63 * kh3 + a64 * kh4
+                              + a65 * kh5) * dt,
+                         v + (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4
+                              + a65 * kv5) * dt)
+            h_new = h + dt * (b1 * kh1 + b3 * kh3 + b4 * kh4 + b5 * kh5 + b6 * kh6)
+            v_new = v + dt * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
+            kh7, kv7 = f(h_new, v_new)
+            nfev += 6
+            err_h = ((e1 * kh1 + e3 * kh3 + e4 * kh4 + e5 * kh5 + e6 * kh6 + e7 * kh7)
+                     * dt / (atol + max(abs(h), abs(h_new)) * rtol))
+            err_v = ((e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
+                     * dt / (atol + max(abs(v), abs(v_new)) * rtol))
+            err = _rms(err_h, err_v)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                dt_next = dt * (min(1.0, factor) if rejected else factor)
+                break
+            dt *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+
+        if i_out < n_out and samples[i_out] <= t_new:
+            # quartic dense output of Shampine (1986) over [t, t_new]
+            qh2 = p12 * kh1 + p32 * kh3 + p42 * kh4 + p52 * kh5 + p62 * kh6 + p72 * kh7
+            qh3 = p13 * kh1 + p33 * kh3 + p43 * kh4 + p53 * kh5 + p63 * kh6 + p73 * kh7
+            qh4 = p14 * kh1 + p34 * kh3 + p44 * kh4 + p54 * kh5 + p64 * kh6 + p74 * kh7
+            qv2 = p12 * kv1 + p32 * kv3 + p42 * kv4 + p52 * kv5 + p62 * kv6 + p72 * kv7
+            qv3 = p13 * kv1 + p33 * kv3 + p43 * kv4 + p53 * kv5 + p63 * kv6 + p73 * kv7
+            qv4 = p14 * kv1 + p34 * kv3 + p44 * kv4 + p54 * kv5 + p64 * kv6 + p74 * kv7
+            while i_out < n_out and samples[i_out] <= t_new:
+                x = (samples[i_out] - t) / dt
+                x2 = x * x
+                x3 = x2 * x
+                x4 = x3 * x
+                hs.append(h + dt * (kh1 * x + qh2 * x2 + qh3 * x3 + qh4 * x4))
+                vs.append(v + dt * (kv1 * x + qv2 * x2 + qv3 * x3 + qv4 * x4))
+                i_out += 1
+        t, h, v, kh1, kv1, dt = t_new, h_new, v_new, kh7, kv7, dt_next
+
+    meta = dict(metadata, rtol=rtol, atol=atol, dt_out=dt_out, nfev=nfev)
+    return Trajectory(t=t_eval, h=np.array(hs), v=np.array(vs), metadata=meta)
 
 
 def integrate(model: ModelSpec, fluid: FluidPair, geom: Geometry, init: RiseState,

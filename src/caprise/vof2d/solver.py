@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
@@ -72,6 +72,13 @@ class RunDiagnostics:
     clipped_area_total: float = 0.0
     alpha_overshoot_max: float = 0.0
     wall_time_s: float = 0.0
+
+    def deterministic_fields(self) -> dict:
+        """Every field but wall_time_s, the one that differs between
+        identical runs."""
+        fields = asdict(self)
+        del fields["wall_time_s"]
+        return fields
 
 
 def compute_dt(state: SimState, fluid: FluidPair, safety: float) -> float:

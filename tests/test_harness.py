@@ -171,6 +171,18 @@ class TestCsvContract:
         assert raw.endswith(b"\n") and not raw.endswith(b",\n")
         assert raw == trajectory_csv_text(ext.trajectory).encode()
 
+    def test_text_matches_float64_formatting(self):
+        # the export formats Python floats; the bytes must equal those of
+        # np.float64 formatting, including signed zero and subnormals
+        t = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1.0])
+        h = np.array([-0.0, 1e-300, 4.9e-324, -1.5e-310, 1 / 3, 1.7976931348623157e308])
+        v = np.array([1e-300, -0.0, 2.225e-308, -5e-324, -math.pi, 123456789.0])
+        traj = Trajectory(t=t, h=h, v=v)
+        old = "t,h,hdot\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n"
+                                     for a, b, c in zip(traj.t, traj.h, traj.v))
+        assert trajectory_csv_text(traj) == old
+        assert "\n-0,-0,1e-300\n" in old and "4.9406564584124654e-324" in old
+
     def test_header_is_validated(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,height,speed\n0,0,0\n")
@@ -315,6 +327,11 @@ class TestRunSuite:
         entry = json.loads((out / "summary.json").read_text())[0]
         assert entry["n_steps"] == res.step_count
         assert (out / "omega1_vof2d_none.csv").exists()
+        # the run's diagnostics reach the summary, all but the wall time
+        diag = dataclasses.asdict(res.diagnostics)
+        del diag["wall_time_s"]
+        assert entry["diagnostics"] == diag
+        assert entry["diagnostics"]["n_steps"] == res.step_count
 
     def test_summary_entry_fields(self, tmp_path, suite):
         out = tmp_path / "fields"

@@ -1,24 +1,38 @@
 """Rise-model right-hand sides, integration, and trajectory analytics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caprise
+
 from caprise.core import FluidPair, Geometry, height_correction, jurin_height, \
     stationary_height
-from caprise.errors import SingularHeight
+from caprise.errors import SingularHeight, StepSizeUnderflow
+from caprise.harness import omega_suite
 from caprise.odemodels import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
     ModelSpec,
     RiseState,
     Trajectory,
+    _rhs_terms,
     ca_max,
     detect_peaks,
     integrate,
+    output_times,
     rhs,
+    rise_rhs,
     settle_metrics,
+    solve_rk45,
 )
-from caprise.scaling import auto_t_end, integrate_scaled, slip_groups
+from caprise.scaling import _rhs_scaled_terms, auto_t_end, integrate_scaled, \
+    slip_groups
 from caprise.study import synth_params
 
 FLUID_OM1_TAB = FluidPair(rho_l=83.1, rho_g=0.0831, mu_l=0.01, mu_g=1e-5,
@@ -152,13 +166,78 @@ def _integrate_scaled_ii(**kw):
     {"t_end": 1.0, "rtol": 1e-2}, {"t_end": 1.0, "rtol": 0.5},
     {"t_end": 1.0, "rtol": 1e-13},
     {"t_end": 1.0, "dt_out": -1.0}, {"t_end": 1.0, "dt_out": 0.0},
-    {"t_end": 1.0, "dt_out": 2.0},
+    {"t_end": 1.0, "dt_out": 2.0}, {"t_end": 1.0, "atol": -1e-12},
 ], ids=["t_end<0", "t_end=0", "rtol=1e-2", "rtol=0.5", "rtol=1e-13",
-        "dt_out<0", "dt_out=0", "dt_out>t_end"])
+        "dt_out<0", "dt_out=0", "dt_out>t_end", "atol<0"])
 def test_integrate_rejects_bad_arguments(entry, bad):
     # both entry points share solve_rk45, which owns these checks
     with pytest.raises(ValueError):
         entry(**bad)
+
+
+_ORACLE_CASES = [(om, m) for om in (0.5, 1.0, 10.0) for m in ("classical", "extended")]
+_ORACLE_CASES.append((1.0, "scaled-II"))
+
+
+@pytest.mark.parametrize("omega,model", _ORACLE_CASES,
+                         ids=[f"omega{om:g}-{m}" for om, m in _ORACLE_CASES])
+def test_solve_rk45_matches_scipy_rk45(omega, model):
+    # scipy's RK45 is the independent oracle: the stepper copies its tableau,
+    # initial step and step control, so the steps agree up to rounding
+    from scipy.integrate import solve_ivp
+    if model == "scaled-II":
+        groups = slip_groups(0.001, 0.005)
+        f = _rhs_scaled_terms("II", omega, groups, 0.04)
+        h0, t_end = 0.46, 20.0
+        tr = integrate_scaled("II", omega, groups, 0.04, RiseState(h=h0, v=0.0), t_end)
+    else:
+        case = next(c for c in omega_suite() if c.omega_nominal == omega)
+        spec = (ModelSpec.classical() if model == "classical"
+                else ModelSpec.extended(case.slip.L))
+        f = _rhs_terms(spec, case.fluid, case.geom)
+        h0, t_end = case.geom.h0, auto_t_end(case.fluid, case.geom)
+        tr = integrate(spec, case.fluid, case.geom, RiseState(h=h0, v=0.0), t_end)
+    t_eval = output_times(t_end, t_end / 2000.0)
+    ref = solve_ivp(lambda t, y: f(y[0], y[1]), (0.0, t_end), [h0, 0.0],
+                    method="RK45", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, t_eval=t_eval)
+    assert ref.success
+    assert np.array_equal(tr.t, t_eval)
+    assert tr.metadata["nfev"] == ref.nfev
+    assert np.max(np.abs(tr.h - ref.y[0])) <= 1e-12 * np.max(np.abs(ref.y[0]))
+    assert np.max(np.abs(tr.v - ref.y[1])) <= 1e-9 * np.max(np.abs(ref.y[1]))
+
+
+@pytest.mark.parametrize("h_nan", [0.0, 0.02], ids=["from-start", "after-rise"])
+def test_solve_rk45_nan_rhs_raises_step_size_underflow(h_nan):
+    calls = 0
+
+    def f(h, v):
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise RuntimeError("the stepper did not give up on a NaN right-hand side")
+        return (v, 1.0) if h < h_nan else (math.nan, math.nan)
+
+    with pytest.raises(StepSizeUnderflow):
+        solve_rk45(f, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL, None, {})
+
+
+def test_solve_rk45_propagates_singular_height():
+    # H v' = -1 drains the column until H <= eps
+    f = rise_rhs(-1.0, 0.0, 0.0, 0.0, 0.0, 1e-3)
+    with pytest.raises(SingularHeight):
+        solve_rk45(f, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL, None, {})
+
+
+def test_import_leaves_out_scipy_integrate():
+    src = str(Path(caprise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, caprise; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_integrate_sampling_grid():
