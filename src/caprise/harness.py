@@ -44,6 +44,7 @@ from .scaling import SCALING_KINDS, auto_t_end, coefficients, nondimensionalize
 from .study import synth_params
 from .vof2d import CaseSetup2D
 from .vof2d import run as run_vof2d
+from .vof2d.geometry import MIN_NX
 from .vof2d.solver import RunDiagnostics
 
 MODELS = ("classical", "extended", "vof2d")
@@ -372,8 +373,9 @@ def run_suite(selection, *, models: tuple[str, ...] = ("classical", "extended"),
     for k in scalings:
         if k not in allowed:
             raise ValueError(f"unknown scaling {k!r}; choose from {allowed}")
-    if "vof2d" in models and with_pde is None:
-        raise ValueError("vof2d in the model list needs with_pde (cells per radius)")
+    if "vof2d" in models and (with_pde is None or with_pde < MIN_NX):
+        raise ValueError(f"vof2d in the model list needs with_pde >= {MIN_NX} "
+                         f"(cells per radius), got {with_pde}")
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:

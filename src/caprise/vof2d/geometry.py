@@ -16,6 +16,9 @@ import numpy as np
 from ..core import Geometry
 from ..errors import ArcExceedsDomain, MultiValuedColumn
 
+# the fewest cells across a half gap that the stencils support
+MIN_NX = 4
+
 # fractions closer than this to 0 or 1 count as pure cells
 _ALPHA_EPS = 1e-9
 
@@ -43,16 +46,17 @@ class Grid:
     @classmethod
     def half_gap(cls, nx: int, R: float) -> "Grid":
         """nx cells across the half gap [0, R], domain height 8 R."""
-        if nx < 4:
-            raise ValueError("need at least 4 cells across the half gap")
+        if nx < MIN_NX:
+            raise ValueError(f"need at least {MIN_NX} cells across the half gap")
         dx = R / nx
         return cls(nx=nx, ny=8 * nx, dx=dx, dy=dx)
 
     @classmethod
     def full_gap(cls, nx_half: int, R: float) -> "Grid":
         """Debug variant spanning [0, 2R] at the same cell size."""
-        if nx_half < 4:
-            raise ValueError("need at least 4 cells across each half gap")
+        if nx_half < MIN_NX:
+            raise ValueError(
+                f"need at least {MIN_NX} cells across each half gap")
         dx = R / nx_half
         return cls(nx=2 * nx_half, ny=8 * nx_half, dx=dx, dy=dx)
 

@@ -11,7 +11,7 @@ branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _EPS_NORMAL = 1e-14
 
@@ -89,7 +89,10 @@ def offset_for_area(normal, area: float, dx: float, dy: float) -> float:
     cell = dx * dy
     if not 0.0 <= area <= cell * (1.0 + 1e-12):
         raise ValueError(f"target area {area} outside cell [0, {cell}]")
-    area = min(area, cell)
+    return _offset(normal, min(area, cell), dx, dy)
+
+
+def _offset(normal, area: float, dx: float, dy: float) -> float:
     n1, n2 = normal
     d = _offset_pos(abs(n1), abs(n2), area, dx, dy)
     # undo the reflections applied by liquid_area
@@ -100,8 +103,7 @@ def offset_for_area(normal, area: float, dx: float, dy: float) -> float:
     return d
 
 
-@dataclass(frozen=True)
-class PlicPlane:
+class PlicPlane(NamedTuple):
     """Reconstructed interface in one cell: liquid is {n . x <= d}."""
 
     normal: tuple[float, float]
@@ -127,5 +129,5 @@ def plic_reconstruct(alpha3x3, dx: float, dy: float) -> PlicPlane:
     if not 0.0 < ac < 1.0:
         raise ValueError(f"centre fraction {ac} is not a mixed cell")
     n = youngs_normal(alpha3x3, dx, dy)
-    d = offset_for_area(n, ac * dx * dy, dx, dy)
-    return PlicPlane(n, d, dx, dy)
+    # ac < 1 keeps ac*dx*dy <= dx*dy: no range check or clamp needed
+    return PlicPlane(n, _offset(n, ac * dx * dy, dx, dy), dx, dy)

@@ -17,17 +17,18 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
 
 from ..core import FluidPair, Geometry, SlipSpec, stationary_height
 from ..errors import CourantViolation, SolverDiverged
 from ..odemodels import Trajectory, output_times
 from ..study import timestep_limits
 from .curvature import curvature_height_function
-from .geometry import Grid, SimState, apex_height, init_case
+from .geometry import MIN_NX, Grid, SimState, apex_height, init_case
 from .plic import plic_reconstruct
 
 _MIXED_EPS = 1e-12
+_ALL, _INNER = slice(None), slice(1, -1)
+_BELOW, _ABOVE = slice(None, -1), slice(1, None)
 _POISSON_TOL = 1e-8
 
 
@@ -47,8 +48,9 @@ class CaseSetup2D:
     full_gap: bool = False
 
     def __post_init__(self):
-        if self.nx < 4:
-            raise ValueError("need at least 4 cells across the half gap")
+        if self.nx < MIN_NX:
+            raise ValueError(
+                f"need at least {MIN_NX} cells across the half gap")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
         if not 0.0 < self.dt_safety <= 1.0:
@@ -101,6 +103,11 @@ def slip_ghost(v_wall_col: np.ndarray, dx: float, slip: SlipSpec):
         return -v_wall_col
     L = slip.L
     return v_wall_col * ((2.0 * L - dx) / (2.0 * L + dx))
+
+
+def _along(axis: int, index, other=_ALL) -> tuple:
+    """A 2D index that is ``index`` along ``axis`` and ``other`` across it."""
+    return (index, other) if axis == 0 else (other, index)
 
 
 class Simulator:
@@ -284,8 +291,10 @@ class Simulator:
         The compressed-flag field is frozen at the start of the step and
         the sweep order alternates with the step parity.  Fractions are
         clipped to [0, 1] only after both sweeps; the excursion and the
-        clipped area go into the diagnostics.
+        clipped area go into the diagnostics.  Nothing crosses the walls
+        or the symmetry plane: the boundary constraints are pinned first.
         """
+        self.apply_boundaries()
         st = self.state
         grid = st.grid
         dx, dy = grid.dx, grid.dy
@@ -322,42 +331,48 @@ class Simulator:
 
     def _sweep(self, dt: float, c_flag, axis: int) -> float:
         """Move fractions along one axis (0 = x, 1 = y); returns the
-        boundary influx."""
+        boundary influx.
+
+        A face on the bottom or top boundary draws from the ghost row,
+        which holds exactly 1 or 0, so the pure-donor rule covers it; the
+        x-boundary faces carry nothing because u is pinned there.
+        """
         st = self.state
         h = (st.grid.dx, st.grid.dy)
         h_side = h[1 - axis]
         vel = st.u if axis == 0 else st.v
-        A_pad = self._pad_alpha(st.alpha)
-        faces = np.nonzero(vel)
-        vf = vel[faces]
-        up = vf > 0.0
-        w = np.abs(vf) * dt
-        # padded index of each face's upwind (donor) cell
-        donor = [faces[0] + 1, faces[1] + 1]
-        donor[axis] = faces[axis] + ~up
-        a = A_pad[tuple(donor)]
-        # a donor outside the domain acts as a uniform cell
-        ghost = (donor[axis] == 0) | (donor[axis] == A_pad.shape[axis] - 1)
-        f = np.where(ghost, w * a, np.where(a >= 1.0 - _MIXED_EPS, w, 0.0))
-        mixed = np.flatnonzero(
-            ~(ghost | (a <= _MIXED_EPS) | (a >= 1.0 - _MIXED_EPS)))
-        for k, i, j, wk, upk in zip(mixed.tolist(), donor[0][mixed].tolist(),
-                                    donor[1][mixed].tolist(),
-                                    w[mixed].tolist(), up[mixed].tolist()):
-            sten = np.clip(A_pad[i - 1:i + 2, j - 1:j + 2], 0.0, 1.0)
-            plane = plic_reconstruct(sten.tolist(), h[0], h[1])
-            # the slab of depth w on the donor's downwind side
+        A = self._pad_alpha(st.alpha)
+        # clipping moves no donor across _MIXED_EPS, so it can come first
+        np.clip(A, 0.0, 1.0, out=A)
+        up = vel > 0.0
+        w = np.abs(vel) * dt
+        # the donor of each face is its upwind cell
+        a = np.where(up, A[_along(axis, _BELOW, _INNER)],
+                     A[_along(axis, _ABOVE, _INNER)])
+        f = np.where(a >= 1.0 - _MIXED_EPS, w, 0.0)
+        mixed = (w > 0.0) & (a > _MIXED_EPS) & (a < 1.0 - _MIXED_EPS)
+        di, dj = _along(axis, 1, 0)
+        fi, fj = np.nonzero(mixed)
+        flux = []
+        for i, j, wk, upk in zip((fi + 1).tolist(), (fj + 1).tolist(),
+                                 w[mixed].tolist(), up[mixed].tolist()):
+            # (i, j) is the padded index of the cell on the face's high
+            # side; the slab of depth w lies on the donor's downwind side
             lo, hi = [0.0, 0.0], list(h)
             if upk:
+                i, j = i - di, j - dj
                 lo[axis] = h[axis] - wk
             else:
                 hi[axis] = wk
-            f[k] = plane.slab_area(lo[0], hi[0], lo[1], hi[1]) / h_side
-        F = np.zeros(vel.shape)
-        F[faces] = np.copysign(f * h_side, vf)
-        st.alpha -= np.diff(F, axis=axis) / (h[0] * h[1])
-        st.alpha += c_flag * dt * np.diff(vel, axis=axis) / h[axis]
-        return float(F.take(0, axis).sum() - F.take(-1, axis).sum())
+            plane = plic_reconstruct(A[i - 1:i + 2, j - 1:j + 2].tolist(),
+                                     h[0], h[1])
+            flux.append(plane.slab_area(lo[0], hi[0], lo[1], hi[1]) / h_side)
+        f[mixed] = flux
+        F = np.copysign(f * h_side, vel)
+        below, above = _along(axis, _BELOW), _along(axis, _ABOVE)
+        st.alpha -= (F[above] - F[below]) / (h[0] * h[1])
+        st.alpha += c_flag * dt * (vel[above] - vel[below]) / h[axis]
+        return float(F[_along(axis, 0)].sum() - F[_along(axis, -1)].sum())
 
     def step(self, dt: float) -> None:
         st = self.state
@@ -432,6 +447,9 @@ def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
     cell index k = i + nx*j, -div(beta grad) is a symmetric positive
     definite band matrix of half-bandwidth nx: one banded Cholesky solve.
     """
+    # imported here so that importing caprise does not load scipy.linalg
+    from scipy.linalg import LinAlgError, solveh_banded
+
     nx, ny = grid.nx, grid.ny
     # couplings across the interior x and y faces
     cx = beta_x[1:-1, :] / grid.dx ** 2

@@ -183,6 +183,14 @@ class TestBench:
         assert len(summary) == 10
         assert all(e["wall_time_s"] is None for e in summary)
 
+    def test_coarse_pde_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--suite", "omega-study", "--models",
+                     "classical", "--with-pde", "2",
+                     "--out-dir", str(out)]) == 2
+        assert "with_pde >= 4" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_unknown_suite(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--suite", "tube-study",

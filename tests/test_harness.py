@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from caprise import harness
 from caprise.core import SlipSpec, dimensionless_numbers, jurin_height, \
     stationary_height
 from caprise.errors import NoOverlap
@@ -301,6 +302,18 @@ class TestRunSuite:
             run_suite(suite[:1], scalings=("IV",))
         with pytest.raises(ValueError):
             run_suite(suite[:1], models=("vof2d",))
+
+    def test_coarse_pde_rejected_before_any_run(self, tmp_path, suite,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_case",
+                            lambda *a, **k: calls.append(a))
+        out = tmp_path / "coarse"
+        with pytest.raises(ValueError, match="with_pde >= 4"):
+            run_suite(suite, models=("classical", "vof2d"), with_pde=2,
+                      out_dir=out)
+        assert calls == []
+        assert not (out / "summary.json").exists()
 
     def test_failures_recorded_without_aborting(self, tmp_path, suite):
         # h0 = 0 is a valid geometry but the classical model refuses it

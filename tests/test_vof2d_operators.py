@@ -1,6 +1,8 @@
 """Discrete operators: curvature, slip ghosts, projection, advection."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from caprise.errors import CourantViolation, SolverDiverged, StencilInvalid
 from caprise.vof2d.curvature import (column_height, contact_angle_ghost,
                                      curvature_height_function,
                                      interface_cell)
+from caprise.study import synth_params
+from caprise.vof2d import solver
 from caprise.vof2d.geometry import Grid, SimState, arc_column_fractions
-from caprise.vof2d.solver import (CaseSetup2D, Simulator, compute_dt,
-                                  poisson_solve, slip_ghost)
+from caprise.vof2d.plic import plic_reconstruct
+from caprise.vof2d.solver import (_MIXED_EPS, CaseSetup2D, Simulator,
+                                  compute_dt, poisson_solve, slip_ghost)
 
 GEOM = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01, h_domain=0.04)
 
@@ -337,6 +342,25 @@ class TestAdvection:
                 exact[i, j] = max(ox, 0.0) * max(oy, 0.0)
         assert np.abs(a1 - exact).sum() / v0 < 0.25
 
+    def test_wall_faces_carry_no_flux(self):
+        # a mixed symmetry column and wall column under a uniform u that
+        # was not pinned on the x boundaries
+        grid = Grid.half_gap(8, 1.0)
+        ii = np.arange(grid.nx)[:, None]
+        jj = np.arange(grid.ny)[None, :]
+        alpha = np.clip(2.6 - 0.35 * ii - 0.8 * jj, 0.0, 1.0)
+        runs = []
+        for pin in (False, True):
+            sim = self._blob_sim()
+            sim.state.alpha = alpha.copy()
+            sim.state.u[:, :] = 0.05
+            if pin:
+                sim.apply_boundaries()
+            sim.advect_alpha(0.4 * grid.dx / 0.05)
+            runs.append(sim.state)
+        assert not runs[0].u[0].any() and not runs[0].u[-1].any()
+        assert np.array_equal(runs[0].alpha, runs[1].alpha)
+
     def test_cfl_violation_raises(self):
         sim = self._blob_sim()
         sim.state.v[:, :] = -0.3
@@ -348,3 +372,174 @@ class TestAdvection:
         a0 = sim.state.alpha.copy()
         sim.advect_alpha(dt=1e-3)
         assert np.array_equal(sim.state.alpha, a0)
+
+
+def _reference_sweep(sim, dt, c_flag, axis):
+    """The per-face sweep that the slice-based Simulator._sweep replaced:
+    donors gathered face by face, a ghost-donor rule, one clip per mixed
+    donor.  Kept as the reference the new sweep must match bit for bit."""
+    st = sim.state
+    h = (st.grid.dx, st.grid.dy)
+    h_side = h[1 - axis]
+    vel = st.u if axis == 0 else st.v
+    A_pad = sim._pad_alpha(st.alpha)
+    faces = np.nonzero(vel)
+    vf = vel[faces]
+    up = vf > 0.0
+    w = np.abs(vf) * dt
+    donor = [faces[0] + 1, faces[1] + 1]
+    donor[axis] = faces[axis] + ~up
+    a = A_pad[tuple(donor)]
+    ghost = (donor[axis] == 0) | (donor[axis] == A_pad.shape[axis] - 1)
+    f = np.where(ghost, w * a, np.where(a >= 1.0 - _MIXED_EPS, w, 0.0))
+    mixed = np.flatnonzero(
+        ~(ghost | (a <= _MIXED_EPS) | (a >= 1.0 - _MIXED_EPS)))
+    for k, i, j, wk, upk in zip(mixed.tolist(), donor[0][mixed].tolist(),
+                                donor[1][mixed].tolist(),
+                                w[mixed].tolist(), up[mixed].tolist()):
+        sten = np.clip(A_pad[i - 1:i + 2, j - 1:j + 2], 0.0, 1.0)
+        plane = plic_reconstruct(sten.tolist(), h[0], h[1])
+        lo, hi = [0.0, 0.0], list(h)
+        if upk:
+            lo[axis] = h[axis] - wk
+        else:
+            hi[axis] = wk
+        f[k] = plane.slab_area(lo[0], hi[0], lo[1], hi[1]) / h_side
+    F = np.zeros(vel.shape)
+    F[faces] = np.copysign(f * h_side, vf)
+    st.alpha -= np.diff(F, axis=axis) / (h[0] * h[1])
+    st.alpha += c_flag * dt * np.diff(vel, axis=axis) / h[axis]
+    return float(F.take(0, axis).sum() - F.take(-1, axis).sum())
+
+
+def _assert_sweeps_match_reference(sim, dt):
+    """Both sweep orders from the current field; each sweep (the second
+    one sees unclipped fractions) must equal the reference exactly."""
+    st = sim.state
+    a0 = st.alpha.copy()
+    c_flag = (a0 >= 0.5).astype(float)
+    for order in ((0, 1), (1, 0)):
+        st.alpha = a0.copy()
+        for axis in order:
+            before = st.alpha.copy()
+            got = sim._sweep(dt, c_flag, axis)
+            after = st.alpha
+            st.alpha = before
+            want = _reference_sweep(sim, dt, c_flag, axis)
+            assert np.array_equal(after, st.alpha), (order, axis)
+            assert got == want, (order, axis)
+            st.alpha = after
+    st.alpha = a0
+
+
+def _recorded_rise(steps, every, **layout):
+    """(simulator, dt) snapshots of an nx 8 rise every few hundred steps."""
+    fluid, geom = synth_params(1.0, 0.04)
+    setup = CaseSetup2D(fluid=fluid, geom=geom, slip=SlipSpec.navier(geom.R / 5),
+                        nx=8, t_end=1.0, **layout)
+    sim = Simulator(setup)
+    for k in range(1, steps + 1):
+        sim.step(compute_dt(sim.state, fluid, setup.dt_safety))
+        if k % every == 0:
+            yield sim, compute_dt(sim.state, fluid, setup.dt_safety)
+
+
+class TestSweepMatchesReference:
+    def test_recorded_rise_fields(self):
+        n = 0
+        for sim, dt in _recorded_rise(1200, 300):
+            _assert_sweeps_match_reference(sim, dt)
+            n += 1
+        assert n == 4
+
+    @pytest.mark.parametrize("layout", [{"closed_bottom": True},
+                                        {"full_gap": True}],
+                             ids=["closed_bottom", "full_gap"])
+    def test_other_layouts(self, layout):
+        for sim, dt in _recorded_rise(300, 150, **layout):
+            _assert_sweeps_match_reference(sim, dt)
+
+    @pytest.mark.parametrize("U, V", [(0.05, -0.3), (-0.05, -0.3),
+                                      (0.05, 0.3), (-0.05, 0.3)],
+                             ids=["+x-y", "-x-y", "+x+y", "-x+y"])
+    def test_blob_on_the_boundaries(self, U, V):
+        grid = Grid.half_gap(8, 1.0)
+        ii = np.arange(grid.nx)[:, None]
+        jj = np.arange(grid.ny)[None, :]
+        # a tilted layer: mixed cells in the symmetry column, the wall
+        # column and the bottom row, next to the liquid ghost row
+        alpha = np.clip(2.6 - 0.35 * ii - 0.8 * jj, 0.0, 1.0)
+        mixed = (alpha > 0.0) & (alpha < 1.0)
+        assert mixed[0].any() and mixed[-1].any() and mixed[:, 0].any()
+        fluid = FluidPair(rho_l=1.0, rho_g=0.5, mu_l=1e-3, mu_g=1e-4,
+                          sigma=1.0, g=1.0)
+        setup = CaseSetup2D(fluid=fluid, geom=Geometry(
+            R=1.0, theta_e=math.pi / 4, h0=2.0, h_domain=8.0),
+            slip=SlipSpec.numerical(), nx=8, t_end=1.0)
+        sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
+        sim.state.u[:, :] = U
+        sim.state.v[:, :] = V
+        sim.apply_boundaries()
+        dt = 0.4 * grid.dx / abs(V)
+        for k in range(6):
+            _assert_sweeps_match_reference(sim, dt)
+            sim.state.step_count = k
+            sim.advect_alpha(dt)
+
+
+class TestTracerHook:
+    def test_one_plic_call_per_mixed_donor(self, monkeypatch):
+        fluid, geom = synth_params(1.0, 0.04)
+        setup = CaseSetup2D(fluid=fluid, geom=geom,
+                            slip=SlipSpec.navier(geom.R / 5), nx=8, t_end=1.0)
+        sim = Simulator(setup)
+        calls = []
+        seen = []
+        plic = solver.plic_reconstruct
+        sweep = Simulator._sweep
+
+        def counting_plic(*args):
+            calls.append(args)
+            return plic(*args)
+
+        def recording_sweep(self, dt, c_flag, axis):
+            seen.append((sim._pad_alpha(self.state.alpha), axis, dt))
+            return sweep(self, dt, c_flag, axis)
+
+        monkeypatch.setattr(solver, "plic_reconstruct", counting_plic)
+        monkeypatch.setattr(Simulator, "_sweep", recording_sweep)
+        sim.step(compute_dt(sim.state, fluid, setup.dt_safety))
+        # face by face: a moving face whose upwind cell is mixed
+        expected = 0
+        for A, axis, dt in seen:
+            vel = sim.state.u if axis == 0 else sim.state.v
+            for i in range(vel.shape[0]):
+                for j in range(vel.shape[1]):
+                    w = abs(float(vel[i, j])) * dt
+                    donor = [i + 1, j + 1]
+                    if vel[i, j] > 0.0:
+                        donor[axis] -= 1
+                    a = float(A[donor[0], donor[1]])
+                    if w > 0.0 and _MIXED_EPS < a < 1.0 - _MIXED_EPS:
+                        expected += 1
+        assert len(seen) == 2
+        assert expected > 0
+        assert len(calls) == expected
+
+    def test_tracer_targets_install_and_restore(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        originals = [owner.__dict__[attr]
+                     for owner, attr, _, _ in tracing.TARGETS]
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for (owner, attr, _, _), fn in zip(tracing.TARGETS, originals):
+                assert owner.__dict__[attr] is not fn
+                assert owner.__dict__[attr].__wrapped__ is fn
+        finally:
+            tracer.restore()
+        for (owner, attr, _, _), fn in zip(tracing.TARGETS, originals):
+            assert owner.__dict__[attr] is fn
