@@ -173,11 +173,9 @@ def compare(a: Trajectory, b: Trajectory, *,
 
 def trajectory_csv_text(traj: Trajectory) -> str:
     """The trajectory as CSV text: header t,h,hdot then 17-digit values."""
-    lines = ["t,h,hdot"]
     # Python floats format to the same bytes as np.float64, and faster
-    lines += [f"{t:.17g},{h:.17g},{v:.17g}"
-              for t, h, v in zip(traj.t.tolist(), traj.h.tolist(), traj.v.tolist())]
-    return "\n".join(lines) + "\n"
+    rows = zip(traj.t.tolist(), traj.h.tolist(), traj.v.tolist())
+    return "t,h,hdot\n" + "".join(["%.17g,%.17g,%.17g\n" % r for r in rows])
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:

@@ -190,6 +190,9 @@ class Simulator:
 
         rho_pad = fl.rho_g + (fl.rho_l - fl.rho_g) * A_pad
         mu_pad = fl.mu_g + (fl.mu_l - fl.mu_g) * A_pad
+        # face densities, shared with the projection
+        rho_x = 0.5 * (rho_pad[:-1, 1:-1] + rho_pad[1:, 1:-1])
+        rho_y = 0.5 * (rho_pad[1:-1, :-1] + rho_pad[1:-1, 1:])
 
         # node (corner) shear stress, shared by both components; the node
         # viscosity is a harmonic 4-cell mean: an arithmetic mean next to
@@ -197,85 +200,78 @@ class Simulator:
         # effective diffusivity far beyond the explicit stability limit
         dudy_n = (u_full[:, 1:] - u_full[:, :-1]) / dy
         dvdx_n = (v_full[1:, 1:-1] - v_full[:-1, 1:-1]) / dx
-        mu_n = 4.0 / (1.0 / mu_pad[:-1, :-1] + 1.0 / mu_pad[1:, :-1]
-                      + 1.0 / mu_pad[:-1, 1:] + 1.0 / mu_pad[1:, 1:])
+        inv_mu = 1.0 / mu_pad
+        mu_n = 4.0 / (inv_mu[:-1, :-1] + inv_mu[1:, :-1]
+                      + inv_mu[:-1, 1:] + inv_mu[1:, 1:])
         txy = mu_n * (dudy_n + dvdx_n)
 
         # --- u faces, interior only (walls stay pinned)
         uc = u[1:-1, :]
-        dudx_b = (u[1:-1, :] - u[:-2, :]) / dx
-        dudx_f = (u[2:, :] - u[1:-1, :]) / dx
+        du = u[1:, :] - u[:-1, :]
+        dudx = du / dx
         vbar = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
-        dudy_b = (u_full[1:-1, 1:-1] - u_full[1:-1, :-2]) / dy
-        dudy_f = (u_full[1:-1, 2:] - u_full[1:-1, 1:-1]) / dy
-        adv_u = (uc * np.where(uc > 0.0, dudx_b, dudx_f)
-                 + vbar * np.where(vbar > 0.0, dudy_b, dudy_f))
+        adv_u = (uc * np.where(uc > 0.0, dudx[:-1], dudx[1:])
+                 + vbar * np.where(vbar > 0.0, dudy_n[1:-1, :-1],
+                                   dudy_n[1:-1, 1:]))
 
         mu_c = mu_pad[1:-1, 1:-1]
-        txx = 2.0 * mu_c * (u[1:, :] - u[:-1, :]) / dx
+        txx = 2.0 * mu_c * du / dx
         visc_u = ((txx[1:, :] - txx[:-1, :]) / dx
                   + (txy[1:-1, 1:] - txy[1:-1, :-1]) / dy)
 
         kappa_u = 0.5 * (kappa[:-1] + kappa[1:])
         f_u = -fl.sigma * kappa_u[:, None] * (alpha[1:, :] - alpha[:-1, :]) / dx
 
-        rho_u = 0.5 * (rho_pad[1:-2, 1:-1] + rho_pad[2:-1, 1:-1])
         u_star = u.copy()
-        u_star[1:-1, :] = uc + dt * (-adv_u + (visc_u + f_u) / rho_u)
+        u_star[1:-1, :] = uc + dt * (-adv_u + (visc_u + f_u) / rho_x[1:-1, :])
 
         # --- v faces, all rows (boundary faces are prognostic)
         vc = v
         ubar = 0.25 * (u_full[:-1, :-1] + u_full[1:, :-1]
                        + u_full[:-1, 1:] + u_full[1:, 1:])
-        dvdx_b = (v_full[1:-1, 1:-1] - v_full[:-2, 1:-1]) / dx
-        dvdx_f = (v_full[2:, 1:-1] - v_full[1:-1, 1:-1]) / dx
-        dvdy_b = (v_full[1:-1, 1:-1] - v_full[1:-1, :-2]) / dy
-        dvdy_f = (v_full[1:-1, 2:] - v_full[1:-1, 1:-1]) / dy
-        adv_v = (ubar * np.where(ubar > 0.0, dvdx_b, dvdx_f)
-                 + vc * np.where(vc > 0.0, dvdy_b, dvdy_f))
+        dv = v_full[1:-1, 1:] - v_full[1:-1, :-1]
+        dvdy = dv / dy
+        adv_v = (ubar * np.where(ubar > 0.0, dvdx_n[:-1], dvdx_n[1:])
+                 + vc * np.where(vc > 0.0, dvdy[:, :-1], dvdy[:, 1:]))
 
         # tyy on cells -1..ny so boundary faces see a ghost cell
-        tyy = 2.0 * mu_pad[1:-1, :] * (v_full[1:-1, 1:] - v_full[1:-1, :-1]) / dy
+        tyy = 2.0 * mu_pad[1:-1, :] * dv / dy
         visc_v = ((tyy[:, 1:] - tyy[:, :-1]) / dy
                   + (txy[1:, :] - txy[:-1, :]) / dx)
 
         f_v = -fl.sigma * kappa[:, None] * (A_pad[1:-1, 1:] - A_pad[1:-1, :-1]) / dy
 
-        rho_v = 0.5 * (rho_pad[1:-1, :-1] + rho_pad[1:-1, 1:])
         g_acc = -fl.g if self.setup.gravity_on else 0.0
-        v_star = vc + dt * (-adv_v + (visc_v + f_v) / rho_v + g_acc)
+        v_star = vc + dt * (-adv_v + (visc_v + f_v) / rho_y + g_acc)
         if self.setup.closed_bottom:
             v_star[:, 0] = 0.0
-        return u_star, v_star, rho_pad
+        return u_star, v_star, rho_x, rho_y
 
-    def _project(self, dt: float, u_star, v_star, rho_pad):
+    def _project(self, dt: float, u_star, v_star, rho_x, rho_y):
+        """Correct u_star and v_star in place to a divergence-free field."""
         st = self.state
         dx, dy = st.grid.dx, st.grid.dy
 
-        beta_x = 1.0 / (0.5 * (rho_pad[:-1, 1:-1] + rho_pad[1:, 1:-1]))
-        beta_y = 1.0 / (0.5 * (rho_pad[1:-1, :-1] + rho_pad[1:-1, 1:]))
+        beta_x = 1.0 / rho_x
+        beta_y = 1.0 / rho_y
 
         div_star = ((u_star[1:, :] - u_star[:-1, :]) / dx
                     + (v_star[:, 1:] - v_star[:, :-1]) / dy)
 
         p = poisson_solve(
             st.grid, beta_x, beta_y, div_star / dt,
-            bottom="neumann" if self.setup.closed_bottom else "dirichlet",
-            top="dirichlet")
+            bottom="neumann" if self.setup.closed_bottom else "dirichlet")
 
-        u_new = u_star.copy()
-        u_new[1:-1, :] -= dt * beta_x[1:-1, :] * (p[1:, :] - p[:-1, :]) / dx
-        v_new = v_star.copy()
-        v_new[:, 1:-1] -= dt * beta_y[:, 1:-1] * (p[:, 1:] - p[:, :-1]) / dy
-        if self.setup.closed_bottom:
-            v_new[:, 0] = 0.0
-        else:
+        u_star[1:-1, :] -= dt * beta_x[1:-1, :] * (p[1:, :] - p[:-1, :]) / dx
+        v_star[:, 1:-1] -= dt * beta_y[:, 1:-1] * (p[:, 1:] - p[:, :-1]) / dy
+        # a closed bottom face keeps the zero _momentum gave it
+        if not self.setup.closed_bottom:
             # ghost pressure -p across an open boundary face
-            v_new[:, 0] -= dt * beta_y[:, 0] * 2.0 * p[:, 0] / dy
-        v_new[:, -1] += dt * beta_y[:, -1] * 2.0 * p[:, -1] / dy
+            v_star[:, 0] -= dt * beta_y[:, 0] * 2.0 * p[:, 0] / dy
+        v_star[:, -1] += dt * beta_y[:, -1] * 2.0 * p[:, -1] / dy
 
-        div_new = ((u_new[1:, :] - u_new[:-1, :]) / dx
-                   + (v_new[:, 1:] - v_new[:, :-1]) / dy)
+        div_new = ((u_star[1:, :] - u_star[:-1, :]) / dx
+                   + (v_star[:, 1:] - v_star[:, :-1]) / dy)
         div_inf = float(np.abs(div_new).max())
         self.diag.div_step_rel_max = max(
             self.diag.div_step_rel_max, div_inf * dt)
@@ -283,7 +279,7 @@ class Simulator:
         if before > 0.0:
             self.diag.div_reduction_max = max(
                 self.diag.div_reduction_max, div_inf / before)
-        return u_new, v_new, p
+        return u_star, v_star, p
 
     def advect_alpha(self, dt: float) -> None:
         """Directionally split PLIC transport with WY compression.
@@ -381,9 +377,9 @@ class Simulator:
         u_full = self._u_full()
         v_full = self._v_full()
         kappa = self.curvatures()
-        u_star, v_star, rho_pad = self._momentum(dt, A_pad, u_full, v_full,
-                                                 kappa)
-        st.u, st.v, st.p = self._project(dt, u_star, v_star, rho_pad)
+        u_star, v_star, rho_x, rho_y = self._momentum(dt, A_pad, u_full,
+                                                      v_full, kappa)
+        st.u, st.v, st.p = self._project(dt, u_star, v_star, rho_x, rho_y)
         self.advect_alpha(dt)
         st.t += dt
         st.step_count += 1
@@ -436,19 +432,18 @@ def run(setup: CaseSetup2D) -> tuple[Trajectory, RunDiagnostics]:
 
 
 def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
-                  bottom: str = "dirichlet", top: str = "dirichlet"):
+                  bottom: str = "dirichlet"):
     """Solve div(beta grad p) = rhs on cell centres.
 
     beta_x (nx+1, ny) and beta_y (nx, ny+1) are face mobilities.  The
-    x-boundaries are always Neumann (wall or symmetry plane); bottom and
-    top are "dirichlet" (ghost p = -p, boundary value 0) or "neumann".
-    The all-Neumann system is singular: the mean is removed from rhs,
-    one cell is pinned, and the returned field has zero mean.  With the
-    cell index k = i + nx*j, -div(beta grad) is a symmetric positive
-    definite band matrix of half-bandwidth nx: one banded Cholesky solve.
+    x-boundaries are always Neumann (wall or symmetry plane) and the top
+    is Dirichlet (ghost p = -p, boundary value 0); the bottom is
+    "dirichlet" or "neumann".  With the cell index k = i + nx*j,
+    -div(beta grad) is a symmetric positive definite band matrix of
+    half-bandwidth nx: one banded Cholesky solve.
     """
     # imported here so that importing caprise does not load scipy.linalg
-    from scipy.linalg import LinAlgError, solveh_banded
+    from scipy.linalg.lapack import dpbsv
 
     nx, ny = grid.nx, grid.ny
     # couplings across the interior x and y faces
@@ -461,30 +456,21 @@ def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
     diag[:, :-1] += cy
     if bottom == "dirichlet":
         diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dy ** 2
-    if top == "dirichlet":
-        diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dy ** 2
+    diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dy ** 2
     b = -np.asarray(rhs, dtype=float)
-
-    singular = bottom == "neumann" and top == "neumann"
-    if singular:
-        b -= b.mean()
-        # pin p[0, 0] = 0 and drop its couplings; re-centre afterwards
-        diag[0, 0] = 1.0
-        cx[0, 0] = 0.0
-        cy[0, 0] = 0.0
-        b[0, 0] = 0.0
 
     # lower band: diagonal, east coupling (row 1), north coupling (row nx)
     band = np.zeros((nx + 1, nx, ny), order="F")
     band[0] = diag
     band[1, :-1, :] = -cx
     band[nx, :, :-1] = -cy
-    try:
-        p_vec = solveh_banded(band.reshape((nx + 1, nx * ny), order="F"),
-                              b.flatten("F"), lower=True, overwrite_ab=True,
-                              overwrite_b=True, check_finite=False)
-    except LinAlgError as exc:
-        raise SolverDiverged(f"pressure factorization failed: {exc}") from exc
+    _, p_vec, info = dpbsv(band.reshape((nx + 1, nx * ny), order="F"),
+                           b.flatten("F"), lower=1, overwrite_ab=1,
+                           overwrite_b=1)
+    if info > 0:
+        raise SolverDiverged(
+            f"pressure factorization failed: leading minor {info} is not "
+            "positive definite")
     if not np.all(np.isfinite(p_vec)):
         raise SolverDiverged("pressure solve produced non-finite values")
     p = p_vec.reshape((nx, ny), order="F")
@@ -497,6 +483,4 @@ def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
     rel = res_norm / max(float(np.linalg.norm(b)), 1e-300)
     if not (rel <= _POISSON_TOL or res_norm <= 1e-12):  # NaN fails too
         raise SolverDiverged(f"pressure residual {rel} above {_POISSON_TOL}")
-    if singular:
-        p = p - p.mean()
     return p

@@ -173,16 +173,28 @@ class TestCsvContract:
         assert raw == trajectory_csv_text(ext.trajectory).encode()
 
     def test_text_matches_float64_formatting(self):
-        # the export formats Python floats; the bytes must equal those of
-        # np.float64 formatting, including signed zero and subnormals
-        t = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1.0])
-        h = np.array([-0.0, 1e-300, 4.9e-324, -1.5e-310, 1 / 3, 1.7976931348623157e308])
-        v = np.array([1e-300, -0.0, 2.225e-308, -5e-324, -math.pi, 123456789.0])
+        # the export %-formats Python floats; the bytes must equal those of
+        # np.float64 formatting and of the earlier f-string join, including
+        # signed zero, subnormals and the extremes
+        t = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1.0,
+                      1e300])
+        h = np.array([-0.0, 1e-300, 4.9e-324, -1.5e-310, 1 / 3,
+                      1.7976931348623157e308, -1e300])
+        v = np.array([1e-300, -0.0, 2.225e-308, -5e-324, -math.pi, 123456789.0,
+                      -1e-300])
         traj = Trajectory(t=t, h=h, v=v)
-        old = "t,h,hdot\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n"
-                                     for a, b, c in zip(traj.t, traj.h, traj.v))
-        assert trajectory_csv_text(traj) == old
-        assert "\n-0,-0,1e-300\n" in old and "4.9406564584124654e-324" in old
+        text = trajectory_csv_text(traj)
+        numpy_rows = "t,h,hdot\n" + "".join(
+            f"{a:.17g},{b:.17g},{c:.17g}\n"
+            for a, b, c in zip(traj.t, traj.h, traj.v))
+        joined = "\n".join(["t,h,hdot"] + [
+            f"{a:.17g},{b:.17g},{c:.17g}"
+            for a, b, c in zip(t.tolist(), h.tolist(), v.tolist())]) + "\n"
+        assert text == numpy_rows
+        assert text == joined
+        assert "\n-0,-0,1e-300\n" in text and "4.9406564584124654e-324" in text
+        assert ("\n1.0000000000000001e+300,-1.0000000000000001e+300,-1e-300\n"
+                in text)
 
     def test_header_is_validated(self, tmp_path):
         bad = tmp_path / "bad.csv"
