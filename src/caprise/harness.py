@@ -173,9 +173,10 @@ def compare(a: Trajectory, b: Trajectory, *,
 
 def trajectory_csv_text(traj: Trajectory) -> str:
     """The trajectory as CSV text: header t,h,hdot then 17-digit values."""
-    # Python floats format to the same bytes as np.float64, and faster
-    rows = zip(traj.t.tolist(), traj.h.tolist(), traj.v.tolist())
-    return "t,h,hdot\n" + "".join(["%.17g,%.17g,%.17g\n" % r for r in rows])
+    # one %-format over the row-major values; Python floats format to the
+    # same bytes as np.float64, and faster
+    values = np.column_stack((traj.t, traj.h, traj.v)).ravel().tolist()
+    return "t,h,hdot\n" + ("%.17g,%.17g,%.17g\n" * len(traj)) % tuple(values)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:

@@ -224,7 +224,9 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
     plain floats: the same tableau, Hairer-Norsett-Wanner initial step,
     step control and dense output, so it takes the same steps up to
     rounding.  A step that would fall below ten float spacings of t (also
-    a NaN step) raises StepSizeUnderflow.
+    a NaN step) raises StepSizeUnderflow.  The step control is written as
+    comparisons in place of max, min, abs and _rms calls, and each keeps
+    the builtin's result, NaN included.
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
@@ -269,15 +271,22 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
     dt = min(100.0 * dt, dt_first, t_end)
     nfev = 2
 
+    # in the step control, `b if b > a else a` is max(a, b) and
+    # `b if b < a else a` is min(a, b): a NaN step still fails dt >= min_step
+    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
     while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        dt = max(dt, min_step)
+        min_step = 10.0 * (nextafter(t, inf) - t)
+        dt = min_step if min_step > dt else dt
+        # abs(); `0.0 - x` rather than `-x` so that -0.0 maps to 0.0
+        ah = h if h > 0.0 else 0.0 - h
+        av = v if v > 0.0 else 0.0 - v
         rejected = False
         while True:
             if not dt >= min_step:
                 raise StepSizeUnderflow(
                     f"step size {dt!r} fell below {min_step!r} at t = {t!r}")
-            t_new = min(t + dt, t_end)
+            t_new = t + dt
+            t_new = t_end if t_end < t_new else t_new
             dt = t_new - t
             kh2, kv2 = f(h + a21 * kh1 * dt, v + a21 * kv1 * dt)
             kh3, kv3 = f(h + (a31 * kh1 + a32 * kh2) * dt,
@@ -294,16 +303,22 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
             v_new = v + dt * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
             kh7, kv7 = f(h_new, v_new)
             nfev += 6
+            ah_new = h_new if h_new > 0.0 else 0.0 - h_new
+            av_new = v_new if v_new > 0.0 else 0.0 - v_new
             err_h = ((e1 * kh1 + e3 * kh3 + e4 * kh4 + e5 * kh5 + e6 * kh6 + e7 * kh7)
-                     * dt / (atol + max(abs(h), abs(h_new)) * rtol))
+                     * dt / (atol + (ah_new if ah_new > ah else ah) * rtol))
             err_v = ((e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
-                     * dt / (atol + max(abs(v), abs(v_new)) * rtol))
-            err = _rms(err_h, err_v)
+                     * dt / (atol + (av_new if av_new > av else av) * rtol))
+            err = sqrt(err_h * err_h + err_v * err_v) / _SQRT2  # _rms(err_h, err_v)
             if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                dt_next = dt * (min(1.0, factor) if rejected else factor)
+                factor = 10.0 if err == 0.0 else 0.9 * err ** -0.2
+                factor = factor if factor < 10.0 else 10.0
+                if rejected:
+                    factor = factor if factor < 1.0 else 1.0
+                dt_next = dt * factor
                 break
-            dt *= max(0.2, 0.9 * err ** -0.2)
+            factor = 0.9 * err ** -0.2
+            dt *= factor if factor > 0.2 else 0.2
             rejected = True
 
         if i_out < n_out and samples[i_out] <= t_new:

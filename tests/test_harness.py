@@ -28,6 +28,13 @@ from caprise.odemodels import Trajectory
 from caprise.scaling import auto_t_end
 
 
+def _reference_csv_text(traj):
+    """The per-row CSV form that trajectory_csv_text's one %-format
+    replaced; kept as the reference its bytes must match."""
+    rows = zip(traj.t.tolist(), traj.h.tolist(), traj.v.tolist())
+    return "t,h,hdot\n" + "".join(["%.17g,%.17g,%.17g\n" % r for r in rows])
+
+
 @pytest.fixture(scope="module")
 def suite():
     return omega_suite()
@@ -192,9 +199,32 @@ class TestCsvContract:
             for a, b, c in zip(t.tolist(), h.tolist(), v.tolist())]) + "\n"
         assert text == numpy_rows
         assert text == joined
+        assert text == _reference_csv_text(traj)
         assert "\n-0,-0,1e-300\n" in text and "4.9406564584124654e-324" in text
         assert ("\n1.0000000000000001e+300,-1.0000000000000001e+300,-1e-300\n"
                 in text)
+
+    def test_one_row_matches_reference(self):
+        traj = Trajectory(t=np.array([0.0]), h=np.array([-0.0]),
+                          v=np.array([-1.7976931348623157e308]))
+        text = trajectory_csv_text(traj)
+        assert text == _reference_csv_text(traj)
+        assert text == "t,h,hdot\n0,-0,-1.7976931348623157e+308\n"
+
+    def test_suite_export_matches_reference(self, tmp_path, suite, monkeypatch):
+        texts = []
+
+        def checked(traj):
+            text = trajectory_csv_text(traj)
+            assert text == _reference_csv_text(traj)
+            texts.append(text)
+            return text
+
+        monkeypatch.setattr(harness, "trajectory_csv_text", checked)
+        run_suite(suite, scalings=("none", "I", "II", "III"), out_dir=tmp_path)
+        assert len(texts) == 40
+        written = sorted(p.read_text() for p in tmp_path.glob("*.csv"))
+        assert written == sorted(texts)
 
     def test_header_is_validated(self, tmp_path):
         bad = tmp_path / "bad.csv"

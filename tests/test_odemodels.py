@@ -16,12 +16,17 @@ from caprise.core import FluidPair, Geometry, height_correction, jurin_height, \
 from caprise.errors import SingularHeight, StepSizeUnderflow
 from caprise.harness import omega_suite
 from caprise.odemodels import (
+    _DP_A,
+    _DP_B,
+    _DP_E,
+    _DP_P,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     ModelSpec,
     RiseState,
     Trajectory,
     _rhs_terms,
+    _rms,
     ca_max,
     detect_peaks,
     integrate,
@@ -220,6 +225,153 @@ def test_solve_rk45_nan_rhs_raises_step_size_underflow(h_nan):
 
     with pytest.raises(StepSizeUnderflow):
         solve_rk45(f, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL, None, {})
+
+
+def _reference_solve_rk45(f, h0, v0, t_end, rtol, atol, dt_out, metadata):
+    """The Dormand-Prince loop whose step control called max, min, abs and
+    _rms; solve_rk45 writes it as comparisons.  Kept as the reference the
+    stepper must match bit for bit (argument checks left out)."""
+    if dt_out is None:
+        dt_out = t_end / 2000.0
+    t_eval = output_times(t_end, dt_out)
+    samples = t_eval.tolist()
+    n_out = len(samples)
+    hs = []
+    vs = []
+    i_out = 0
+
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A
+    b1, _, b3, b4, b5, b6 = _DP_B
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    (_, p12, p13, p14), _, (_, p32, p33, p34), (_, p42, p43, p44), \
+        (_, p52, p53, p54), (_, p62, p63, p64), (_, p72, p73, p74) = _DP_P
+
+    t = 0.0
+    h, v = float(h0), float(v0)
+    kh1, kv1 = f(h, v)
+    sh, sv = atol + abs(h) * rtol, atol + abs(v) * rtol
+    d0 = _rms(h / sh, v / sv)
+    d1 = _rms(kh1 / sh, kv1 / sv)
+    dt = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    dt = min(dt, t_end)
+    fh, fv = f(h + dt * kh1, v + dt * kv1)
+    d2 = _rms((fh - kh1) / sh, (fv - kv1) / sv) / dt
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        dt_first = max(1e-6, dt * 1e-3)
+    else:
+        dt_first = (0.01 / max(d1, d2)) ** 0.2
+    dt = min(100.0 * dt, dt_first, t_end)
+    nfev = 2
+
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        dt = max(dt, min_step)
+        rejected = False
+        while True:
+            if not dt >= min_step:
+                raise StepSizeUnderflow(
+                    f"step size {dt!r} fell below {min_step!r} at t = {t!r}")
+            t_new = min(t + dt, t_end)
+            dt = t_new - t
+            kh2, kv2 = f(h + a21 * kh1 * dt, v + a21 * kv1 * dt)
+            kh3, kv3 = f(h + (a31 * kh1 + a32 * kh2) * dt,
+                         v + (a31 * kv1 + a32 * kv2) * dt)
+            kh4, kv4 = f(h + (a41 * kh1 + a42 * kh2 + a43 * kh3) * dt,
+                         v + (a41 * kv1 + a42 * kv2 + a43 * kv3) * dt)
+            kh5, kv5 = f(h + (a51 * kh1 + a52 * kh2 + a53 * kh3 + a54 * kh4) * dt,
+                         v + (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4) * dt)
+            kh6, kv6 = f(h + (a61 * kh1 + a62 * kh2 + a63 * kh3 + a64 * kh4
+                              + a65 * kh5) * dt,
+                         v + (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4
+                              + a65 * kv5) * dt)
+            h_new = h + dt * (b1 * kh1 + b3 * kh3 + b4 * kh4 + b5 * kh5 + b6 * kh6)
+            v_new = v + dt * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
+            kh7, kv7 = f(h_new, v_new)
+            nfev += 6
+            err_h = ((e1 * kh1 + e3 * kh3 + e4 * kh4 + e5 * kh5 + e6 * kh6 + e7 * kh7)
+                     * dt / (atol + max(abs(h), abs(h_new)) * rtol))
+            err_v = ((e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
+                     * dt / (atol + max(abs(v), abs(v_new)) * rtol))
+            err = _rms(err_h, err_v)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                dt_next = dt * (min(1.0, factor) if rejected else factor)
+                break
+            dt *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+
+        if i_out < n_out and samples[i_out] <= t_new:
+            qh2 = p12 * kh1 + p32 * kh3 + p42 * kh4 + p52 * kh5 + p62 * kh6 + p72 * kh7
+            qh3 = p13 * kh1 + p33 * kh3 + p43 * kh4 + p53 * kh5 + p63 * kh6 + p73 * kh7
+            qh4 = p14 * kh1 + p34 * kh3 + p44 * kh4 + p54 * kh5 + p64 * kh6 + p74 * kh7
+            qv2 = p12 * kv1 + p32 * kv3 + p42 * kv4 + p52 * kv5 + p62 * kv6 + p72 * kv7
+            qv3 = p13 * kv1 + p33 * kv3 + p43 * kv4 + p53 * kv5 + p63 * kv6 + p73 * kv7
+            qv4 = p14 * kv1 + p34 * kv3 + p44 * kv4 + p54 * kv5 + p64 * kv6 + p74 * kv7
+            while i_out < n_out and samples[i_out] <= t_new:
+                x = (samples[i_out] - t) / dt
+                x2 = x * x
+                x3 = x2 * x
+                x4 = x3 * x
+                hs.append(h + dt * (kh1 * x + qh2 * x2 + qh3 * x3 + qh4 * x4))
+                vs.append(v + dt * (kv1 * x + qv2 * x2 + qv3 * x3 + qv4 * x4))
+                i_out += 1
+        t, h, v, kh1, kv1, dt = t_new, h_new, v_new, kh7, kv7, dt_next
+
+    meta = dict(metadata, rtol=rtol, atol=atol, dt_out=dt_out, nfev=nfev)
+    return Trajectory(t=t_eval, h=np.array(hs), v=np.array(vs), metadata=meta)
+
+
+def _suite_rhs(omega, model):
+    case = next(c for c in omega_suite() if c.omega_nominal == omega)
+    spec = (ModelSpec.classical() if model == "classical"
+            else ModelSpec.extended(case.slip.L))
+    return (_rhs_terms(spec, case.fluid, case.geom), case.geom.h0,
+            auto_t_end(case.fluid, case.geom))
+
+
+def _assert_matches_reference(f, h0, v0, t_end, rtol, atol):
+    got = solve_rk45(f, h0, v0, t_end, rtol, atol, None, {})
+    want = _reference_solve_rk45(f, h0, v0, t_end, rtol, atol, None, {})
+    for name in ("t", "h", "v"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.metadata["nfev"] == want.metadata["nfev"]
+    return got
+
+
+_SUITE_PAIRS = [(om, m) for om in (0.1, 0.5, 1.0, 10.0, 100.0)
+                for m in ("classical", "extended")]
+
+
+@pytest.mark.parametrize("omega,model", _SUITE_PAIRS,
+                         ids=[f"omega{om:g}-{m}" for om, m in _SUITE_PAIRS])
+def test_solve_rk45_bit_equal_to_reference_on_suite(omega, model):
+    f, h0, t_end = _suite_rhs(omega, model)
+    _assert_matches_reference(f, h0, 0.0, t_end, DEFAULT_RTOL, DEFAULT_ATOL)
+
+
+def test_solve_rk45_bit_equal_to_reference_scaled_ii():
+    f = _rhs_scaled_terms("II", 1.0, slip_groups(0.001, 0.005), 0.04)
+    _assert_matches_reference(f, 0.46, 0.0, 20.0, DEFAULT_RTOL, DEFAULT_ATOL)
+
+
+def test_solve_rk45_bit_equal_to_reference_with_rejected_steps():
+    from scipy.integrate import solve_ivp
+    f, h0, t_end = _suite_rhs(0.1, "classical")
+    got = _assert_matches_reference(f, h0, 0.0, t_end, 1e-3, DEFAULT_ATOL)
+    # scipy's RK45 takes the same steps; its accepted-step times show that
+    # some of the attempts (6 evaluations each, after the first 2) failed
+    ref = solve_ivp(lambda t, y: f(y[0], y[1]), (0.0, t_end), [h0, 0.0],
+                    method="RK45", rtol=1e-3, atol=DEFAULT_ATOL)
+    assert got.metadata["nfev"] == ref.nfev
+    assert (ref.nfev - 2) // 6 > len(ref.t) - 1
+
+
+def test_solve_rk45_bit_equal_to_reference_without_atol():
+    # atol = 0: the error scales are rtol * max(|y|, |y_new|) alone
+    # (v0 != 0, since a zero component would divide by a zero scale)
+    f, h0, t_end = _suite_rhs(1.0, "classical")
+    _assert_matches_reference(f, h0, 0.01, t_end, 1e-8, 0.0)
 
 
 def test_solve_rk45_propagates_singular_height():

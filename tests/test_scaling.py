@@ -255,6 +255,25 @@ def test_scaled_ii_small_omega_linearisation(omega, L):
         assert abs((b.h + hh - 1.0) / (a.h + hh - 1.0) / ratio - 1.0) <= 1e-3
 
 
+@pytest.mark.parametrize("L", [1e-3, 1e-4])
+def test_scaled_ii_critical_omega(L):
+    # oracle: x'' + k omega x' + x = 0 is critically damped at omega = 2/k.
+    # Started just below H = 1 at rest, the column overshoots below that
+    # omega and creeps up to H = 1 without crossing it above
+    hh, H0 = 0.04, 1.0 - 1e-3
+    groups = slip_groups(L, 0.005)
+    omega_c = 2.0 / groups.k
+    under = integrate_scaled("II", 0.8 * omega_c, groups, hh,
+                             RiseState(h=H0 - hh, v=0.0), 40.0)
+    over = integrate_scaled("II", 1.25 * omega_c, groups, hh,
+                            RiseState(h=H0 - hh, v=0.0), 40.0)
+    overshoot = np.max(under.h) + hh - 1.0
+    assert overshoot > 1e-6
+    # the linear first overshoot, exp(-pi zeta/sqrt(1 - zeta^2)) at zeta 0.8
+    assert overshoot == pytest.approx(1e-3 * math.exp(-math.pi * 0.8 / 0.6), rel=1e-2)
+    assert np.max(over.h) + hh - 1.0 <= 1e-9
+
+
 def test_scaled_i_viscous_limit():
     # oracle: as omega -> inf scaling I tends to k H H' = 1 - H, solved by
     # t = k[(H0 - H) + ln((1 - H0)/(1 - H))]; the gap closes as 1/omega^2
