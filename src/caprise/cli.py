@@ -12,8 +12,8 @@ import json
 import math
 import sys
 
-from .core import dimensionless_numbers, height_correction, jurin_height, \
-    stationary_height
+from .core import CaseSpec, SlipSpec, dimensionless_numbers, height_correction, \
+    jurin_height, stationary_height
 from .errors import CapriseError
 from .harness import (
     MODELS,
@@ -21,16 +21,14 @@ from .harness import (
     omega_suite,
     parse_slip,
     read_trajectory_csv,
+    run_case,
     run_suite,
     trajectory_csv_text,
     write_scale_sidecar,
     write_trajectory_csv,
 )
-from .odemodels import ModelSpec, RiseState, integrate
-from .scaling import SCALING_KINDS, auto_t_end, coefficients, nondimensionalize
+from .scaling import SCALING_KINDS, coefficients, nondimensionalize
 from .study import crossover_cells, step_counts, synth_params, timestep_limits
-from .vof2d import CaseSetup2D
-from .vof2d import run as run_vof2d
 
 
 def _print_json(obj) -> None:
@@ -56,6 +54,15 @@ def _case_args(sub: argparse.ArgumentParser) -> None:
                      help="oscillation number of the study row")
     sub.add_argument("--sigma", type=float, required=True,
                      help="surface tension [N/m]")
+
+
+def _case(args, slip: SlipSpec, h0: float | None = None) -> CaseSpec:
+    """The study row of --omega/--sigma as a case; h0 replaces 2R if given."""
+    fluid, geom = synth_params(args.omega, args.sigma)
+    if h0 is not None:
+        geom = dataclasses.replace(geom, h0=h0)
+    return CaseSpec(label=f"omega{args.omega:g}", fluid=fluid, geom=geom,
+                    slip=slip, omega_nominal=args.omega)
 
 
 def _cmd_steady(args) -> int:
@@ -107,17 +114,13 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    fluid, geom = synth_params(args.omega, args.sigma)
-    if args.h0 is not None:
-        geom = dataclasses.replace(geom, h0=args.h0)
-    if args.model == "classical":
-        if args.slip_length is not None:
-            raise ValueError("--slip-length applies to the extended model only")
-        model = ModelSpec.classical()
-    else:
-        model = ModelSpec.extended(slip_length=args.slip_length or 0.0)
-    t_end = args.t_end if args.t_end is not None else auto_t_end(fluid, geom)
-    traj = integrate(model, fluid, geom, RiseState(h=geom.h0, v=0.0), t_end)
+    if args.model == "classical" and args.slip_length is not None:
+        raise ValueError("--slip-length applies to the extended model only")
+    # run_case runs numerical slip as the no-slip limit L = 0
+    slip = (SlipSpec.navier(args.slip_length) if args.slip_length
+            else SlipSpec.numerical())
+    traj = run_case(_case(args, slip, args.h0), args.model,
+                    t_end=args.t_end).trajectory
     if args.out:
         write_trajectory_csv(traj, args.out)
     else:
@@ -136,13 +139,11 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_sim2d(args) -> int:
-    fluid, geom = synth_params(args.omega, args.sigma)
-    t_end = args.t_end if args.t_end is not None else auto_t_end(fluid, geom)
-    setup = CaseSetup2D(fluid=fluid, geom=geom, slip=args.slip,
-                        nx=args.cells_per_radius, t_end=t_end)
-    traj, diag = run_vof2d(setup)
-    write_trajectory_csv(traj, args.out)
-    print(json.dumps(diag.deterministic_fields(), sort_keys=True), file=sys.stderr)
+    res = run_case(_case(args, args.slip), "vof2d", t_end=args.t_end,
+                   nx=args.cells_per_radius)
+    write_trajectory_csv(res.trajectory, args.out)
+    print(json.dumps(res.diagnostics.deterministic_fields(), sort_keys=True),
+          file=sys.stderr)
     return 0
 
 
@@ -188,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", choices=("classical", "extended"), required=True)
     _case_args(sub)
     sub.add_argument("--slip-length", type=float, default=None,
-                     help="Navier slip length [m], extended model only")
+                     help="Navier slip length [m], extended only, default 0 (no slip)")
     sub.add_argument("--h0", type=float, default=None,
                      help="initial apex height [m], default 2R")
     sub.add_argument("--t-end", type=_t_end_arg, default=None,

@@ -86,12 +86,6 @@ class SlipSpec:
     def navier(cls, L: float) -> "SlipSpec":
         return cls(kind="navier", L=L)
 
-    def friction_coefficient(self, mu_l: float) -> float:
-        """Navier friction coefficient mu_l / L; infinite for numerical slip."""
-        if self.kind == "numerical":
-            return math.inf
-        return mu_l / self.L
-
 
 @dataclass(frozen=True)
 class CaseSpec:

@@ -126,8 +126,7 @@ def _rel(num: float, den: float) -> float:
     return num / den if den != 0.0 else math.inf
 
 
-def compare(a: Trajectory, b: Trajectory, *,
-            eps_peak: float = 1e-4) -> DeviationMetrics:
+def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
     """Deviation metrics of a against reference b.
 
     Both are resampled by linear interpolation onto the union of their
@@ -147,8 +146,8 @@ def compare(a: Trajectory, b: Trajectory, *,
     l2 = _rel(float(np.linalg.norm(diff)), float(np.linalg.norm(hb)))
     linf = _rel(float(np.max(np.abs(diff))), float(np.max(np.abs(hb))))
 
-    pa = detect_peaks(a, eps_peak=eps_peak) if len(a) >= 3 else PeakList(peaks=())
-    pb = detect_peaks(b, eps_peak=eps_peak) if len(b) >= 3 else PeakList(peaks=())
+    pa = detect_peaks(a) if len(a) >= 3 else PeakList(peaks=())
+    pb = detect_peaks(b) if len(b) >= 3 else PeakList(peaks=())
     ma, mb = pa.maxima(), pb.maxima()
     t_ratio: float | None = None
     o_ratio: float | None = None
@@ -249,11 +248,15 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
 
     t_end defaults to the auto policy (scaled time 10 in every scaling).
     vof2d needs an explicit resolution nx; it is never chosen silently.
-    wall_time_s stays None unless timings is set, keeping repeated
-    exports byte-identical.
+    A case whose corrected stationary height is not positive is refused
+    before any model runs.  wall_time_s stays None unless timings is set,
+    keeping repeated exports byte-identical.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
+    h_inf_pred = stationary_height(case.fluid, case.geom)
+    if not h_inf_pred > 0.0:
+        raise ValueError(f"stationary height {h_inf_pred:g} m is not positive")
     if t_end is None:
         t_end = auto_t_end(case.fluid, case.geom)
     t0 = time.perf_counter()
@@ -274,17 +277,16 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
     wall = time.perf_counter() - t0
 
     traj.metadata["h_inf"] = _own_target(case, model)
-    h_inf_pred = stationary_height(case.fluid, case.geom)
     settle = settle_metrics(traj, traj.metadata["h_inf"])
     h_final = float(traj.h[-1])
-    steps = traj.metadata.get("n_steps", traj.metadata.get("nfev", 0))
+    steps = diag.n_steps if diag is not None else traj.metadata["nfev"]
     return BenchResult(
         case=case, model=model, trajectory=traj,
         h_inf_predicted=h_inf_pred, h_final=h_final,
         rel_stationary_err=abs(h_final - h_inf_pred) / h_inf_pred,
         peaks=detect_peaks(traj), ca_max=ca_max(traj, case.fluid),
         t_settle=settle.t_settle,
-        wall_time_s=wall if timings else None, step_count=int(steps),
+        wall_time_s=wall if timings else None, step_count=steps,
         diagnostics=diag)
 
 
@@ -353,8 +355,7 @@ def _export_case(out: Path, case: CaseSpec, model: str, traj: Trajectory,
 def run_suite(selection, *, models: tuple[str, ...] = ("classical", "extended"),
               scalings: tuple[str, ...] = ("none",),
               out_dir: str | Path | None = None, with_pde: int | None = None,
-              t_end: float | None = None, dt_out: float | None = None,
-              timings: bool = False) -> list[BenchResult]:
+              t_end: float | None = None) -> list[BenchResult]:
     """Run every (case, model) pair, export CSVs and one summary.json.
 
     Pairs run one after another in input order.  A case that fails
@@ -385,8 +386,7 @@ def run_suite(selection, *, models: tuple[str, ...] = ("classical", "extended"),
     entries: list[dict] = []
     for case, m in jobs:
         try:
-            res = run_case(case, m, t_end=t_end, dt_out=dt_out, nx=with_pde,
-                           timings=timings)
+            res = run_case(case, m, t_end=t_end, nx=with_pde)
         except (CapriseError, ValueError) as exc:
             entries.append(_failure_entry(case, m, exc))
             continue

@@ -232,8 +232,9 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
         raise ValueError("t_end must be positive")
     if not 1e-12 <= rtol <= 1e-3:
         raise ValueError("rtol must lie in [1e-12, 1e-3]")
-    if not atol >= 0.0:
-        raise ValueError("atol must be >= 0")
+    if not atol > 0.0:
+        # else a zero state component (a start from rest) has a zero error scale
+        raise ValueError("atol must be positive")
     if dt_out is None:
         dt_out = t_end / 2000.0
     if not 0.0 < dt_out <= t_end:

@@ -177,12 +177,12 @@ def integrate_scaled(kind: str, omega: float, groups: SlipGroups, h_hat_star: fl
                       init.v, t_end, rtol, atol, dt_out, meta)
 
 
-def auto_t_end(fluid: FluidPair, geom: Geometry, *, factor: float = 10.0) -> float:
-    """Default integration horizon: ``factor`` times the longest time unit.
+def auto_t_end(fluid: FluidPair, geom: Geometry) -> float:
+    """Default integration horizon: 10 times the longest time unit.
 
     Every scaled representation of the run then reaches scaled time
-    >= ``factor``, so end-of-scaling markers fall inside the data.
+    >= 10, so end-of-scaling markers fall inside the data.
     """
     s = coefficients(fluid, geom, "2d")
     slowest = min(units(kind, s).t_rate for kind in SCALING_KINDS)
-    return factor / slowest
+    return 10.0 / slowest

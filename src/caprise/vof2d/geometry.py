@@ -60,14 +60,6 @@ class Grid:
         dx = R / nx_half
         return cls(nx=2 * nx_half, ny=8 * nx_half, dx=dx, dy=dx)
 
-    @property
-    def x_max(self) -> float:
-        return self.nx * self.dx
-
-    @property
-    def y_max(self) -> float:
-        return self.ny * self.dy
-
 
 @dataclass
 class SimState:

@@ -30,6 +30,7 @@ _MIXED_EPS = 1e-12
 _ALL, _INNER = slice(None), slice(1, -1)
 _BELOW, _ABOVE = slice(None, -1), slice(1, None)
 _POISSON_TOL = 1e-8
+_DT_SAFETY = 0.9
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class CaseSetup2D:
     nx: int
     t_end: float
     dt_out: float | None = None
-    dt_safety: float = 0.9
     closed_bottom: bool = False
     gravity_on: bool = True
     full_gap: bool = False
@@ -53,8 +53,6 @@ class CaseSetup2D:
                 f"need at least {MIN_NX} cells across the half gap")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        if not 0.0 < self.dt_safety <= 1.0:
-            raise ValueError("dt_safety must be in (0, 1]")
         if self.dt_out is not None and self.dt_out <= 0.0:
             raise ValueError("dt_out must be positive")
 
@@ -83,11 +81,11 @@ class RunDiagnostics:
         return fields
 
 
-def compute_dt(state: SimState, fluid: FluidPair, safety: float) -> float:
-    """Stable step from the surface-tension, viscous and CFL limits."""
+def compute_dt(state: SimState, fluid: FluidPair) -> float:
+    """0.9 times the least of the surface-tension, viscous and CFL limits."""
     u_max = max(float(np.abs(state.u).max()), float(np.abs(state.v).max()))
     lim = timestep_limits(fluid, state.grid.dx, u_max=u_max)
-    return safety * min(lim.dt_sigma_solver, lim.dt_mu, lim.dt_u)
+    return _DT_SAFETY * min(lim.dt_sigma_solver, lim.dt_mu, lim.dt_u)
 
 
 def slip_ghost(v_wall_col: np.ndarray, dx: float, slip: SlipSpec):
@@ -396,7 +394,7 @@ class Simulator:
         times = [self.state.t]
         apex = [apex_height(self.state, full_gap=setup.full_gap)]
         while self.state.t < t_end * (1.0 - 1e-12):
-            dt = compute_dt(self.state, setup.fluid, setup.dt_safety)
+            dt = compute_dt(self.state, setup.fluid)
             dt = min(dt, t_end - self.state.t)
             self.step(dt)
             times.append(self.state.t)
@@ -419,9 +417,7 @@ class Simulator:
                 "nx": setup.nx,
                 "slip": setup.slip.kind,
                 "slip_length": setup.slip.L,
-                "n_steps": self.diag.n_steps,
                 "h_inf": stationary_height(setup.fluid, setup.geom),
-                "wall_time_s": self.diag.wall_time_s,
             })
         return traj, self.diag
 

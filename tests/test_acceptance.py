@@ -377,7 +377,7 @@ def test_criterion_12_vof2d_invariants(pde_runs):
     sim = Simulator(setup)
     speed = 0.0
     for _ in range(100):
-        sim.step(compute_dt(sim.state, fluid, setup.dt_safety))
+        sim.step(compute_dt(sim.state, fluid))
         speed = max(speed, float(np.abs(sim.state.u).max()),
                     float(np.abs(sim.state.v).max()))
     bound = 1e-3 * fluid.sigma / fluid.mu_l

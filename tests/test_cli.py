@@ -1,5 +1,6 @@
 """Command line interface: subcommand behavior and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,8 @@ from caprise.core import SlipSpec
 from caprise.errors import StepSizeUnderflow
 from caprise.harness import (read_trajectory_csv, trajectory_csv_text,
                              write_trajectory_csv)
-from caprise.odemodels import Trajectory
+from caprise.odemodels import ModelSpec, RiseState, Trajectory, integrate
+from caprise.scaling import auto_t_end
 from caprise.study import synth_params
 from caprise.vof2d import CaseSetup2D
 from caprise.vof2d import run as run_vof2d
@@ -74,9 +76,32 @@ class TestOde:
                         "--t-end", "0.05", "--out", str(out)])
         assert read_trajectory_csv(out).h[0] == 0.012
 
+    @pytest.mark.parametrize("argv,model,h0", [
+        (["--model", "extended"], ModelSpec.extended(0.0), None),
+        (["--model", "extended", "--slip-length", "0"],
+         ModelSpec.extended(0.0), None),
+        (["--model", "extended", "--slip-length", "1e-3"],
+         ModelSpec.extended(1e-3), None),
+        (["--model", "classical", "--h0", "0.012"], ModelSpec.classical(), 0.012),
+    ], ids=["extended-no-slip-length", "extended-slip-length-0",
+            "extended-slip-length-1e-3", "classical-h0"])
+    def test_bytes_match_integrate(self, capsys, argv, model, h0):
+        # no slip length, or 0, runs the extended model at L = 0
+        fluid, geom = synth_params(1.0, 0.04)
+        if h0 is not None:
+            geom = dataclasses.replace(geom, h0=h0)
+        traj = integrate(model, fluid, geom, RiseState(h=geom.h0, v=0.0),
+                         auto_t_end(fluid, geom))
+        out = run_ok(capsys, ["ode", "--omega", "1", "--sigma", "0.04"] + argv)
+        assert out == trajectory_csv_text(traj)
+
     def test_classical_rejects_slip_length(self):
         assert main(["ode", "--model", "classical", "--omega", "1",
                      "--sigma", "0.04", "--slip-length", "0.001"]) == 2
+
+    def test_negative_slip_length(self):
+        assert main(["ode", "--model", "extended", "--omega", "1",
+                     "--sigma", "0.04", "--slip-length", "-1"]) == 2
 
     def test_bad_t_end(self):
         with pytest.raises(SystemExit) as exc:
@@ -87,7 +112,7 @@ class TestOde:
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch):
         def boom(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow")
-        monkeypatch.setattr("caprise.cli.integrate", boom)
+        monkeypatch.setattr("caprise.harness.integrate", boom)
         assert main(["ode", "--model", "classical", "--omega", "1",
                      "--sigma", "0.04"]) == 3
 

@@ -58,9 +58,6 @@ def test_geometry_validation():
 def test_slip_spec():
     nav = SlipSpec.navier(1e-3)
     assert nav.L == 1e-3
-    assert nav.friction_coefficient(0.01) == pytest.approx(10.0)
-    num = SlipSpec.numerical()
-    assert math.isinf(num.friction_coefficient(0.01))
     with pytest.raises(ValueError):
         SlipSpec.navier(0.0)
     with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from caprise import harness
-from caprise.core import SlipSpec, dimensionless_numbers, jurin_height, \
-    stationary_height
+from caprise.core import CaseSpec, FluidPair, Geometry, SlipSpec, \
+    dimensionless_numbers, jurin_height, stationary_height
 from caprise.errors import NoOverlap
 from caprise.harness import (
     BenchResult,
@@ -33,6 +33,17 @@ def _reference_csv_text(traj):
     replaced; kept as the reference its bytes must match."""
     rows = zip(traj.t.tolist(), traj.h.tolist(), traj.v.tolist())
     return "t,h,hdot\n" + "".join(["%.17g,%.17g,%.17g\n" % r for r in rows])
+
+
+def _sunken_case():
+    """Water, R = 2 cm, theta = 30 deg: the meniscus correction exceeds
+    the Jurin height, so the corrected stationary height is -3.04 mm."""
+    fluid = FluidPair(rho_l=1000.0, rho_g=1.2, mu_l=1e-3, mu_g=1.8e-5,
+                      sigma=0.072, g=9.81)
+    geom = Geometry(R=0.02, theta_e=math.radians(30.0), h0=0.04, h_domain=0.16)
+    return CaseSpec(label="sunken", fluid=fluid, geom=geom,
+                    slip=SlipSpec.navier(0.004),
+                    omega_nominal=dimensionless_numbers(fluid, geom).omega)
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +278,19 @@ class TestRunCase:
         res = run_case(suite[-1], "classical", timings=True)
         assert res.wall_time_s > 0.0
 
+    @pytest.mark.parametrize("model", ["classical", "extended", "vof2d"])
+    def test_non_positive_stationary_height_refused(self, model, monkeypatch):
+        case = _sunken_case()
+        assert stationary_height(case.fluid, case.geom) == pytest.approx(
+            -3.04e-3, rel=1e-3)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a model ran")
+        monkeypatch.setattr(harness, "integrate", no_run)
+        monkeypatch.setattr(harness, "run_vof2d", no_run)
+        with pytest.raises(ValueError, match="stationary height"):
+            run_case(case, model, nx=4)
+
     def test_vof2d_needs_resolution(self, suite):
         with pytest.raises(ValueError):
             run_case(suite[2], "vof2d")
@@ -370,6 +394,16 @@ class TestRunSuite:
         assert "ValueError" in summary[0]["error"]
         assert "error" not in summary[1]
         assert not (out / "degenerate_classical_none.csv").exists()
+
+    def test_non_positive_stationary_height_recorded(self, tmp_path, suite):
+        out = tmp_path / "sunken"
+        results = run_suite([_sunken_case(), suite[3]], out_dir=out)
+        assert [(r.case.label, r.model) for r in results] == [
+            ("omega10", "classical"), ("omega10", "extended")]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [e["model"] for e in summary[:2]] == ["classical", "extended"]
+        assert all(e["error"].startswith("ValueError: stationary height")
+                   for e in summary[:2])
 
     def test_pde_runs_through_suite(self, tmp_path, suite):
         out = tmp_path / "pde"

@@ -172,8 +172,9 @@ def _integrate_scaled_ii(**kw):
     {"t_end": 1.0, "rtol": 1e-13},
     {"t_end": 1.0, "dt_out": -1.0}, {"t_end": 1.0, "dt_out": 0.0},
     {"t_end": 1.0, "dt_out": 2.0}, {"t_end": 1.0, "atol": -1e-12},
+    {"t_end": 1.0, "atol": 0.0},
 ], ids=["t_end<0", "t_end=0", "rtol=1e-2", "rtol=0.5", "rtol=1e-13",
-        "dt_out<0", "dt_out=0", "dt_out>t_end", "atol<0"])
+        "dt_out<0", "dt_out=0", "dt_out>t_end", "atol<0", "atol=0"])
 def test_integrate_rejects_bad_arguments(entry, bad):
     # both entry points share solve_rk45, which owns these checks
     with pytest.raises(ValueError):
@@ -365,13 +366,6 @@ def test_solve_rk45_bit_equal_to_reference_with_rejected_steps():
                     method="RK45", rtol=1e-3, atol=DEFAULT_ATOL)
     assert got.metadata["nfev"] == ref.nfev
     assert (ref.nfev - 2) // 6 > len(ref.t) - 1
-
-
-def test_solve_rk45_bit_equal_to_reference_without_atol():
-    # atol = 0: the error scales are rtol * max(|y|, |y_new|) alone
-    # (v0 != 0, since a zero component would divide by a zero scale)
-    f, h0, t_end = _suite_rhs(1.0, "classical")
-    _assert_matches_reference(f, h0, 0.01, t_end, 1e-8, 0.0)
 
 
 def test_solve_rk45_propagates_singular_height():

@@ -23,7 +23,7 @@ def static_sim():
     sim = Simulator(setup)
     speeds = []
     for _ in range(100):
-        dt = compute_dt(sim.state, FLUID, 0.9)
+        dt = compute_dt(sim.state, FLUID)
         sim.step(dt)
         speeds.append(max(float(np.abs(sim.state.u).max()),
                           float(np.abs(sim.state.v).max())))
@@ -93,10 +93,9 @@ class TestRiseDiagnostics:
         assert diag.cfl_max < 0.5
 
     def test_trajectory_metadata(self, short_rise):
-        traj, diag = short_rise
+        traj, _ = short_rise
         assert traj.metadata["kind"] == "vof2d"
         assert traj.metadata["nx"] == 8
-        assert traj.metadata["n_steps"] == diag.n_steps
         assert traj.metadata["h_inf"] == pytest.approx(
             stationary_height(FLUID, GEOM), rel=1e-12)
         assert traj.t[0] == 0.0
@@ -118,7 +117,7 @@ class TestSymmetry:
                             t_end=1.0, full_gap=True)
         sim = Simulator(setup)
         for _ in range(60):
-            sim.step(compute_dt(sim.state, FLUID, 0.9))
+            sim.step(compute_dt(sim.state, FLUID))
         a = sim.state.alpha
         assert np.abs(a - a[::-1, :]).max() < 1e-12
         assert np.abs(sim.state.u + sim.state.u[::-1, :]).max() < 1e-12

@@ -151,8 +151,6 @@ class TestGrid:
         g = Grid.half_gap(8, 0.005)
         assert (g.nx, g.ny) == (8, 64)
         assert g.dx == g.dy == pytest.approx(0.005 / 8)
-        assert g.x_max == pytest.approx(0.005)
-        assert g.y_max == pytest.approx(0.04)
 
     def test_full_gap_doubles_width(self):
         g = Grid.full_gap(8, 0.005)
