@@ -70,8 +70,8 @@ class SlipSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "navier":
-            if self.L is None or not self.L > 0.0:
-                raise ValueError("navier slip requires L > 0")
+            if self.L is None or not 0.0 < self.L < math.inf:
+                raise ValueError("navier slip requires a finite L > 0")
         elif self.kind == "numerical":
             if self.L is not None:
                 raise ValueError("numerical slip takes no slip length")

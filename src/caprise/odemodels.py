@@ -86,8 +86,8 @@ class ModelSpec:
             if self.slip_length != 0.0 or self.h_hat_override is not None:
                 raise ValueError("classical model has no slip or h_hat parameters")
         elif self.kind == "extended":
-            if self.slip_length < 0.0:
-                raise ValueError("slip_length must be >= 0")
+            if not 0.0 <= self.slip_length < math.inf:
+                raise ValueError("slip_length must be finite and >= 0")
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
@@ -201,7 +201,15 @@ def rhs(model: ModelSpec, fluid: FluidPair, geom: Geometry,
 
 
 def output_times(t_end: float, dt_out: float) -> np.ndarray:
-    """Multiples of dt_out in [0, t_end] with the endpoint forced exactly."""
+    """Multiples of dt_out in [0, t_end] with the endpoint forced exactly.
+
+    The one owner of the horizon checks: both solvers build their output
+    grid here before their first step.
+    """
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and positive")
+    if not 0.0 < dt_out <= t_end:
+        raise ValueError("dt_out must lie in (0, t_end]")
     n = int(math.floor(t_end / dt_out * (1.0 + 1e-12)))
     t = np.arange(n + 1) * dt_out
     if t_end - t[-1] <= 1e-9 * t_end:
@@ -217,8 +225,9 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
     """Dormand-Prince 5(4) with dense output on a uniform grid.
 
     Shared by the dimensional and the scaled integrators, so it owns their
-    argument checks.  dt_out defaults to t_end/2000; the last sample lands
-    exactly on t_end.
+    tolerance checks; output_times checks the horizon before the first
+    step.  dt_out defaults to t_end/2000; the last sample lands exactly on
+    t_end.
 
     The stepper is scipy's ``RK45`` written out for the (h, v) state in
     plain floats: the same tableau, Hairer-Norsett-Wanner initial step,
@@ -228,8 +237,6 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
     comparisons in place of max, min, abs and _rms calls, and each keeps
     the builtin's result, NaN included.
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
     if not 1e-12 <= rtol <= 1e-3:
         raise ValueError("rtol must lie in [1e-12, 1e-3]")
     if not atol > 0.0:
@@ -237,8 +244,6 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
         raise ValueError("atol must be positive")
     if dt_out is None:
         dt_out = t_end / 2000.0
-    if not 0.0 < dt_out <= t_end:
-        raise ValueError("dt_out must lie in (0, t_end]")
     t_eval = output_times(t_end, dt_out)
     samples = t_eval.tolist()
     n_out = len(samples)

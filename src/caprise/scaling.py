@@ -107,8 +107,8 @@ def units(kind: str, s: ScaleSet) -> ScaleUnits:
 
 def slip_groups(L: float, R: float) -> SlipGroups:
     """Dimensionless groups S = L/R, K = 1/(1+3S) and the convective Q."""
-    if L < 0.0 or R <= 0.0:
-        raise ValueError("need L >= 0 and R > 0")
+    if not (0.0 <= L < math.inf and R > 0.0):
+        raise ValueError("need a finite L >= 0 and R > 0")
     s = L / R
     k = 1.0 / (1.0 + 3.0 * s)
     q = 3.0 * (15.0 * s * s + 10.0 * s + 2.0) / (5.0 * (1.0 + 3.0 * s) ** 2)

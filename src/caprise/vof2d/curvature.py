@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from ..errors import StencilInvalid
-
-_PURE_EPS = 1e-9
+from .geometry import ALPHA_EPS
 
 
 def contact_angle_ghost(h_wall: float, dx: float, theta: float) -> float:
@@ -45,9 +44,9 @@ def column_height(col: np.ndarray, j_center: int, dy: float,
     j_hi = j_center + half
     if j_lo < 0 or j_hi >= col.size:
         raise StencilInvalid("height window leaves the domain")
-    if col[j_lo] < 1.0 - _PURE_EPS:
+    if col[j_lo] < 1.0 - ALPHA_EPS:
         raise StencilInvalid("window bottom is not pure liquid")
-    if col[j_hi] > _PURE_EPS:
+    if col[j_hi] > ALPHA_EPS:
         raise StencilInvalid("window top is not pure gas")
     return (j_lo + float(col[j_lo:j_hi + 1].sum())) * dy
 

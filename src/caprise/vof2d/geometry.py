@@ -1,15 +1,15 @@
 """Grid layout, simulation state, and exact interface initialisation.
 
 Half-gap configuration: x in [0, R] with the symmetry plane at x = 0 and
-the wall at x = R, y in [0, h_domain].  Square cells.  A full-gap debug
-configuration doubles the width and replaces the symmetry plane with a
-second wall.
+the wall at x = R, y in [0, h_domain] with h_domain = 8 R.  Square cells.
+A full-gap debug configuration doubles the width and replaces the
+symmetry plane with a second wall.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..errors import ArcExceedsDomain, MultiValuedColumn
 MIN_NX = 4
 
 # fractions closer than this to 0 or 1 count as pure cells
-_ALPHA_EPS = 1e-9
+ALPHA_EPS = 1e-9
 
 # below this cos(theta) the meniscus arc is treated as flat
 _FLAT_COS = 1e-12
@@ -50,15 +50,6 @@ class Grid:
             raise ValueError(f"need at least {MIN_NX} cells across the half gap")
         dx = R / nx
         return cls(nx=nx, ny=8 * nx, dx=dx, dy=dx)
-
-    @classmethod
-    def full_gap(cls, nx_half: int, R: float) -> "Grid":
-        """Debug variant spanning [0, 2R] at the same cell size."""
-        if nx_half < MIN_NX:
-            raise ValueError(
-                f"need at least {MIN_NX} cells across each half gap")
-        dx = R / nx_half
-        return cls(nx=2 * nx_half, ny=8 * nx_half, dx=dx, dy=dx)
 
 
 @dataclass
@@ -174,14 +165,13 @@ def arc_total_area(geom: Geometry) -> float:
 
 def init_case(geom: Geometry, nx: int, *, full_gap: bool = False) -> SimState:
     """Quiescent state with the exact arc fractions on a fresh grid."""
-    if full_gap:
-        grid = Grid.full_gap(nx, geom.R)
-        half = Grid.half_gap(nx, geom.R)
-        a_half = arc_column_fractions(geom, half)
-        alpha = np.concatenate([a_half[::-1, :], a_half], axis=0)
-    else:
-        grid = Grid.half_gap(nx, geom.R)
-        alpha = arc_column_fractions(geom, grid)
+    grid = Grid.half_gap(nx, geom.R)
+    if not math.isclose(geom.h_domain, grid.ny * grid.dy, rel_tol=1e-12):
+        raise ValueError(f"h_domain {geom.h_domain:g} m is not the grid's 8 R")
+    alpha = arc_column_fractions(geom, grid)
+    if full_gap:  # mirror the half gap's columns at the same cell size
+        grid = replace(grid, nx=2 * nx)
+        alpha = np.concatenate([alpha[::-1, :], alpha], axis=0)
     return SimState.quiescent(grid, alpha)
 
 
@@ -207,14 +197,14 @@ def apex_height(state: SimState, *, full_gap: bool = False) -> float:
 
 
 def _check_single_valued(col: np.ndarray) -> None:
-    partial = np.where((col > _ALPHA_EPS) & (col < 1.0 - _ALPHA_EPS))[0]
+    partial = np.where((col > ALPHA_EPS) & (col < 1.0 - ALPHA_EPS))[0]
     if partial.size:
         lo, hi = partial[0], partial[-1]
         if hi - lo + 1 != partial.size:
             raise MultiValuedColumn("partial cells are not contiguous")
-        if np.any(col[:lo] < 1.0 - _ALPHA_EPS):
+        if np.any(col[:lo] < 1.0 - ALPHA_EPS):
             raise MultiValuedColumn("gas below the interface band")
-        if np.any(col[hi + 1:] > _ALPHA_EPS):
+        if np.any(col[hi + 1:] > ALPHA_EPS):
             raise MultiValuedColumn("liquid above the interface band")
         return
     # pure column: must be full up to some row then empty

@@ -23,7 +23,7 @@ from ..errors import CourantViolation, SolverDiverged
 from ..odemodels import Trajectory, output_times
 from ..study import timestep_limits
 from .curvature import curvature_height_function
-from .geometry import MIN_NX, Grid, SimState, apex_height, init_case
+from .geometry import Grid, SimState, apex_height, init_case
 from .plic import plic_reconstruct
 
 _MIXED_EPS = 1e-12
@@ -46,15 +46,6 @@ class CaseSetup2D:
     closed_bottom: bool = False
     gravity_on: bool = True
     full_gap: bool = False
-
-    def __post_init__(self):
-        if self.nx < MIN_NX:
-            raise ValueError(
-                f"need at least {MIN_NX} cells across the half gap")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.dt_out is not None and self.dt_out <= 0.0:
-            raise ValueError("dt_out must be positive")
 
 
 @dataclass
@@ -113,6 +104,9 @@ class Simulator:
 
     def __init__(self, setup: CaseSetup2D, state: SimState | None = None):
         self.setup = setup
+        # refuses a bad horizon before any step
+        dt_out = setup.dt_out if setup.dt_out is not None else setup.t_end / 500.0
+        self._t_out = output_times(setup.t_end, dt_out)
         if state is None:
             state = init_case(setup.geom, setup.nx, full_gap=setup.full_gap)
         self.state = state
@@ -406,12 +400,10 @@ class Simulator:
         self.diag.vol_drift_rel = abs(
             vol_end - self._vol_start - self._boundary_influx) / denom
 
-        dt_out = setup.dt_out if setup.dt_out is not None else t_end / 500.0
-        t_grid = output_times(t_end, dt_out)
-        h_grid = np.interp(t_grid, np.asarray(times), np.asarray(apex))
-        hdot = np.gradient(h_grid, t_grid)
+        h_grid = np.interp(self._t_out, np.asarray(times), np.asarray(apex))
+        hdot = np.gradient(h_grid, self._t_out)
         traj = Trajectory(
-            t=t_grid, h=h_grid, v=hdot,
+            t=self._t_out, h=h_grid, v=hdot,
             metadata={
                 "kind": "vof2d",
                 "nx": setup.nx,

@@ -14,7 +14,7 @@ from caprise.harness import (read_trajectory_csv, trajectory_csv_text,
 from caprise.odemodels import ModelSpec, RiseState, Trajectory, integrate
 from caprise.scaling import auto_t_end
 from caprise.study import synth_params
-from caprise.vof2d import CaseSetup2D
+from caprise.vof2d import CaseSetup2D, Simulator
 from caprise.vof2d import run as run_vof2d
 
 
@@ -103,6 +103,17 @@ class TestOde:
         assert main(["ode", "--model", "extended", "--omega", "1",
                      "--sigma", "0.04", "--slip-length", "-1"]) == 2
 
+    @pytest.mark.parametrize("t_end", ["inf", "nan", "-1", "0"])
+    def test_bad_horizon_exits_2(self, capsys, t_end):
+        assert main(["ode", "--model", "classical", "--omega", "1",
+                     "--sigma", "0.04", "--t-end", t_end]) == 2
+        assert "t_end" in capsys.readouterr().err
+
+    def test_infinite_slip_length(self, capsys):
+        assert main(["ode", "--model", "extended", "--omega", "1",
+                     "--sigma", "0.04", "--slip-length", "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_bad_t_end(self):
         with pytest.raises(SystemExit) as exc:
             main(["ode", "--model", "classical", "--omega", "1",
@@ -187,6 +198,25 @@ class TestSim2d:
             t_end=0.005))
         assert diag["n_steps"] == run_diag.n_steps
         assert out.read_text(encoding="utf-8") == trajectory_csv_text(traj)
+
+    def test_infinite_horizon_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_step(self, dt):
+            pytest.fail("a step ran before the horizon was checked")
+        monkeypatch.setattr(Simulator, "step", no_step)
+        out = tmp_path / "x.csv"
+        assert main(["sim2d", "--omega", "1", "--sigma", "0.04",
+                     "--cells-per-radius", "4", "--slip", "navier:0.001",
+                     "--t-end", "inf", "--out", str(out)]) == 2
+        assert "t_end" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_slip_length(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sim2d", "--omega", "1", "--sigma", "0.04",
+                  "--cells-per-radius", "4", "--slip", "navier:inf",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "navier:inf" in capsys.readouterr().err
 
     def test_bad_slip(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from caprise.core import FluidPair, Geometry, dimensionless_numbers, \
+from caprise.core import FluidPair, Geometry, SlipSpec, dimensionless_numbers, \
     height_correction, jurin_height
 from caprise.errors import NonWettingAngle
 from caprise.odemodels import ModelSpec, RiseState, Trajectory, detect_peaks, \
@@ -144,6 +144,16 @@ def test_slip_groups_frozen():
     ginf = slip_groups(1e12, 1.0)
     assert ginf.k == pytest.approx(0.0, abs=1e-11)
     assert ginf.q == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("make", [
+    SlipSpec.navier, ModelSpec.extended, lambda L: slip_groups(L, 0.005),
+], ids=["SlipSpec.navier", "ModelSpec.extended", "slip_groups"])
+@pytest.mark.parametrize("L", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_slip_length_refused(make, L):
+    # an infinite slip length later ends in a NaN step or pressure field
+    with pytest.raises(ValueError, match="finite"):
+        make(L)
 
 
 def test_slip_groups_monotone():

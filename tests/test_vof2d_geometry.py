@@ -153,7 +153,7 @@ class TestGrid:
         assert g.dx == g.dy == pytest.approx(0.005 / 8)
 
     def test_full_gap_doubles_width(self):
-        g = Grid.full_gap(8, 0.005)
+        g = init_case(GEOM, 8, full_gap=True).grid
         assert (g.nx, g.ny) == (16, 64)
         assert g.dx == pytest.approx(0.005 / 8)
 
@@ -225,6 +225,14 @@ class TestArcInit:
         grid = Grid.half_gap(8, geom.R)
         with pytest.raises(ArcExceedsDomain):
             arc_column_fractions(geom, grid)
+
+    def test_init_case_refuses_other_domain_height(self):
+        # the grid is 8 R tall; a 20 R domain would be filled with liquid
+        geom = Geometry(R=0.005, theta_e=math.radians(30.0),
+                        h0=9 * 0.005, h_domain=20 * 0.005)
+        for full_gap in (False, True):
+            with pytest.raises(ValueError, match="h_domain"):
+                init_case(geom, 8, full_gap=full_gap)
 
     def test_init_case_apex_near_h0(self):
         state = init_case(GEOM, 8)
