@@ -46,6 +46,15 @@ def _t_end_arg(text: str):
             f"expected seconds or 'auto', got {text!r}") from None
 
 
+def _slip_arg(text: str) -> SlipSpec:
+    """--slip flag: argparse drops a ValueError's text, but prints an
+    ArgumentTypeError's, so parse_slip's reason reaches the user."""
+    try:
+        return parse_slip(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _case_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--omega", type=float, required=True,
                      help="oscillation number of the study row")
@@ -207,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("sim2d", help="run the 2D two-phase solver")
     _case_args(sub)
     sub.add_argument("--cells-per-radius", type=int, required=True)
-    sub.add_argument("--slip", type=parse_slip, required=True,
+    sub.add_argument("--slip", type=_slip_arg, required=True,
                      help="'numerical' or 'navier:<metres>'")
     sub.add_argument("--t-end", type=_t_end_arg, default=None,
                      help="horizon in seconds, or 'auto' (default)")

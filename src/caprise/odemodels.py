@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,27 +155,41 @@ class SettleMetrics:
     overshoot: float
 
 
-def rise_rhs(A: float, B: float, C: float, D: float, h_hat: float,
-             eps: float) -> Callable[[float, float], tuple[float, float]]:
-    """The one rise-model right-hand side, f(h, v) -> (dh, dv).
+class RiseBalance(NamedTuple):
+    """Coefficient row of the one rise-model balance
 
-    Every model and scaling is the balance H v' = A - B H - C v H + D v^2
-    for the column H = h + h_hat; only the coefficient row differs.
-    Raises SingularHeight once H <= eps.
+        H v' = A - B H - C v H + D v^2,  H = h + h_hat,
+
+    which every model and scaling shares.  Called as f(h, v) it gives
+    (dh, dv) and raises SingularHeight once H <= eps; solve_rk45 unpacks
+    the row and evaluates the same expression in its stages.
     """
 
-    def f(h: float, v: float) -> tuple[float, float]:
-        H = h + h_hat
-        if H <= eps:
-            raise SingularHeight(f"column length {H!r} <= {eps!r}")
-        return v, (A - B * H - C * v * H + D * v * v) / H
+    A: float
+    B: float
+    C: float
+    D: float
+    h_hat: float
+    eps: float
 
-    return f
+    def singular(self, H: float) -> SingularHeight:
+        return SingularHeight(f"column length {H!r} <= {self.eps!r}")
+
+    def __call__(self, h: float, v: float) -> tuple[float, float]:
+        H = h + self.h_hat
+        if H <= self.eps:
+            raise self.singular(H)
+        return v, (self.A - self.B * H - self.C * v * H + self.D * v * v) / H
 
 
-def _rhs_terms(model: ModelSpec, fluid: FluidPair,
-               geom: Geometry) -> Callable[[float, float], tuple[float, float]]:
-    """Bind model constants, return f(h, v) -> (dh, dv)."""
+def rise_rhs(A: float, B: float, C: float, D: float, h_hat: float,
+             eps: float) -> RiseBalance:
+    """The one rise-model right-hand side, f(h, v) -> (dh, dv)."""
+    return RiseBalance(A, B, C, D, h_hat, eps)
+
+
+def _rhs_terms(model: ModelSpec, fluid: FluidPair, geom: Geometry) -> RiseBalance:
+    """Bind model constants, return the coefficient row f(h, v) -> (dh, dv)."""
     rho, mu, sig, g = fluid.rho_l, fluid.mu_l, fluid.sigma, fluid.g
     R = geom.R
     drive = sig * math.cos(geom.theta_e) / (rho * R)  # wetting term over rho, m/s^2 * m
@@ -219,9 +233,8 @@ def output_times(t_end: float, dt_out: float) -> np.ndarray:
     return t
 
 
-def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: float,
-               t_end: float, rtol: float, atol: float, dt_out: float | None,
-               metadata: dict) -> Trajectory:
+def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, rtol: float,
+               atol: float, dt_out: float | None, metadata: dict) -> Trajectory:
     """Dormand-Prince 5(4) with dense output on a uniform grid.
 
     Shared by the dimensional and the scaled integrators, so it owns their
@@ -235,7 +248,10 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
     rounding.  A step that would fall below ten float spacings of t (also
     a NaN step) raises StepSizeUnderflow.  The step control is written as
     comparisons in place of max, min, abs and _rms calls, and each keeps
-    the builtin's result, NaN included.
+    the builtin's result, NaN included.  The six stages of a step evaluate
+    the balance row in place, with the arithmetic of RiseBalance.__call__:
+    a stage's dh is its v argument, and its h argument only enters
+    H = h + h_hat.
     """
     if not 1e-12 <= rtol <= 1e-3:
         raise ValueError("rtol must lie in [1e-12, 1e-3]")
@@ -258,9 +274,11 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
     (_, p12, p13, p14), _, (_, p32, p33, p34), (_, p42, p43, p44), \
         (_, p52, p53, p54), (_, p62, p63, p64), (_, p72, p73, p74) = _DP_P
 
+    A, B, C, D, h_hat, eps = balance
+
     t = 0.0
     h, v = float(h0), float(v0)
-    kh1, kv1 = f(h, v)
+    kh1, kv1 = balance(h, v)
     # initial step of Hairer, Norsett & Wanner (1993), sec. II.4, for an
     # error estimator of order 4
     sh, sv = atol + abs(h) * rtol, atol + abs(v) * rtol
@@ -268,7 +286,7 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
     d1 = _rms(kh1 / sh, kv1 / sv)
     dt = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     dt = min(dt, t_end)
-    fh, fv = f(h + dt * kh1, v + dt * kv1)
+    fh, fv = balance(h + dt * kh1, v + dt * kv1)
     d2 = _rms((fh - kh1) / sh, (fv - kv1) / sv) / dt
     if d1 <= 1e-15 and d2 <= 1e-15:
         dt_first = max(1e-6, dt * 1e-3)
@@ -294,20 +312,38 @@ def solve_rk45(f: Callable[[float, float], tuple[float, float]], h0: float, v0: 
             t_new = t + dt
             t_new = t_end if t_end < t_new else t_new
             dt = t_new - t
-            kh2, kv2 = f(h + a21 * kh1 * dt, v + a21 * kv1 * dt)
-            kh3, kv3 = f(h + (a31 * kh1 + a32 * kh2) * dt,
-                         v + (a31 * kv1 + a32 * kv2) * dt)
-            kh4, kv4 = f(h + (a41 * kh1 + a42 * kh2 + a43 * kh3) * dt,
-                         v + (a41 * kv1 + a42 * kv2 + a43 * kv3) * dt)
-            kh5, kv5 = f(h + (a51 * kh1 + a52 * kh2 + a53 * kh3 + a54 * kh4) * dt,
-                         v + (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4) * dt)
-            kh6, kv6 = f(h + (a61 * kh1 + a62 * kh2 + a63 * kh3 + a64 * kh4
-                              + a65 * kh5) * dt,
-                         v + (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4
-                              + a65 * kv5) * dt)
+            # stage j: kh_j = v_j, H = h_j + h_hat, kv_j from the balance
+            kh2 = v + a21 * kv1 * dt
+            H = h + a21 * kh1 * dt + h_hat
+            if H <= eps:
+                raise balance.singular(H)
+            kv2 = (A - B * H - C * kh2 * H + D * kh2 * kh2) / H
+            kh3 = v + (a31 * kv1 + a32 * kv2) * dt
+            H = h + (a31 * kh1 + a32 * kh2) * dt + h_hat
+            if H <= eps:
+                raise balance.singular(H)
+            kv3 = (A - B * H - C * kh3 * H + D * kh3 * kh3) / H
+            kh4 = v + (a41 * kv1 + a42 * kv2 + a43 * kv3) * dt
+            H = h + (a41 * kh1 + a42 * kh2 + a43 * kh3) * dt + h_hat
+            if H <= eps:
+                raise balance.singular(H)
+            kv4 = (A - B * H - C * kh4 * H + D * kh4 * kh4) / H
+            kh5 = v + (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4) * dt
+            H = h + (a51 * kh1 + a52 * kh2 + a53 * kh3 + a54 * kh4) * dt + h_hat
+            if H <= eps:
+                raise balance.singular(H)
+            kv5 = (A - B * H - C * kh5 * H + D * kh5 * kh5) / H
+            kh6 = v + (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5) * dt
+            H = h + (a61 * kh1 + a62 * kh2 + a63 * kh3 + a64 * kh4 + a65 * kh5) * dt + h_hat
+            if H <= eps:
+                raise balance.singular(H)
+            kv6 = (A - B * H - C * kh6 * H + D * kh6 * kh6) / H
             h_new = h + dt * (b1 * kh1 + b3 * kh3 + b4 * kh4 + b5 * kh5 + b6 * kh6)
-            v_new = v + dt * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
-            kh7, kv7 = f(h_new, v_new)
+            kh7 = v_new = v + dt * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
+            H = h_new + h_hat
+            if H <= eps:
+                raise balance.singular(H)
+            kv7 = (A - B * H - C * kh7 * H + D * kh7 * kh7) / H
             nfev += 6
             ah_new = h_new if h_new > 0.0 else 0.0 - h_new
             av_new = v_new if v_new > 0.0 else 0.0 - v_new
@@ -382,11 +418,11 @@ def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4,
     thresh = eps_peak * abs(h_ref)
 
     h = traj.h
-    d = np.diff(h)
-    # raw alternating extrema; zero slopes inherit the previous sign
+    # raw alternating extrema; zero slopes inherit the previous sign.  The
+    # scan runs over Python floats, which compare faster than numpy scalars
     ext: list[tuple[int, bool]] = []
     prev_sign = 0
-    for i, di in enumerate(d):
+    for i, di in enumerate(np.diff(h).tolist()):
         s = 1 if di > 0.0 else (-1 if di < 0.0 else 0)
         if s == 0:
             continue

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .core import FluidPair, Geometry
 from .errors import NonWettingAngle
-from .odemodels import (RiseState, Trajectory, rise_rhs, solve_rk45, DEFAULT_RTOL,
-                        DEFAULT_ATOL)
+from .odemodels import (RiseBalance, RiseState, Trajectory, rise_rhs, solve_rk45,
+                        DEFAULT_RTOL, DEFAULT_ATOL)
 
 SCALING_KINDS = ("I", "II", "III")
 
@@ -139,8 +139,9 @@ def redimensionalize(traj: Trajectory, kind: str, s: ScaleSet) -> Trajectory:
                       v=traj.v / u.v_rate, metadata=meta)
 
 
-def _rhs_scaled_terms(kind: str, omega: float, groups: SlipGroups, h_hat_star: float):
-    """Coefficient row of scaling ``kind`` bound into :func:`rise_rhs`."""
+def _rhs_scaled_terms(kind: str, omega: float, groups: SlipGroups,
+                      h_hat_star: float) -> RiseBalance:
+    """Coefficient row of scaling ``kind``."""
     k, q = groups.k, groups.q
     if kind == "I":
         om2 = omega * omega

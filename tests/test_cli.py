@@ -216,14 +216,17 @@ class TestSim2d:
                   "--cells-per-radius", "4", "--slip", "navier:inf",
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-        assert "navier:inf" in capsys.readouterr().err
+        assert ("argument --slip: navier slip requires a finite L > 0"
+                in capsys.readouterr().err)
 
-    def test_bad_slip(self, tmp_path):
+    def test_bad_slip(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sim2d", "--omega", "1", "--sigma", "0.04",
-                  "--cells-per-radius", "4", "--slip", "sticky",
+                  "--cells-per-radius", "4", "--slip", "foo",
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+        assert ("argument --slip: slip must be 'numerical' or 'navier:<metres>', "
+                "got 'foo'" in capsys.readouterr().err)
 
 
 class TestBench:

@@ -215,19 +215,25 @@ def test_solve_rk45_matches_scipy_rk45(omega, model):
     assert np.max(np.abs(tr.v - ref.y[1])) <= 1e-9 * np.max(np.abs(ref.y[1]))
 
 
-@pytest.mark.parametrize("h_nan", [0.0, 0.02], ids=["from-start", "after-rise"])
-def test_solve_rk45_nan_rhs_raises_step_size_underflow(h_nan):
-    calls = 0
+def test_solve_rk45_nan_rhs_raises_step_size_underflow():
+    # A = nan makes every evaluation NaN: the initial step is NaN, and the
+    # step control refuses it before the first step
+    balance = rise_rhs(math.nan, 0.0, 0.0, 0.0, 0.0, 1e-3)
+    with pytest.raises(StepSizeUnderflow, match=r"^step size nan .* at t = 0\.0$"):
+        solve_rk45(balance, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL, None, {})
 
-    def f(h, v):
-        nonlocal calls
-        calls += 1
-        if calls > 100_000:
-            raise RuntimeError("the stepper did not give up on a NaN right-hand side")
-        return (v, 1.0) if h < h_nan else (math.nan, math.nan)
 
-    with pytest.raises(StepSizeUnderflow):
-        solve_rk45(f, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL, None, {})
+def test_solve_rk45_overflow_after_rise_raises_singular_height():
+    # negative friction: v grows as exp(1000 t) until C v H overflows near
+    # h = 1e151.  The stages then see inf and NaN (NaN errors are rejected),
+    # and the negative tableau entries drive a stage column to -inf, which
+    # the in-place stages refuse exactly as the callable does
+    balance = rise_rhs(1.0, 0.0, -1e3, 0.0, 0.0, 1e-3)
+    with pytest.raises(SingularHeight, match=r"^column length -inf <= 0\.001$"):
+        solve_rk45(balance, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL, None, {})
+    with pytest.raises(SingularHeight, match=r"^column length -inf <= 0\.001$"):
+        _reference_solve_rk45(balance, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL,
+                              None, {})
 
 
 def _reference_solve_rk45(f, h0, v0, t_end, rtol, atol, dt_out, metadata):

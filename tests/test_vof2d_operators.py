@@ -78,6 +78,26 @@ class TestCurvature:
         assert np.all(k[:-1] == 0.0)
         assert k[-1] > 0.0
 
+    def test_smeared_column_widens_window(self):
+        # the smeared column's interface cell is j = 10 and its 7-cell
+        # window starts at the 0.9 cell, so its height comes from the 9-cell
+        # window; it holds 10.1 cells of liquid, as column 0 of the sharp field
+        dx = dy = 0.25
+        smeared = [1.0] * 7 + [0.9, 0.8, 0.7, 0.5, 0.2] + [0.0] * 8
+        with pytest.raises(StencilInvalid):
+            column_height(np.array(smeared), 10, dy, half=3)
+        a = np.zeros((3, 20))
+        a[:, :10] = 1.0
+        a[:, 10] = [0.1, 0.3, 0.6]
+        sharp = curvature_height_function(a, dx, dy, GEOM.theta_e)
+        a[0] = smeared
+        assert curvature_height_function(a, dx, dy, GEOM.theta_e) == \
+            pytest.approx(sharp, rel=1e-12)
+        # a 0.95 cell at the 9-cell window's bottom too: no window brackets
+        a[0, 6] = 0.95
+        with pytest.raises(StencilInvalid):
+            curvature_height_function(a, dx, dy, GEOM.theta_e)
+
     def test_arc_curvature_converges_to_inverse_radius(self):
         k_exact = math.cos(GEOM.theta_e) / GEOM.R
         errs = {}
