@@ -1,4 +1,4 @@
-"""Reduced rise models: right-hand sides, adaptive integration, analytics.
+"""Reduced rise models: coefficient rows, adaptive integration, analytics.
 
 Two dimensional (SI-unit) models of the apex height h(t):
 
@@ -6,7 +6,8 @@ Two dimensional (SI-unit) models of the apex height h(t):
 * extended:   same balance written for the effective column h + h_hat, with
   Navier-slip viscous friction and a convective correction term.
 
-Both are integrated as first-order systems in (h, v) with the product rule
+Each model is one RiseBalance coefficient row (model_balance), integrated
+by solve_rk45 as a first-order system in (h, v) with the product rule
 expanded exactly, so no state reconstruction from h'h is ever needed.
 """
 
@@ -68,23 +69,15 @@ class RiseState:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which rise model to evaluate.
-
-    ``h_hat_override`` replaces the geometric meniscus correction (extended
-    model only); together with ``slip_length=0`` and
-    ``include_convective=False`` it reduces the extended model exactly to
-    the classical one, which the tests exploit.
-    """
+    """Which rise model to evaluate."""
 
     kind: str                 # "classical" | "extended"
     slip_length: float = 0.0  # Navier slip length [m], extended only
-    include_convective: bool = True
-    h_hat_override: float | None = None  # [m], extended only
 
     def __post_init__(self) -> None:
         if self.kind == "classical":
-            if self.slip_length != 0.0 or self.h_hat_override is not None:
-                raise ValueError("classical model has no slip or h_hat parameters")
+            if self.slip_length != 0.0:
+                raise ValueError("classical model has no slip length")
         elif self.kind == "extended":
             if not 0.0 <= self.slip_length < math.inf:
                 raise ValueError("slip_length must be finite and >= 0")
@@ -96,11 +89,21 @@ class ModelSpec:
         return cls(kind="classical")
 
     @classmethod
-    def extended(cls, slip_length: float = 0.0, *, include_convective: bool = True,
-                 h_hat_override: float | None = None) -> "ModelSpec":
-        return cls(kind="extended", slip_length=slip_length,
-                   include_convective=include_convective,
-                   h_hat_override=h_hat_override)
+    def extended(cls, slip_length: float = 0.0) -> "ModelSpec":
+        return cls(kind="extended", slip_length=slip_length)
+
+
+@dataclass(frozen=True)
+class SlipGroups:
+    """Dimensionless slip-length groups of the extended model."""
+
+    s: float  # L/R [-]
+    k: float  # 1/(1+3S) [-]
+    q: float  # convective profile factor [-]
+
+    def __post_init__(self) -> None:
+        if self.s < 0.0:
+            raise ValueError("s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -160,9 +163,11 @@ class RiseBalance(NamedTuple):
 
         H v' = A - B H - C v H + D v^2,  H = h + h_hat,
 
-    which every model and scaling shares.  Called as f(h, v) it gives
-    (dh, dv) and raises SingularHeight once H <= eps; solve_rk45 unpacks
-    the row and evaluates the same expression in its stages.
+    which every model and scaling shares: model_balance builds it for a
+    dimensional model, scaling.scaled_balance for a scaled one.  Called as
+    f(h, v) it gives (dh, dv) and raises SingularHeight once H <= eps;
+    solve_rk45 unpacks the row and evaluates the same expression in its
+    stages.
     """
 
     A: float
@@ -182,36 +187,31 @@ class RiseBalance(NamedTuple):
         return v, (self.A - self.B * H - self.C * v * H + self.D * v * v) / H
 
 
-def rise_rhs(A: float, B: float, C: float, D: float, h_hat: float,
-             eps: float) -> RiseBalance:
-    """The one rise-model right-hand side, f(h, v) -> (dh, dv)."""
-    return RiseBalance(A, B, C, D, h_hat, eps)
+def slip_groups(L: float, R: float) -> SlipGroups:
+    """Dimensionless groups S = L/R, K = 1/(1+3S) and the convective Q."""
+    if not (0.0 <= L < math.inf and R > 0.0):
+        raise ValueError("need a finite L >= 0 and R > 0")
+    s = L / R
+    # Q of the Navier-slip velocity profile, written in L and R so that the
+    # dimensional rows keep their bits; with R = 1 it is Q(S)
+    q = 3.0 * (15.0 * L * L + 10.0 * L * R + 2.0 * R * R) / (5.0 * (R + 3.0 * L) ** 2)
+    return SlipGroups(s=s, k=1.0 / (1.0 + 3.0 * s), q=q)
 
 
-def _rhs_terms(model: ModelSpec, fluid: FluidPair, geom: Geometry) -> RiseBalance:
-    """Bind model constants, return the coefficient row f(h, v) -> (dh, dv)."""
+def model_balance(model: ModelSpec, fluid: FluidPair, geom: Geometry) -> RiseBalance:
+    """Coefficient row of ``model`` in SI units."""
     rho, mu, sig, g = fluid.rho_l, fluid.mu_l, fluid.sigma, fluid.g
     R = geom.R
     drive = sig * math.cos(geom.theta_e) / (rho * R)  # wetting term over rho, m/s^2 * m
     eps = 1e-14 * R
 
     if model.kind == "classical":
-        return rise_rhs(drive, g, 3.0 * mu / (rho * R * R), -1.0, 0.0, eps)
+        return RiseBalance(drive, g, 3.0 * mu / (rho * R * R), -1.0, 0.0, eps)
 
-    h_hat = (model.h_hat_override if model.h_hat_override is not None
-             else height_correction(geom))
     L = model.slip_length
     fric = 3.0 * mu / (rho * R * (R + 3.0 * L))
-    # convective correction coefficient of the slip-velocity profile
-    q = 3.0 * (15.0 * L * L + 10.0 * L * R + 2.0 * R * R) / (5.0 * (R + 3.0 * L) ** 2)
-    conv = (q - 1.0) if model.include_convective else -1.0
-    return rise_rhs(drive, g, fric, conv, h_hat, eps)
-
-
-def rhs(model: ModelSpec, fluid: FluidPair, geom: Geometry,
-        state: RiseState) -> tuple[float, float]:
-    """Time derivatives (dh/dt, dv/dt) of the selected rise model."""
-    return _rhs_terms(model, fluid, geom)(state.h, state.v)
+    return RiseBalance(drive, g, fric, slip_groups(L, R).q - 1.0,
+                       height_correction(geom), eps)
 
 
 def output_times(t_end: float, dt_out: float) -> np.ndarray:
@@ -233,11 +233,12 @@ def output_times(t_end: float, dt_out: float) -> np.ndarray:
     return t
 
 
-def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, rtol: float,
-               atol: float, dt_out: float | None, metadata: dict) -> Trajectory:
+def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, *,
+               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+               dt_out: float | None = None, metadata: dict | None = None) -> Trajectory:
     """Dormand-Prince 5(4) with dense output on a uniform grid.
 
-    Shared by the dimensional and the scaled integrators, so it owns their
+    Integrates any balance row, dimensional or scaled, so it owns the
     tolerance checks; output_times checks the horizon before the first
     step.  dt_out defaults to t_end/2000; the last sample lands exactly on
     t_end.
@@ -246,7 +247,8 @@ def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, rtol: f
     plain floats: the same tableau, Hairer-Norsett-Wanner initial step,
     step control and dense output, so it takes the same steps up to
     rounding.  A step that would fall below ten float spacings of t (also
-    a NaN step) raises StepSizeUnderflow.  The step control is written as
+    a NaN step, or a first step estimate that is not positive) raises
+    StepSizeUnderflow.  The step control is written as
     comparisons in place of max, min, abs and _rms calls, and each keeps
     the builtin's result, NaN included.  The six stages of a step evaluate
     the balance row in place, with the arithmetic of RiseBalance.__call__:
@@ -286,6 +288,11 @@ def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, rtol: f
     d1 = _rms(kh1 / sh, kv1 / sv)
     dt = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     dt = min(dt, t_end)
+    if not dt > 0.0:
+        # d1 overflowed (dt = 0) or is NaN, and d2 divides by dt: refuse with
+        # the step loop's underflow error
+        min_step = 10.0 * math.nextafter(0.0, math.inf)
+        raise StepSizeUnderflow(f"step size {dt!r} fell below {min_step!r} at t = 0.0")
     fh, fv = balance(h + dt * kh1, v + dt * kv1)
     d2 = _rms((fh - kh1) / sh, (fv - kv1) / sv) / dt
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -381,7 +388,7 @@ def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, rtol: f
                 i_out += 1
         t, h, v, kh1, kv1, dt = t_new, h_new, v_new, kh7, kv7, dt_next
 
-    meta = dict(metadata, rtol=rtol, atol=atol, dt_out=dt_out, nfev=nfev)
+    meta = dict(metadata or {}, rtol=rtol, atol=atol, dt_out=dt_out, nfev=nfev)
     return Trajectory(t=t_eval, h=np.array(hs), v=np.array(vs), metadata=meta)
 
 
@@ -398,8 +405,8 @@ def integrate(model: ModelSpec, fluid: FluidPair, geom: Geometry, init: RiseStat
     meta = {"label": label, "model": model.kind}
     if model.kind == "extended":
         meta["slip_length"] = model.slip_length
-    return solve_rk45(_rhs_terms(model, fluid, geom), init.h, init.v, t_end,
-                      rtol, atol, dt_out, meta)
+    return solve_rk45(model_balance(model, fluid, geom), init.h, init.v, t_end,
+                      rtol=rtol, atol=atol, dt_out=dt_out, metadata=meta)
 
 
 def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4,

@@ -1,4 +1,4 @@
-"""Nondimensionalization of the rise models.
+"""Scalings of the rise models: rescaled trajectories and scaled balance rows.
 
 Three scalings (I viscous, II inertial, III gravitational) turn the
 dimensional trajectory into t* = t_rate*t, h* = h_rate*h.  The coefficients
@@ -7,8 +7,9 @@ a, b, c condense the material parameters; their combination
     omega = sqrt(b^2 / (a c^2))
 
 is the single group separating oscillatory from monotone rise.  The scaled
-extended model is integrated with the same RK5(4) machinery as the
-dimensional one so the two routes can be cross-checked.
+extended model is a coefficient row (scaled_balance) of the same balance
+as the dimensional one, so solve_rk45(scaled_balance(...), ...) integrates
+it and the two routes can be cross-checked.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 from .core import FluidPair, Geometry
 from .errors import NonWettingAngle
-from .odemodels import (RiseBalance, RiseState, Trajectory, rise_rhs, solve_rk45,
-                        DEFAULT_RTOL, DEFAULT_ATOL)
+from .odemodels import RiseBalance, SlipGroups, Trajectory
 
 SCALING_KINDS = ("I", "II", "III")
 
@@ -53,19 +53,6 @@ class ScaleUnits:
     def v_rate(self) -> float:
         """Velocity factor by the chain rule, v* = (h_rate/t_rate) v."""
         return self.h_rate / self.t_rate
-
-
-@dataclass(frozen=True)
-class SlipGroups:
-    """Dimensionless slip-length groups of the extended model."""
-
-    s: float  # L/R [-]
-    k: float  # 1/(1+3S) [-]
-    q: float  # convective profile factor [-]
-
-    def __post_init__(self) -> None:
-        if self.s < 0.0:
-            raise ValueError("s must be >= 0")
 
 
 def coefficients(fluid: FluidPair, geom: Geometry, dim: str = "2d") -> ScaleSet:
@@ -105,16 +92,6 @@ def units(kind: str, s: ScaleSet) -> ScaleUnits:
     raise ValueError(f"unknown scaling kind {kind!r}")
 
 
-def slip_groups(L: float, R: float) -> SlipGroups:
-    """Dimensionless groups S = L/R, K = 1/(1+3S) and the convective Q."""
-    if not (0.0 <= L < math.inf and R > 0.0):
-        raise ValueError("need a finite L >= 0 and R > 0")
-    s = L / R
-    k = 1.0 / (1.0 + 3.0 * s)
-    q = 3.0 * (15.0 * s * s + 10.0 * s + 2.0) / (5.0 * (1.0 + 3.0 * s) ** 2)
-    return SlipGroups(s=s, k=k, q=q)
-
-
 def nondimensionalize(traj: Trajectory, kind: str, s: ScaleSet) -> Trajectory:
     """Rescale a dimensional trajectory into scaling ``kind``."""
     u = units(kind, s)
@@ -126,22 +103,16 @@ def nondimensionalize(traj: Trajectory, kind: str, s: ScaleSet) -> Trajectory:
                       v=traj.v * u.v_rate, metadata=meta)
 
 
-def redimensionalize(traj: Trajectory, kind: str, s: ScaleSet) -> Trajectory:
-    """Inverse of :func:`nondimensionalize`."""
-    u = units(kind, s)
-    meta = dict(traj.metadata)
-    meta.pop("scaling", None)
-    meta.pop("t_rate", None)
-    meta.pop("h_rate", None)
-    if "h_inf" in meta:
-        meta["h_inf"] = meta["h_inf"] / u.h_rate
-    return Trajectory(t=traj.t / u.t_rate, h=traj.h / u.h_rate,
-                      v=traj.v / u.v_rate, metadata=meta)
+def scaled_balance(kind: str, omega: float, groups: SlipGroups,
+                   h_hat_star: float) -> RiseBalance:
+    """Coefficient row of the extended model in scaling ``kind``.
 
-
-def _rhs_scaled_terms(kind: str, omega: float, groups: SlipGroups,
-                      h_hat_star: float) -> RiseBalance:
-    """Coefficient row of scaling ``kind``."""
+    Each scaling's momentum balance, written for the product h'(h+h_hat), is
+    expanded and solved for dv*/dt*.  Equilibria: h*+h_hat* = 1 for I and II,
+    omega/sqrt(2) for III.
+    """
+    if not omega > 0.0:
+        raise ValueError("omega must be positive")
     k, q = groups.k, groups.q
     if kind == "I":
         om2 = omega * omega
@@ -152,30 +123,7 @@ def _rhs_scaled_terms(kind: str, omega: float, groups: SlipGroups,
         A, B, C = 0.5, 0.5 * (math.sqrt(2.0) / omega), k
     else:
         raise ValueError(f"unknown scaling kind {kind!r}")
-    return rise_rhs(A, B, C, q - 1.0, h_hat_star, 1e-14)  # scaled heights are O(1)
-
-
-def rhs_scaled(kind: str, omega: float, groups: SlipGroups, h_hat_star: float,
-               state: RiseState) -> tuple[float, float]:
-    """Scaled extended-model derivatives (dh*/dt*, dv*/dt*).
-
-    Each scaling's momentum balance, written for the product h'(h+h_hat), is
-    expanded and solved for dv*/dt*.  Equilibria: h*+h_hat* = 1 for I and II,
-    omega/sqrt(2) for III.
-    """
-    return _rhs_scaled_terms(kind, omega, groups, h_hat_star)(state.h, state.v)
-
-
-def integrate_scaled(kind: str, omega: float, groups: SlipGroups, h_hat_star: float,
-                     init: RiseState, t_end: float, *, rtol: float = DEFAULT_RTOL,
-                     atol: float = DEFAULT_ATOL, dt_out: float | None = None,
-                     label: str = "") -> Trajectory:
-    """Integrate the scaled extended model directly in scaled variables."""
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    meta = {"label": label, "model": f"scaled-{kind}", "scaling": kind, "omega": omega}
-    return solve_rk45(_rhs_scaled_terms(kind, omega, groups, h_hat_star), init.h,
-                      init.v, t_end, rtol, atol, dt_out, meta)
+    return RiseBalance(A, B, C, q - 1.0, h_hat_star, 1e-14)  # scaled heights are O(1)
 
 
 def auto_t_end(fluid: FluidPair, geom: Geometry) -> float:

@@ -25,14 +25,16 @@ from caprise.odemodels import (
     RiseState,
     detect_peaks,
     integrate,
+    model_balance,
+    slip_groups,
+    solve_rk45,
 )
 from caprise.scaling import (
     SCALING_KINDS,
     auto_t_end,
     coefficients,
-    integrate_scaled,
     nondimensionalize,
-    slip_groups,
+    scaled_balance,
     units,
 )
 from caprise.study import crossover_cells, step_counts, synth_params
@@ -216,9 +218,9 @@ def test_criterion_04_scaling_consistency():
         for kind in SCALING_KINDS:
             u = units(kind, s)
             ref = nondimensionalize(traj, kind, s)
-            direct = integrate_scaled(
-                kind, s.omega, groups, hh * u.h_rate,
-                RiseState(h=geom.h0 * u.h_rate, v=0.0), t_end * u.t_rate,
+            direct = solve_rk45(
+                scaled_balance(kind, s.omega, groups, hh * u.h_rate),
+                geom.h0 * u.h_rate, 0.0, t_end * u.t_rate,
                 dt_out=(t_end / 2000.0) * u.t_rate)
             if len(direct) != len(ref):
                 fails.append(f"{kind} omega={omega:g}: output grids differ")
@@ -240,9 +242,9 @@ def test_criterion_05_extended_reduces_to_classical():
     t_end = auto_t_end(fluid, geom)
     init = RiseState(h=geom.h0, v=0.0)
     base = integrate(ModelSpec.classical(), fluid, geom, init, t_end)
-    reduced = integrate(
-        ModelSpec.extended(0.0, include_convective=False, h_hat_override=0.0),
-        fluid, geom, init, t_end)
+    # L = 0, no convective term (D = -1), no meniscus correction (h_hat = 0)
+    row = model_balance(ModelSpec.extended(0.0), fluid, geom)._replace(D=-1.0, h_hat=0.0)
+    reduced = solve_rk45(row, init.h, init.v, t_end)
     tol = 10.0 * (DEFAULT_RTOL * np.abs(base.h) + DEFAULT_ATOL)
     gap = np.abs(reduced.h - base.h)
     fails = []

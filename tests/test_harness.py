@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from caprise import harness
+from caprise import harness, odemodels
 from caprise.core import CaseSpec, FluidPair, Geometry, SlipSpec, \
     dimensionless_numbers, jurin_height, stationary_height
 from caprise.errors import NoOverlap
@@ -24,7 +24,7 @@ from caprise.harness import (
     write_scale_sidecar,
     write_trajectory_csv,
 )
-from caprise.odemodels import Trajectory
+from caprise.odemodels import RiseBalance, Trajectory
 from caprise.scaling import auto_t_end
 
 
@@ -404,6 +404,16 @@ class TestRunSuite:
         assert [e["model"] for e in summary[:2]] == ["classical", "extended"]
         assert all(e["error"].startswith("ValueError: stationary height")
                    for e in summary[:2])
+
+    def test_unstartable_integration_recorded(self, tmp_path, suite, monkeypatch):
+        # a row whose first derivative overflows the initial-step estimate
+        overflow = RiseBalance(1.5e308, 1e308, 0.0, -1.0, 0.0, 1e-3)
+        monkeypatch.setattr(odemodels, "model_balance", lambda *args: overflow)
+        out = tmp_path / "overflow"
+        assert run_suite([suite[2]], models=("classical",), out_dir=out) == []
+        entry = json.loads((out / "summary.json").read_text())[0]
+        assert entry["error"] == ("StepSizeUnderflow: step size 0.0 fell below "
+                                  "5e-323 at t = 0.0")
 
     def test_pde_runs_through_suite(self, tmp_path, suite):
         out = tmp_path / "pde"

@@ -1,4 +1,4 @@
-"""Rise-model right-hand sides, integration, and trajectory analytics."""
+"""Rise-model balance rows, integration, and trajectory analytics."""
 
 import math
 import os
@@ -23,21 +23,20 @@ from caprise.odemodels import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     ModelSpec,
+    RiseBalance,
     RiseState,
     Trajectory,
-    _rhs_terms,
     _rms,
     ca_max,
     detect_peaks,
     integrate,
+    model_balance,
     output_times,
-    rhs,
-    rise_rhs,
     settle_metrics,
+    slip_groups,
     solve_rk45,
 )
-from caprise.scaling import _rhs_scaled_terms, auto_t_end, integrate_scaled, \
-    slip_groups
+from caprise.scaling import auto_t_end, scaled_balance
 from caprise.study import synth_params
 
 FLUID_OM1_TAB = FluidPair(rho_l=83.1, rho_g=0.0831, mu_l=0.01, mu_g=1e-5,
@@ -57,8 +56,6 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(kind="classical", slip_length=1e-3)
     with pytest.raises(ValueError):
-        ModelSpec(kind="classical", h_hat_override=0.0)
-    with pytest.raises(ValueError):
         ModelSpec.extended(-1e-3)
     with pytest.raises(ValueError):
         ModelSpec(kind="lubrication")
@@ -67,7 +64,7 @@ def test_model_spec_validation():
 def test_rhs_classical_equilibrium():
     fluid, geom = synth_params(1.0, 0.04)
     h_j = jurin_height(fluid, geom)
-    dh, dv = rhs(ModelSpec.classical(), fluid, geom, RiseState(h=h_j, v=0.0))
+    dh, dv = model_balance(ModelSpec.classical(), fluid, geom)(h_j, 0.0)
     assert dh == 0.0
     assert abs(dv) <= 1e-12
 
@@ -75,21 +72,19 @@ def test_rhs_classical_equilibrium():
 def test_rhs_extended_equilibrium():
     fluid, geom = synth_params(1.0, 0.04)
     h_inf = stationary_height(fluid, geom)
-    dh, dv = rhs(ModelSpec.extended(0.001), fluid, geom, RiseState(h=h_inf, v=0.0))
+    dh, dv = model_balance(ModelSpec.extended(0.001), fluid, geom)(h_inf, 0.0)
     assert dh == 0.0
     assert abs(dv) <= 1e-12
 
 
 def test_rhs_classical_frozen_value():
-    _, dv = rhs(ModelSpec.classical(), FLUID_OM1_TAB, GEOM_STD,
-                RiseState(h=0.01, v=0.0))
+    _, dv = model_balance(ModelSpec.classical(), FLUID_OM1_TAB, GEOM_STD)(0.01, 0.0)
     assert dv == pytest.approx(4.167188002738278, rel=1e-12)
     assert dv == pytest.approx(4.16719, abs=1e-5)
 
 
 def test_rhs_extended_frozen_value():
-    _, dv = rhs(ModelSpec.extended(0.001), FLUID_OM1_TAB, GEOM_STD,
-                RiseState(h=0.01, v=0.0))
+    _, dv = model_balance(ModelSpec.extended(0.001), FLUID_OM1_TAB, GEOM_STD)(0.01, 0.0)
     assert dv == pytest.approx(3.521509958493016, rel=1e-12)
     # reference sketch value computed with 6-digit intermediates
     assert dv == pytest.approx(3.52148, abs=1e-4)
@@ -106,7 +101,7 @@ def test_rhs_residual_of_momentum_form():
     for _ in range(100):
         h = rng.uniform(1e-4, 0.03)
         v = rng.uniform(-0.5, 0.5)
-        _, dv = rhs(ModelSpec.classical(), fluid, geom, RiseState(h=h, v=v))
+        _, dv = model_balance(ModelSpec.classical(), fluid, geom)(h, v)
         res = rho * (dv * h + v * v) - (-3.0 * mu * v * h / R**2 - rho * g * h
                                         + sig * ct / R)
         assert abs(res) <= 1e-9 * rho * abs(dv * h + v * v) + 1e-12
@@ -114,7 +109,7 @@ def test_rhs_residual_of_momentum_form():
         L = rng.uniform(0.0, 0.005)
         hh = height_correction(geom)
         H = h + hh
-        _, dv = rhs(ModelSpec.extended(L), fluid, geom, RiseState(h=h, v=v))
+        _, dv = model_balance(ModelSpec.extended(L), fluid, geom)(h, v)
         q = 3.0 * (15 * L * L + 10 * L * R + 2 * R * R) / (5.0 * (R + 3 * L) ** 2)
         res = rho * (dv * H + v * v) - (-3.0 * mu * v * H / (R * (R + 3 * L))
                                         - rho * g * H + sig * ct / R
@@ -125,10 +120,10 @@ def test_rhs_residual_of_momentum_form():
 def test_rhs_singular_height():
     fluid, geom = synth_params(1.0, 0.04)
     with pytest.raises(SingularHeight):
-        rhs(ModelSpec.classical(), fluid, geom, RiseState(h=1e-20, v=0.0))
+        model_balance(ModelSpec.classical(), fluid, geom)(1e-20, 0.0)
     with pytest.raises(SingularHeight):
-        rhs(ModelSpec.extended(0.0, h_hat_override=0.0), fluid, geom,
-            RiseState(h=0.0, v=0.0))
+        # the extended column is h + h_hat, singular at h = -h_hat
+        model_balance(ModelSpec.extended(0.0), fluid, geom)(-height_correction(geom), 0.0)
 
 
 def test_trajectory_validation():
@@ -160,8 +155,8 @@ def _integrate_dimensional(**kw):
 
 
 def _integrate_scaled_ii(**kw):
-    return integrate_scaled("II", 1.0, slip_groups(0.001, 0.005), 0.04,
-                            RiseState(h=0.46, v=0.0), **kw)
+    return solve_rk45(scaled_balance("II", 1.0, slip_groups(0.001, 0.005), 0.04),
+                      0.46, 0.0, **kw)
 
 
 @pytest.mark.parametrize("entry", [_integrate_dimensional, _integrate_scaled_ii],
@@ -176,7 +171,7 @@ def _integrate_scaled_ii(**kw):
 ], ids=["t_end<0", "t_end=0", "t_end=inf", "t_end=nan", "rtol=1e-2", "rtol=0.5",
         "rtol=1e-13", "dt_out<0", "dt_out=0", "dt_out>t_end", "atol<0", "atol=0"])
 def test_integrate_rejects_bad_arguments(entry, bad):
-    # both entry points share solve_rk45, which owns the tolerance checks
+    # both routes end in solve_rk45, which owns the tolerance checks
     # and builds its output grid with output_times, which owns the horizon;
     # the message names the bad argument, the last one given
     with pytest.raises(ValueError, match=list(bad)[-1]):
@@ -194,15 +189,14 @@ def test_solve_rk45_matches_scipy_rk45(omega, model):
     # initial step and step control, so the steps agree up to rounding
     from scipy.integrate import solve_ivp
     if model == "scaled-II":
-        groups = slip_groups(0.001, 0.005)
-        f = _rhs_scaled_terms("II", omega, groups, 0.04)
+        f = scaled_balance("II", omega, slip_groups(0.001, 0.005), 0.04)
         h0, t_end = 0.46, 20.0
-        tr = integrate_scaled("II", omega, groups, 0.04, RiseState(h=h0, v=0.0), t_end)
+        tr = solve_rk45(f, h0, 0.0, t_end)
     else:
         case = next(c for c in omega_suite() if c.omega_nominal == omega)
         spec = (ModelSpec.classical() if model == "classical"
                 else ModelSpec.extended(case.slip.L))
-        f = _rhs_terms(spec, case.fluid, case.geom)
+        f = model_balance(spec, case.fluid, case.geom)
         h0, t_end = case.geom.h0, auto_t_end(case.fluid, case.geom)
         tr = integrate(spec, case.fluid, case.geom, RiseState(h=h0, v=0.0), t_end)
     t_eval = output_times(t_end, t_end / 2000.0)
@@ -218,9 +212,17 @@ def test_solve_rk45_matches_scipy_rk45(omega, model):
 def test_solve_rk45_nan_rhs_raises_step_size_underflow():
     # A = nan makes every evaluation NaN: the initial step is NaN, and the
     # step control refuses it before the first step
-    balance = rise_rhs(math.nan, 0.0, 0.0, 0.0, 0.0, 1e-3)
+    balance = RiseBalance(math.nan, 0.0, 0.0, 0.0, 0.0, 1e-3)
     with pytest.raises(StepSizeUnderflow, match=r"^step size nan .* at t = 0\.0$"):
-        solve_rk45(balance, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL, None, {})
+        solve_rk45(balance, 0.01, 0.0, 1.0)
+
+
+def test_solve_rk45_overflowing_first_derivative_raises_step_size_underflow():
+    # kv1 = 5e307 over an error scale of 1e-12 makes d1 = inf, so the
+    # initial step estimate 0.01 d0/d1 is 0: refused before d2 divides by it
+    balance = RiseBalance(1.5e308, 1e308, 0.0, -1.0, 0.0, 1e-3)
+    with pytest.raises(StepSizeUnderflow, match=r"^step size 0\.0 .* at t = 0\.0$"):
+        solve_rk45(balance, 1.0, 0.0, 1.0)
 
 
 def test_solve_rk45_overflow_after_rise_raises_singular_height():
@@ -228,9 +230,9 @@ def test_solve_rk45_overflow_after_rise_raises_singular_height():
     # h = 1e151.  The stages then see inf and NaN (NaN errors are rejected),
     # and the negative tableau entries drive a stage column to -inf, which
     # the in-place stages refuse exactly as the callable does
-    balance = rise_rhs(1.0, 0.0, -1e3, 0.0, 0.0, 1e-3)
+    balance = RiseBalance(1.0, 0.0, -1e3, 0.0, 0.0, 1e-3)
     with pytest.raises(SingularHeight, match=r"^column length -inf <= 0\.001$"):
-        solve_rk45(balance, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL, None, {})
+        solve_rk45(balance, 0.01, 0.0, 1.0)
     with pytest.raises(SingularHeight, match=r"^column length -inf <= 0\.001$"):
         _reference_solve_rk45(balance, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL,
                               None, {})
@@ -335,12 +337,12 @@ def _suite_rhs(omega, model):
     case = next(c for c in omega_suite() if c.omega_nominal == omega)
     spec = (ModelSpec.classical() if model == "classical"
             else ModelSpec.extended(case.slip.L))
-    return (_rhs_terms(spec, case.fluid, case.geom), case.geom.h0,
+    return (model_balance(spec, case.fluid, case.geom), case.geom.h0,
             auto_t_end(case.fluid, case.geom))
 
 
 def _assert_matches_reference(f, h0, v0, t_end, rtol, atol):
-    got = solve_rk45(f, h0, v0, t_end, rtol, atol, None, {})
+    got = solve_rk45(f, h0, v0, t_end, rtol=rtol, atol=atol)
     want = _reference_solve_rk45(f, h0, v0, t_end, rtol, atol, None, {})
     for name in ("t", "h", "v"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -360,7 +362,7 @@ def test_solve_rk45_bit_equal_to_reference_on_suite(omega, model):
 
 
 def test_solve_rk45_bit_equal_to_reference_scaled_ii():
-    f = _rhs_scaled_terms("II", 1.0, slip_groups(0.001, 0.005), 0.04)
+    f = scaled_balance("II", 1.0, slip_groups(0.001, 0.005), 0.04)
     _assert_matches_reference(f, 0.46, 0.0, 20.0, DEFAULT_RTOL, DEFAULT_ATOL)
 
 
@@ -378,9 +380,9 @@ def test_solve_rk45_bit_equal_to_reference_with_rejected_steps():
 
 def test_solve_rk45_propagates_singular_height():
     # H v' = -1 drains the column until H <= eps
-    f = rise_rhs(-1.0, 0.0, 0.0, 0.0, 0.0, 1e-3)
+    f = RiseBalance(-1.0, 0.0, 0.0, 0.0, 0.0, 1e-3)
     with pytest.raises(SingularHeight):
-        solve_rk45(f, 0.01, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL, None, {})
+        solve_rk45(f, 0.01, 0.0, 1.0)
 
 
 def test_import_leaves_out_scipy_integrate():
@@ -414,13 +416,25 @@ def test_integrate_holds_equilibrium():
     assert np.max(np.abs(tr.h - h_j)) <= 1e-8 * h_j
 
 
+def _reduced_extended(fluid, geom):
+    """The extended row with no slip, no convective term and no meniscus
+    correction: D = -1 drops Q from the v^2 term, h_hat = 0 the correction."""
+    return model_balance(ModelSpec.extended(0.0), fluid, geom)._replace(D=-1.0, h_hat=0.0)
+
+
+@pytest.mark.parametrize("omega", [0.1, 0.5, 1.0, 10.0, 100.0])
+def test_reduced_extended_row_is_classical_row(omega):
+    case = next(c for c in omega_suite() if c.omega_nominal == omega)
+    classical = model_balance(ModelSpec.classical(), case.fluid, case.geom)
+    assert _reduced_extended(case.fluid, case.geom) == classical
+
+
 def test_extended_reduces_to_classical():
     fluid, geom = synth_params(1.0, 0.04)
     t_end = auto_t_end(fluid, geom)
-    init = RiseState(h=0.01, v=0.0)
-    reduced = ModelSpec.extended(0.0, include_convective=False, h_hat_override=0.0)
-    tr_red = integrate(reduced, fluid, geom, init, t_end)
-    tr_cls = integrate(ModelSpec.classical(), fluid, geom, init, t_end)
+    tr_red = solve_rk45(_reduced_extended(fluid, geom), 0.01, 0.0, t_end)
+    tr_cls = integrate(ModelSpec.classical(), fluid, geom, RiseState(h=0.01, v=0.0),
+                       t_end)
     scale = np.max(np.abs(tr_cls.h))
     assert np.max(np.abs(tr_red.h - tr_cls.h)) <= 10 * 1e-10 * scale
 
@@ -441,7 +455,7 @@ def test_initial_rise_and_damping():
     # successive maxima of the damped oscillation must not grow
     fluid, geom = synth_params(0.1, 0.2)
     init = RiseState(h=0.01, v=0.0)
-    _, dv0 = rhs(ModelSpec.extended(0.001), fluid, geom, init)
+    _, dv0 = model_balance(ModelSpec.extended(0.001), fluid, geom)(init.h, init.v)
     assert dv0 > 0.0
     tr = integrate(ModelSpec.extended(0.001), fluid, geom, init,
                    auto_t_end(fluid, geom))

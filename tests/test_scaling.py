@@ -10,17 +10,14 @@ from caprise.core import FluidPair, Geometry, SlipSpec, dimensionless_numbers, \
     height_correction, jurin_height
 from caprise.errors import NonWettingAngle
 from caprise.odemodels import ModelSpec, RiseState, Trajectory, detect_peaks, \
-    integrate
+    integrate, slip_groups, solve_rk45
 from caprise.scaling import (
     SCALING_KINDS,
     ScaleSet,
     auto_t_end,
     coefficients,
-    integrate_scaled,
     nondimensionalize,
-    redimensionalize,
-    rhs_scaled,
-    slip_groups,
+    scaled_balance,
     units,
 )
 from caprise.study import synth_params
@@ -164,21 +161,26 @@ def test_slip_groups_monotone():
     assert all(b < a for a, b in zip(qs, qs[1:]))
 
 
-def test_nondimensionalize_equilibrium_and_roundtrip():
+def test_nondimensionalize_equilibrium_and_rates():
     fluid, geom = synth_params(1.0, 0.04)
     s = coefficients(fluid, geom)
     h_j = jurin_height(fluid, geom)
     t = np.linspace(0.0, 1.0, 11)
-    traj = Trajectory(t=t, h=np.full_like(t, h_j), v=np.zeros_like(t),
-                      metadata={"h_inf": h_j})
+    v = np.linspace(-0.1, 0.1, 11)
+    traj = Trajectory(t=t, h=np.full_like(t, h_j), v=v, metadata={"h_inf": h_j})
     scaled = nondimensionalize(traj, "I", s)
     assert np.allclose(scaled.h, 1.0, rtol=1e-12, atol=0)
-    assert scaled.metadata["scaling"] == "I"
     assert scaled.metadata["h_inf"] == pytest.approx(1.0, rel=1e-12)
-    back = redimensionalize(scaled, "I", s)
-    assert np.max(np.abs(back.h - traj.h)) <= 1e-15 * h_j
-    assert np.max(np.abs(back.t - traj.t)) <= 1e-15
-    assert "scaling" not in back.metadata
+    for kind in SCALING_KINDS:
+        u = units(kind, s)
+        scaled = nondimensionalize(traj, kind, s)
+        assert np.array_equal(scaled.t, t * u.t_rate)
+        assert np.array_equal(scaled.h, traj.h * u.h_rate)
+        assert np.array_equal(scaled.v, v * u.v_rate)
+        assert scaled.metadata["h_inf"] == h_j * u.h_rate
+        assert (scaled.metadata["scaling"], scaled.metadata["t_rate"],
+                scaled.metadata["h_rate"]) == (kind, u.t_rate, u.h_rate)
+    assert traj.metadata == {"h_inf": h_j}  # the input is left as it was
 
 
 def test_nondimensionalize_time_value():
@@ -193,18 +195,25 @@ def test_rhs_scaled_equilibria():
     groups = slip_groups(0.001, 0.005)
     for omega in (0.1, 1.0, 10.0):
         hh = 0.042
-        dh, dv = rhs_scaled("I", omega, groups, hh, RiseState(h=1.0 - hh, v=0.0))
+        dh, dv = scaled_balance("I", omega, groups, hh)(1.0 - hh, 0.0)
         assert dh == 0.0 and abs(dv) <= 1e-12
-        dh, dv = rhs_scaled("II", omega, groups, hh, RiseState(h=1.0 - hh, v=0.0))
+        dh, dv = scaled_balance("II", omega, groups, hh)(1.0 - hh, 0.0)
         assert abs(dv) <= 1e-12
         heq = omega / math.sqrt(2.0) - hh
-        dh, dv = rhs_scaled("III", omega, groups, hh, RiseState(h=heq, v=0.0))
+        dh, dv = scaled_balance("III", omega, groups, hh)(heq, 0.0)
         assert abs(dv) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", SCALING_KINDS)
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan], ids=["0", "-1", "nan"])
+def test_scaled_balance_refuses_non_positive_omega(kind, omega):
+    with pytest.raises(ValueError, match="omega"):
+        scaled_balance(kind, omega, slip_groups(0.001, 0.005), 0.04)
 
 
 def test_rhs_scaled_generic_frozen():
     groups = slip_groups(0.001, 0.005)  # S = 0.2
-    _, dv = rhs_scaled("II", 1.0, groups, 0.042, RiseState(h=0.5, v=0.1))
+    _, dv = scaled_balance("II", 1.0, groups, 0.042)(0.5, 0.1)
     assert dv == pytest.approx(0.7839598708487084, rel=1e-12)
 
 
@@ -219,13 +228,13 @@ def test_rhs_scaled_row_residuals_random():
         v = rng.uniform(-1.0, 1.0)
         H = h + hh
         k, q = groups.k, groups.q
-        _, dv = rhs_scaled("I", omega, groups, hh, RiseState(h=h, v=v))
+        _, dv = scaled_balance("I", omega, groups, hh)(h, v)
         res = (dv * H + v * v) / omega**2 + k * v * H + H - 1.0 - q * v * v / omega**2
         assert abs(res) <= 1e-12 * (1.0 + abs(dv * H) / omega**2)
-        _, dv = rhs_scaled("II", omega, groups, hh, RiseState(h=h, v=v))
+        _, dv = scaled_balance("II", omega, groups, hh)(h, v)
         res = dv * H + v * v + k * omega * v * H + H - 1.0 - q * v * v
         assert abs(res) <= 1e-12 * (1.0 + abs(dv * H))
-        _, dv = rhs_scaled("III", omega, groups, hh, RiseState(h=h, v=v))
+        _, dv = scaled_balance("III", omega, groups, hh)(h, v)
         res = (2.0 * (dv * H + v * v) + 2.0 * k * v * H
                + math.sqrt(2.0) / omega * H - 1.0 - 2.0 * q * v * v)
         assert abs(res) <= 1e-12 * (1.0 + abs(dv * H))
@@ -236,9 +245,8 @@ def test_integrate_scaled_reaches_equilibrium():
     fluid, geom = synth_params(1.0, 0.04)
     s = coefficients(fluid, geom)
     hh = height_correction(geom) * units("II", s).h_rate
-    tr = integrate_scaled("II", 1.0, groups, hh,
-                          RiseState(h=0.01 * units("II", s).h_rate, v=0.0),
-                          t_end=60.0)
+    tr = solve_rk45(scaled_balance("II", 1.0, groups, hh),
+                    0.01 * units("II", s).h_rate, 0.0, t_end=60.0)
     assert tr.h[-1] + hh == pytest.approx(1.0, rel=1e-6)
 
 
@@ -250,8 +258,8 @@ def test_scaled_ii_small_omega_linearisation(omega, L):
     # overshoots shrink by exp(-k omega/2 T)
     hh = 0.04
     groups = slip_groups(L, 0.005)
-    tr = integrate_scaled("II", omega, groups, hh, RiseState(h=0.46, v=0.0), 200.0,
-                          dt_out=0.005)
+    tr = solve_rk45(scaled_balance("II", omega, groups, hh), 0.46, 0.0, 200.0,
+                    dt_out=0.005)
     decay = groups.k * omega / 2.0
     period = 2.0 * math.pi / math.sqrt(1.0 - decay * decay)
     ratio = math.exp(-decay * period)
@@ -273,10 +281,10 @@ def test_scaled_ii_critical_omega(L):
     hh, H0 = 0.04, 1.0 - 1e-3
     groups = slip_groups(L, 0.005)
     omega_c = 2.0 / groups.k
-    under = integrate_scaled("II", 0.8 * omega_c, groups, hh,
-                             RiseState(h=H0 - hh, v=0.0), 40.0)
-    over = integrate_scaled("II", 1.25 * omega_c, groups, hh,
-                            RiseState(h=H0 - hh, v=0.0), 40.0)
+    under = solve_rk45(scaled_balance("II", 0.8 * omega_c, groups, hh), H0 - hh, 0.0,
+                       40.0)
+    over = solve_rk45(scaled_balance("II", 1.25 * omega_c, groups, hh), H0 - hh, 0.0,
+                      40.0)
     overshoot = np.max(under.h) + hh - 1.0
     assert overshoot > 1e-6
     # the linear first overshoot, exp(-pi zeta/sqrt(1 - zeta^2)) at zeta 0.8
@@ -292,7 +300,7 @@ def test_scaled_i_viscous_limit():
     k = groups.k
     gaps = []
     for omega in (10.0, 30.0):
-        tr = integrate_scaled("I", omega, groups, hh, RiseState(h=H0 - hh, v=0.0), 3.0)
+        tr = solve_rk45(scaled_balance("I", omega, groups, hh), H0 - hh, 0.0, 3.0)
         late = tr.t > 0.5  # past the inertial start-up layer
         H = tr.h[late] + hh
         t_closed = k * ((H0 - H) + np.log((1.0 - H0) / (1.0 - H)))
@@ -314,11 +322,10 @@ def test_consistency_theorem_omega_one(kind):
     scaled_ref = nondimensionalize(traj, kind, s)
     u = units(kind, s)
     groups = slip_groups(L, geom.R)
-    direct = integrate_scaled(kind, s.omega, groups,
-                              height_correction(geom) * u.h_rate,
-                              RiseState(h=geom.h0 * u.h_rate, v=0.0),
-                              t_end * u.t_rate,
-                              dt_out=(t_end / 2000.0) * u.t_rate)
+    direct = solve_rk45(scaled_balance(kind, s.omega, groups,
+                                       height_correction(geom) * u.h_rate),
+                        geom.h0 * u.h_rate, 0.0, t_end * u.t_rate,
+                        dt_out=(t_end / 2000.0) * u.t_rate)
     assert len(direct) == len(scaled_ref)
     assert np.max(np.abs(direct.t - scaled_ref.t)) <= 1e-9 * direct.t[-1]
     err = np.max(np.abs(direct.h - scaled_ref.h)) / np.max(np.abs(scaled_ref.h))
