@@ -24,12 +24,23 @@ def contact_angle_ghost(h_wall: float, dx: float, theta: float) -> float:
     return h_wall + dx / math.tan(theta)
 
 
+def _topmost_half_full(alpha: np.ndarray) -> list:
+    """Per column of alpha, the topmost cell with fraction >= 1/2, found
+    for every column by one argmax; ny - 1 for a column with none."""
+    return (alpha.shape[1] - 1
+            - (alpha[:, ::-1] >= 0.5).argmax(axis=1)).tolist()
+
+
+def _interface_cell(col: np.ndarray, j: int) -> int:
+    # j from _topmost_half_full, kept once col[j] is known to be >= 1/2
+    if not col.item(j) >= 0.5:
+        raise StencilInvalid("column holds no interface cell")
+    return j
+
+
 def interface_cell(col: np.ndarray) -> int:
     """Topmost cell with fraction >= 1/2, scanning a single column."""
-    idx = np.where(col >= 0.5)[0]
-    if idx.size == 0:
-        raise StencilInvalid("column holds no interface cell")
-    return int(idx[-1])
+    return _interface_cell(col, _topmost_half_full(col[None, :])[0])
 
 
 def column_height(col: np.ndarray, j_center: int, dy: float,
@@ -44,15 +55,15 @@ def column_height(col: np.ndarray, j_center: int, dy: float,
     j_hi = j_center + half
     if j_lo < 0 or j_hi >= col.size:
         raise StencilInvalid("height window leaves the domain")
-    if col[j_lo] < 1.0 - ALPHA_EPS:
+    if col.item(j_lo) < 1.0 - ALPHA_EPS:
         raise StencilInvalid("window bottom is not pure liquid")
-    if col[j_hi] > ALPHA_EPS:
+    if col.item(j_hi) > ALPHA_EPS:
         raise StencilInvalid("window top is not pure gas")
     return (j_lo + float(col[j_lo:j_hi + 1].sum())) * dy
 
 
-def _height_with_widening(col: np.ndarray, dy: float) -> float:
-    jc = interface_cell(col)
+def _height_with_widening(col: np.ndarray, j_top: int, dy: float) -> float:
+    jc = _interface_cell(col, j_top)
     try:
         return column_height(col, jc, dy, half=3)
     except StencilInvalid:
@@ -69,18 +80,16 @@ def curvature_height_function(alpha: np.ndarray, dx: float, dy: float,
     boundary treatment on each side is either a wall (contact-angle
     ghost) or the symmetry plane (mirror ghost).
     """
-    nx = alpha.shape[0]
-    h = np.empty(nx + 2)
-    for i in range(nx):
-        h[i + 1] = _height_with_widening(alpha[i, :], dy)
-    if wall_left:
-        h[0] = contact_angle_ghost(h[1], dx, theta)
-    else:
-        h[0] = h[1]
-    if wall_right:
-        h[nx + 1] = contact_angle_ghost(h[nx], dx, theta)
-    else:
-        h[nx + 1] = h[nx]
-    hp = (h[2:] - h[:-2]) / (2.0 * dx)
-    hpp = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / (dx * dx)
-    return hpp / (1.0 + hp * hp) ** 1.5
+    h = [_height_with_widening(col, j, dy)
+         for col, j in zip(alpha, _topmost_half_full(alpha))]
+    # ghost columns
+    h.insert(0, contact_angle_ghost(h[0], dx, theta) if wall_left else h[0])
+    h.append(contact_angle_ghost(h[-1], dx, theta) if wall_right else h[-1])
+    # the slope and second difference in plain floats, numpy's operations
+    # one column at a time; the power stays numpy's
+    hpp, q = [], []
+    for h0, h1, h2 in zip(h, h[1:], h[2:]):
+        hp = (h2 - h0) / (2.0 * dx)
+        hpp.append((h2 - 2.0 * h1 + h0) / (dx * dx))
+        q.append(1.0 + hp * hp)
+    return np.array(hpp) / np.array(q) ** 1.5

@@ -21,6 +21,7 @@ MIN_NX = 4
 
 # fractions closer than this to 0 or 1 count as pure cells
 ALPHA_EPS = 1e-9
+_PURE_LIQUID = 1.0 - ALPHA_EPS
 
 # below this cos(theta) the meniscus arc is treated as flat
 _FLAT_COS = 1e-12
@@ -197,19 +198,23 @@ def apex_height(state: SimState, *, full_gap: bool = False) -> float:
 
 
 def _check_single_valued(col: np.ndarray) -> None:
-    partial = np.where((col > ALPHA_EPS) & (col < 1.0 - ALPHA_EPS))[0]
-    if partial.size:
+    # plain floats: on a column of 8 nx cells numpy's per-call cost
+    # outweighs the work
+    vals = col.tolist()
+    partial = [j for j, a in enumerate(vals) if ALPHA_EPS < a < _PURE_LIQUID]
+    if partial:
         lo, hi = partial[0], partial[-1]
-        if hi - lo + 1 != partial.size:
+        if hi - lo + 1 != len(partial):
             raise MultiValuedColumn("partial cells are not contiguous")
-        if np.any(col[:lo] < 1.0 - ALPHA_EPS):
+        # a < 1 - eps and a > eps, which a NaN fails, as in numpy
+        if any(map(_PURE_LIQUID.__gt__, vals[:lo])):
             raise MultiValuedColumn("gas below the interface band")
-        if np.any(col[hi + 1:] > ALPHA_EPS):
+        if any(map(ALPHA_EPS.__lt__, vals[hi + 1:])):
             raise MultiValuedColumn("liquid above the interface band")
         return
     # pure column: must be full up to some row then empty
-    full = col > 0.5
-    if full.any() and not full.all():
-        top = int(np.max(np.where(full)[0]))
-        if not full[:top + 1].all():
+    full = [a > 0.5 for a in vals]
+    if True in full:
+        top = len(full) - 1 - full[::-1].index(True)
+        if False in full[:top + 1]:
             raise MultiValuedColumn("detached liquid in column")

@@ -12,6 +12,7 @@ height-function kappa, which is positive for the wetting meniscus.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -72,11 +73,27 @@ class RunDiagnostics:
         return fields
 
 
+@functools.lru_cache(maxsize=16)
+def _fixed_dt_limit(fluid: FluidPair, dx: float) -> float:
+    """The surface-tension and viscous limits: constant through a run."""
+    lim = timestep_limits(fluid, dx, u_max=0.0)
+    return min(lim.dt_sigma_solver, lim.dt_mu)
+
+
 def compute_dt(state: SimState, fluid: FluidPair) -> float:
-    """0.9 times the least of the surface-tension, viscous and CFL limits."""
-    u_max = max(float(np.abs(state.u).max()), float(np.abs(state.v).max()))
-    lim = timestep_limits(fluid, state.grid.dx, u_max=u_max)
-    return _DT_SAFETY * min(lim.dt_sigma_solver, lim.dt_mu, lim.dt_u)
+    """0.9 times the least of the surface-tension, viscous and CFL limits.
+
+    A NaN or infinite velocity raises CourantViolation.
+    """
+    u_max = float(np.abs(state.u).max())
+    v_max = float(np.abs(state.v).max())
+    if not (u_max < math.inf and v_max < math.inf):  # NaN fails too
+        raise CourantViolation(
+            f"velocity not finite: max |u| {u_max}, max |v| {v_max}")
+    dx = state.grid.dx
+    u_max = max(u_max, v_max)
+    dt_u = dx / u_max if u_max > 0.0 else math.inf
+    return _DT_SAFETY * min(_fixed_dt_limit(fluid, dx), dt_u)
 
 
 def slip_ghost(v_wall_col: np.ndarray, dx: float, slip: SlipSpec):
@@ -166,7 +183,7 @@ class Simulator:
 
     def curvatures(self) -> np.ndarray:
         alpha = self.state.alpha
-        if float(np.ptp(alpha)) < 1e-12:
+        if float(alpha.max() - alpha.min()) < 1e-12:
             # single phase, no interface to reconstruct
             return np.zeros(alpha.shape[0])
         return curvature_height_function(
@@ -206,8 +223,9 @@ class Simulator:
                  + vbar * np.where(vbar > 0.0, dudy_n[1:-1, :-1],
                                    dudy_n[1:-1, 1:]))
 
-        mu_c = mu_pad[1:-1, 1:-1]
-        txx = 2.0 * mu_c * du / dx
+        # 2 mu on cells -1..ny of each column, shared by txx and tyy
+        mu2 = 2.0 * mu_pad[1:-1, :]
+        txx = mu2[:, 1:-1] * du / dx
         visc_u = ((txx[1:, :] - txx[:-1, :]) / dx
                   + (txy[1:-1, 1:] - txy[1:-1, :-1]) / dy)
 
@@ -215,7 +233,7 @@ class Simulator:
         f_u = -fl.sigma * kappa_u[:, None] * (alpha[1:, :] - alpha[:-1, :]) / dx
 
         u_star = u.copy()
-        u_star[1:-1, :] = uc + dt * (-adv_u + (visc_u + f_u) / rho_x[1:-1, :])
+        u_star[1:-1, :] += dt * ((visc_u + f_u) / rho_x[1:-1, :] - adv_u)
 
         # --- v faces, all rows (boundary faces are prognostic)
         vc = v
@@ -227,14 +245,14 @@ class Simulator:
                  + vc * np.where(vc > 0.0, dvdy[:, :-1], dvdy[:, 1:]))
 
         # tyy on cells -1..ny so boundary faces see a ghost cell
-        tyy = 2.0 * mu_pad[1:-1, :] * dv / dy
+        tyy = mu2 * dv / dy
         visc_v = ((tyy[:, 1:] - tyy[:, :-1]) / dy
                   + (txy[1:, :] - txy[:-1, :]) / dx)
 
         f_v = -fl.sigma * kappa[:, None] * (A_pad[1:-1, 1:] - A_pad[1:-1, :-1]) / dy
 
         g_acc = -fl.g if self.setup.gravity_on else 0.0
-        v_star = vc + dt * (-adv_v + (visc_v + f_v) / rho_y + g_acc)
+        v_star = vc + dt * ((visc_v + f_v) / rho_y - adv_v + g_acc)
         if self.setup.closed_bottom:
             v_star[:, 0] = 0.0
         return u_star, v_star, rho_x, rho_y
@@ -254,13 +272,14 @@ class Simulator:
             st.grid, beta_x, beta_y, div_star / dt,
             bottom="neumann" if self.setup.closed_bottom else "dirichlet")
 
+        dt_beta_y = dt * beta_y
         u_star[1:-1, :] -= dt * beta_x[1:-1, :] * (p[1:, :] - p[:-1, :]) / dx
-        v_star[:, 1:-1] -= dt * beta_y[:, 1:-1] * (p[:, 1:] - p[:, :-1]) / dy
+        v_star[:, 1:-1] -= dt_beta_y[:, 1:-1] * (p[:, 1:] - p[:, :-1]) / dy
         # a closed bottom face keeps the zero _momentum gave it
         if not self.setup.closed_bottom:
             # ghost pressure -p across an open boundary face
-            v_star[:, 0] -= dt * beta_y[:, 0] * 2.0 * p[:, 0] / dy
-        v_star[:, -1] += dt * beta_y[:, -1] * 2.0 * p[:, -1] / dy
+            v_star[:, 0] -= dt_beta_y[:, 0] * 2.0 * p[:, 0] / dy
+        v_star[:, -1] += dt_beta_y[:, -1] * 2.0 * p[:, -1] / dy
 
         div_new = ((u_star[1:, :] - u_star[:-1, :]) / dx
                    + (v_star[:, 1:] - v_star[:, :-1]) / dy)
@@ -289,11 +308,12 @@ class Simulator:
         cell = dx * dy
         u, v = st.u, st.v
 
-        cfl = max(float(np.abs(u).max()) * dt / dx,
-                  float(np.abs(v).max()) * dt / dy)
-        self.diag.cfl_max = max(self.diag.cfl_max, cfl)
-        if cfl > 1.0 + 1e-12:
-            raise CourantViolation(f"advection CFL {cfl} exceeds 1")
+        cfl_x = float(np.abs(u).max()) * dt / dx
+        cfl_y = float(np.abs(v).max()) * dt / dy
+        self.diag.cfl_max = max(self.diag.cfl_max, cfl_x, cfl_y)
+        if not (cfl_x <= 1.0 + 1e-12 and cfl_y <= 1.0 + 1e-12):  # NaN fails too
+            raise CourantViolation(
+                f"advection CFL (x {cfl_x}, y {cfl_y}) is not at most 1")
 
         vol_before = st.alpha.sum() * cell
         c_flag = (st.alpha >= 0.5).astype(float)
@@ -312,10 +332,11 @@ class Simulator:
         over = max(float(st.alpha.max()) - 1.0, -float(st.alpha.min()), 0.0)
         self.diag.alpha_overshoot_max = max(
             self.diag.alpha_overshoot_max, over)
-        clipped = np.clip(st.alpha, 0.0, 1.0)
-        self.diag.clipped_area_total += float(
-            np.abs(st.alpha - clipped).sum()) * cell
-        st.alpha = clipped
+        if not over <= 0.0:  # inside [0, 1] the clip would change nothing
+            clipped = st.alpha.clip(0.0, 1.0)
+            self.diag.clipped_area_total += float(
+                np.abs(st.alpha - clipped).sum()) * cell
+            st.alpha = clipped
 
     def _sweep(self, dt: float, c_flag, axis: int) -> float:
         """Move fractions along one axis (0 = x, 1 = y); returns the
@@ -331,31 +352,40 @@ class Simulator:
         vel = st.u if axis == 0 else st.v
         A = self._pad_alpha(st.alpha)
         # clipping moves no donor across _MIXED_EPS, so it can come first
-        np.clip(A, 0.0, 1.0, out=A)
-        up = vel > 0.0
+        A.clip(0.0, 1.0, out=A)
         w = np.abs(vel) * dt
         # the donor of each face is its upwind cell
-        a = np.where(up, A[_along(axis, _BELOW, _INNER)],
+        a = np.where(vel > 0.0, A[_along(axis, _BELOW, _INNER)],
                      A[_along(axis, _ABOVE, _INNER)])
-        f = np.where(a >= 1.0 - _MIXED_EPS, w, 0.0)
-        mixed = (w > 0.0) & (a > _MIXED_EPS) & (a < 1.0 - _MIXED_EPS)
+        full = a >= 1.0 - _MIXED_EPS
+        f = np.where(full, w, 0.0)
+        # a full donor is above _MIXED_EPS too: the rest are the mixed
+        # ones, and a NaN fraction is neither
+        mixed = (a > _MIXED_EPS) ^ full
         di, dj = _along(axis, 1, 0)
-        fi, fj = np.nonzero(mixed)
-        flux = []
-        for i, j, wk, upk in zip((fi + 1).tolist(), (fj + 1).tolist(),
-                                 w[mixed].tolist(), up[mixed].tolist()):
-            # (i, j) is the padded index of the cell on the face's high
-            # side; the slab of depth w lies on the donor's downwind side
-            lo, hi = [0.0, 0.0], list(h)
-            if upk:
+        ncol = vel.shape[1]
+        hx, hy = h
+        faces = mixed.ravel().nonzero()[0]
+        moving, flux = [], []
+        for k, vk in zip(faces.tolist(), vel.take(faces).tolist()):
+            wk = abs(vk) * dt  # w[k], bit for bit
+            if not wk > 0.0:
+                continue
+            # face (i, j): A[i:i+3, j:j+3] is the stencil of the cell on
+            # its high side, one back along the axis that of the low side;
+            # the slab [s0, s1] of depth w lies on the donor's downwind side
+            i, j = divmod(k, ncol)
+            if vk > 0.0:
                 i, j = i - di, j - dj
-                lo[axis] = h[axis] - wk
+                s0, s1 = h[axis] - wk, h[axis]
             else:
-                hi[axis] = wk
-            plane = plic_reconstruct(A[i - 1:i + 2, j - 1:j + 2].tolist(),
-                                     h[0], h[1])
-            flux.append(plane.slab_area(lo[0], hi[0], lo[1], hi[1]) / h_side)
-        f[mixed] = flux
+                s0, s1 = 0.0, wk
+            plane = plic_reconstruct(A[i:i + 3, j:j + 3].tolist(), hx, hy)
+            area = (plane.slab_area(s0, s1, 0.0, hy) if axis == 0
+                    else plane.slab_area(0.0, hx, s0, s1))
+            moving.append(k)
+            flux.append(area / h_side)
+        f.put(moving, flux)
         F = np.copysign(f * h_side, vel)
         below, above = _along(axis, _BELOW), _along(axis, _ABOVE)
         st.alpha -= (F[above] - F[below]) / (h[0] * h[1])
@@ -430,41 +460,43 @@ def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
     -div(beta grad) is a symmetric positive definite band matrix of
     half-bandwidth nx: one banded Cholesky solve.
     """
-    # imported here so that importing caprise does not load scipy.linalg
-    from scipy.linalg.blas import dnrm2, dsbmv
-    from scipy.linalg.lapack import dpbsv
-
+    dpbsv, dsbmv, dnrm2 = _band_routines()
     nx, ny = grid.nx, grid.ny
-    # couplings across the interior x and y faces
-    cx = beta_x[1:-1, :] / grid.dx ** 2
-    cy = beta_y[:, 1:-1] / grid.dy ** 2
-    diag = np.zeros((nx, ny))
-    diag[1:, :] += cx
-    diag[:-1, :] += cx
-    diag[:, 1:] += cy
-    diag[:, :-1] += cy
+    # lower band, cell index k = i + nx*j: the diagonal (row 0), the east
+    # coupling (row 1) and the north coupling (row nx), written in place
+    band = np.zeros((nx + 1, nx, ny), order="F")
+    diag, east, north = band[0], band[1, :-1, :], band[nx, :, :-1]
+    # -(beta/h^2), bit for bit, and diag - (-c) is diag + c
+    np.divide(beta_x[1:-1, :], -grid.dx ** 2, out=east)
+    np.divide(beta_y[:, 1:-1], -grid.dy ** 2, out=north)
+    diag[1:, :] -= east
+    diag[:-1, :] -= east
+    diag[:, 1:] -= north
+    diag[:, :-1] -= north
     if bottom == "dirichlet":
         diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dy ** 2
     diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dy ** 2
-    b = -np.asarray(rhs, dtype=float)
-
-    # lower band: diagonal, east coupling (row 1), north coupling (row nx)
-    band = np.zeros((nx + 1, nx, ny), order="F")
-    band[0] = diag
-    band[1, :-1, :] = -cx
-    band[nx, :, :-1] = -cy
     ab = band.reshape((nx + 1, nx * ny), order="F")
-    bf = b.flatten("F")
-    # dpbsv factors the band in place, and the residual needs it intact
-    _, p_vec, info = dpbsv(ab.copy(order="F"), bf, lower=1, overwrite_ab=1)
+    bf = np.negative(rhs, order="F", dtype=float).ravel(order="F")
+    # dpbsv factors a copy of the band: the residual needs it intact
+    _, p_vec, info = dpbsv(ab, bf, lower=1)
     if info > 0:
         raise SolverDiverged(
             f"pressure factorization failed: leading minor {info} is not "
             "positive definite")
-    if not np.all(np.isfinite(p_vec)):
+    if not np.isfinite(p_vec).all():
         raise SolverDiverged("pressure solve produced non-finite values")
     res_norm = dnrm2(dsbmv(nx, 1.0, ab, p_vec, beta=-1.0, y=bf, lower=1))
     rel = res_norm / max(dnrm2(bf), 1e-300)
     if not (rel <= _POISSON_TOL or res_norm <= 1e-12):  # NaN fails too
         raise SolverDiverged(f"pressure residual {rel} above {_POISSON_TOL}")
     return p_vec.reshape((nx, ny), order="F")
+
+
+@functools.cache
+def _band_routines():
+    """LAPACK dpbsv and BLAS dsbmv, dnrm2, bound on the first pressure
+    solve so that importing caprise does not load scipy.linalg."""
+    from scipy.linalg.blas import dnrm2, dsbmv
+    from scipy.linalg.lapack import dpbsv
+    return dpbsv, dsbmv, dnrm2

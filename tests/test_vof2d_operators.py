@@ -1,5 +1,6 @@
 """Discrete operators: curvature, slip ghosts, projection, advection."""
 
+import copy
 import importlib.util
 import math
 from pathlib import Path
@@ -8,14 +9,17 @@ import numpy as np
 import pytest
 
 from caprise.core import FluidPair, Geometry, SlipSpec
-from caprise.errors import CourantViolation, SolverDiverged, StencilInvalid
+from caprise.errors import (CourantViolation, MultiValuedColumn,
+                            SolverDiverged, StencilInvalid)
 from caprise.vof2d.curvature import (column_height, contact_angle_ghost,
                                      curvature_height_function,
                                      interface_cell)
-from caprise.study import synth_params
+from caprise.study import synth_params, timestep_limits
 from caprise.vof2d import solver
-from caprise.vof2d.geometry import Grid, SimState, arc_column_fractions
-from caprise.vof2d.plic import plic_reconstruct
+from caprise.vof2d.geometry import (ALPHA_EPS, Grid, SimState, apex_height,
+                                    arc_column_fractions, init_case)
+from caprise.vof2d.plic import (PlicPlane, liquid_area, plic_reconstruct,
+                                youngs_normal)
 from caprise.vof2d.solver import (_MIXED_EPS, CaseSetup2D, RunDiagnostics,
                                   Simulator, compute_dt, poisson_solve,
                                   slip_ghost)
@@ -505,6 +509,75 @@ class TestSweepMatchesReference:
             sim.advect_alpha(dt)
 
 
+def _reference_slice_sweep(sim, dt, c_flag, axis):
+    """The slice-based sweep before its donor loop ran over flat face
+    indices: numpy lists of the mixed donors' indices, depths and
+    directions, and a 0-velocity test on every face.  Unlike
+    _reference_sweep it leaves a NaN donor alone."""
+    st = sim.state
+    h = (st.grid.dx, st.grid.dy)
+    h_side = h[1 - axis]
+    vel = st.u if axis == 0 else st.v
+    A = sim._pad_alpha(st.alpha)
+    np.clip(A, 0.0, 1.0, out=A)
+    up = vel > 0.0
+    w = np.abs(vel) * dt
+    if axis == 0:
+        a = np.where(up, A[:-1, 1:-1], A[1:, 1:-1])
+    else:
+        a = np.where(up, A[1:-1, :-1], A[1:-1, 1:])
+    f = np.where(a >= 1.0 - _MIXED_EPS, w, 0.0)
+    mixed = (w > 0.0) & (a > _MIXED_EPS) & (a < 1.0 - _MIXED_EPS)
+    di, dj = (1, 0) if axis == 0 else (0, 1)
+    fi, fj = np.nonzero(mixed)
+    flux = []
+    for i, j, wk, upk in zip((fi + 1).tolist(), (fj + 1).tolist(),
+                             w[mixed].tolist(), up[mixed].tolist()):
+        lo, hi = [0.0, 0.0], list(h)
+        if upk:
+            i, j = i - di, j - dj
+            lo[axis] = h[axis] - wk
+        else:
+            hi[axis] = wk
+        plane = plic_reconstruct(A[i - 1:i + 2, j - 1:j + 2].tolist(),
+                                 h[0], h[1])
+        flux.append(plane.slab_area(lo[0], hi[0], lo[1], hi[1]) / h_side)
+    f[mixed] = flux
+    F = np.copysign(f * h_side, vel)
+    if axis == 0:
+        dF, dv = F[1:] - F[:-1], vel[1:] - vel[:-1]
+        edges = F[0].sum() - F[-1].sum()
+    else:
+        dF, dv = F[:, 1:] - F[:, :-1], vel[:, 1:] - vel[:, :-1]
+        edges = F[:, 0].sum() - F[:, -1].sum()
+    st.alpha -= dF / (h[0] * h[1])
+    st.alpha += c_flag * dt * dv / h[axis]
+    return float(edges)
+
+
+def test_sweep_leaves_a_nan_fraction_as_the_reference_does():
+    # a NaN donor is neither full nor mixed: no PLIC call, no flux
+    fluid, geom = synth_params(1.0, 0.04)
+    setup = CaseSetup2D(fluid=fluid, geom=geom, slip=SlipSpec.numerical(),
+                        nx=8, t_end=1.0)
+    sim = Simulator(setup)
+    st = sim.state
+    st.alpha[3, 16] = np.nan
+    st.u[:, :] = 0.01
+    st.v[:, :] = -0.02
+    sim.apply_boundaries()
+    dt = 0.5 * st.grid.dx / 0.02
+    c_flag = (st.alpha >= 0.5).astype(float)
+    for axis in (0, 1):
+        a0 = st.alpha.copy()
+        got = sim._sweep(dt, c_flag, axis)
+        after, st.alpha = st.alpha, a0
+        want = _reference_slice_sweep(sim, dt, c_flag, axis)
+        assert _same_bits(after, st.alpha)
+        assert float(got).hex() == float(want).hex()
+        assert np.isnan(after[3, 16])
+
+
 def _reference_momentum(sim, dt, A_pad, u_full, v_full, kappa):
     """The momentum update that the one-pass Simulator._momentum replaced:
     every upwind difference and face density formed from its own slices.
@@ -711,3 +784,534 @@ class TestTracerHook:
             tracer.restore()
         for (owner, attr, _, _), fn in zip(tracing.TARGETS, originals):
             assert owner.__dict__[attr] is fn
+
+
+# ----------------------------------------------------------------------
+# The interface scans, the time step, the pressure band, the PLIC donor
+# and the clip bookkeeping as they were before they moved to plain floats
+# and fewer numpy calls.  Kept as the references the rewrites must match
+# bit for bit, error messages included.
+
+def _reference_interface_cell(col):
+    idx = np.where(col >= 0.5)[0]
+    if idx.size == 0:
+        raise StencilInvalid("column holds no interface cell")
+    return int(idx[-1])
+
+
+def _reference_column_height(col, j_center, dy, half):
+    j_lo = j_center - half
+    j_hi = j_center + half
+    if j_lo < 0 or j_hi >= col.size:
+        raise StencilInvalid("height window leaves the domain")
+    if col[j_lo] < 1.0 - ALPHA_EPS:
+        raise StencilInvalid("window bottom is not pure liquid")
+    if col[j_hi] > ALPHA_EPS:
+        raise StencilInvalid("window top is not pure gas")
+    return (j_lo + float(col[j_lo:j_hi + 1].sum())) * dy
+
+
+def _reference_curvature(alpha, dx, dy, theta, *, wall_left=False,
+                         wall_right=True):
+    nx = alpha.shape[0]
+    h = np.empty(nx + 2)
+    for i in range(nx):
+        col = alpha[i, :]
+        jc = _reference_interface_cell(col)
+        try:
+            h[i + 1] = _reference_column_height(col, jc, dy, half=3)
+        except StencilInvalid:
+            h[i + 1] = _reference_column_height(col, jc, dy, half=4)
+    h[0] = contact_angle_ghost(h[1], dx, theta) if wall_left else h[1]
+    h[nx + 1] = (contact_angle_ghost(h[nx], dx, theta) if wall_right
+                 else h[nx])
+    hp = (h[2:] - h[:-2]) / (2.0 * dx)
+    hpp = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / (dx * dx)
+    return hpp / (1.0 + hp * hp) ** 1.5
+
+
+def _reference_check_single_valued(col):
+    partial = np.where((col > ALPHA_EPS) & (col < 1.0 - ALPHA_EPS))[0]
+    if partial.size:
+        lo, hi = partial[0], partial[-1]
+        if hi - lo + 1 != partial.size:
+            raise MultiValuedColumn("partial cells are not contiguous")
+        if np.any(col[:lo] < 1.0 - ALPHA_EPS):
+            raise MultiValuedColumn("gas below the interface band")
+        if np.any(col[hi + 1:] > ALPHA_EPS):
+            raise MultiValuedColumn("liquid above the interface band")
+        return
+    full = col > 0.5
+    if full.any() and not full.all():
+        top = int(np.max(np.where(full)[0]))
+        if not full[:top + 1].all():
+            raise MultiValuedColumn("detached liquid in column")
+
+
+def _reference_apex_height(state, *, full_gap=False):
+    grid = state.grid
+    if full_gap:
+        mid = grid.nx // 2
+        cols = [state.alpha[mid - 1, :], state.alpha[mid, :]]
+    else:
+        cols = [state.alpha[0, :]]
+    heights = []
+    for col in cols:
+        _reference_check_single_valued(col)
+        heights.append(float(col.sum()) * grid.dy)
+    return sum(heights) / len(heights)
+
+
+def _reference_compute_dt(state, fluid):
+    u_max = max(float(np.abs(state.u).max()), float(np.abs(state.v).max()))
+    lim = timestep_limits(fluid, state.grid.dx, u_max=u_max)
+    return 0.9 * min(lim.dt_sigma_solver, lim.dt_mu, lim.dt_u)
+
+
+def _reference_poisson_solve(grid, beta_x, beta_y, rhs, *,
+                             bottom="dirichlet"):
+    from scipy.linalg.blas import dnrm2, dsbmv
+    from scipy.linalg.lapack import dpbsv
+
+    nx, ny = grid.nx, grid.ny
+    cx = beta_x[1:-1, :] / grid.dx ** 2
+    cy = beta_y[:, 1:-1] / grid.dy ** 2
+    diag = np.zeros((nx, ny))
+    diag[1:, :] += cx
+    diag[:-1, :] += cx
+    diag[:, 1:] += cy
+    diag[:, :-1] += cy
+    if bottom == "dirichlet":
+        diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dy ** 2
+    diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dy ** 2
+    b = -np.asarray(rhs, dtype=float)
+    band = np.zeros((nx + 1, nx, ny), order="F")
+    band[0] = diag
+    band[1, :-1, :] = -cx
+    band[nx, :, :-1] = -cy
+    ab = band.reshape((nx + 1, nx * ny), order="F")
+    bf = b.flatten("F")
+    _, p_vec, info = dpbsv(ab.copy(order="F"), bf, lower=1, overwrite_ab=1)
+    assert info == 0
+    assert np.all(np.isfinite(p_vec))
+    res_norm = dnrm2(dsbmv(nx, 1.0, ab, p_vec, beta=-1.0, y=bf, lower=1))
+    assert res_norm / max(dnrm2(bf), 1e-300) <= solver._POISSON_TOL
+    return p_vec.reshape((nx, ny), order="F")
+
+
+_REF_EPS_NORMAL = 1e-14
+
+
+def _reference_area_pos(n1, n2, d, dx, dy):
+    if n1 <= _REF_EPS_NORMAL and n2 <= _REF_EPS_NORMAL:
+        return dx * dy if d >= 0.0 else 0.0
+    if n1 <= _REF_EPS_NORMAL:
+        return dx * min(max(d / n2, 0.0), dy)
+    if n2 <= _REF_EPS_NORMAL:
+        return min(max(d / n1, 0.0), dx) * dy
+    dmax = n1 * dx + n2 * dy
+    dc = min(max(d, 0.0), dmax)
+    t1 = max(dc - n1 * dx, 0.0)
+    t2 = max(dc - n2 * dy, 0.0)
+    return (dc * dc - t1 * t1 - t2 * t2) / (2.0 * n1 * n2)
+
+
+def _reference_offset(normal, area, dx, dy):
+    n1, n2 = normal
+    a1, a2 = abs(n1), abs(n2)
+    if a1 <= _REF_EPS_NORMAL:
+        d = a2 * (area / dx)
+    elif a2 <= _REF_EPS_NORMAL:
+        d = a1 * (area / dy)
+    else:
+        cell = dx * dy
+        d_lo = min(a1 * dx, a2 * dy)
+        a_corner = d_lo * d_lo / (2.0 * a1 * a2)
+        if area <= a_corner:
+            d = math.sqrt(2.0 * a1 * a2 * area)
+        elif area >= cell - a_corner:
+            d = a1 * dx + a2 * dy - math.sqrt(2.0 * a1 * a2 * (cell - area))
+        elif a1 * dx <= a2 * dy:
+            d = 0.5 * (2.0 * a2 * area / dx + a1 * dx)
+        else:
+            d = 0.5 * (2.0 * a1 * area / dy + a2 * dy)
+    if n1 < 0.0:
+        d = d + n1 * dx
+    if n2 < 0.0:
+        d = d + n2 * dy
+    return d
+
+
+def _reference_plane(alpha3x3, dx, dy):
+    """(normal, offset) of the parent's plic_reconstruct."""
+    n = youngs_normal(alpha3x3, dx, dy)
+    return n, _reference_offset(n, alpha3x3[1][1] * dx * dy, dx, dy)
+
+
+def _reference_liquid_area(normal, d, dx, dy):
+    n1, n2 = normal
+    if n1 < 0.0:
+        d = d - n1 * dx
+        n1 = -n1
+    if n2 < 0.0:
+        d = d - n2 * dy
+        n2 = -n2
+    return _reference_area_pos(n1, n2, d, dx, dy)
+
+
+def _reference_slab_area(normal, offset, x0, x1, y0, y1):
+    if x1 <= x0 or y1 <= y0:
+        return 0.0
+    n1, n2 = normal
+    d = offset - n1 * x0 - n2 * y0
+    return _reference_liquid_area(normal, d, x1 - x0, y1 - y0)
+
+
+def _reference_advect_alpha(sim, dt):
+    """The parent's advect_alpha: the same sweeps, a clip on every step."""
+    sim.apply_boundaries()
+    st = sim.state
+    dx, dy = st.grid.dx, st.grid.dy
+    cell = dx * dy
+    cfl = max(float(np.abs(st.u).max()) * dt / dx,
+              float(np.abs(st.v).max()) * dt / dy)
+    sim.diag.cfl_max = max(sim.diag.cfl_max, cfl)
+    vol_before = st.alpha.sum() * cell
+    c_flag = (st.alpha >= 0.5).astype(float)
+    influx = 0.0
+    for axis in (0, 1) if st.step_count % 2 == 0 else (1, 0):
+        influx += sim._sweep(dt, c_flag, axis)
+    sim._boundary_influx += influx
+    vol_after = st.alpha.sum() * cell
+    balance = abs(vol_after - vol_before - influx) / max(vol_before, cell)
+    sim.diag.vol_balance_rel_max = max(sim.diag.vol_balance_rel_max, balance)
+    over = max(float(st.alpha.max()) - 1.0, -float(st.alpha.min()), 0.0)
+    sim.diag.alpha_overshoot_max = max(sim.diag.alpha_overshoot_max, over)
+    clipped = np.clip(st.alpha, 0.0, 1.0)
+    sim.diag.clipped_area_total += float(
+        np.abs(st.alpha - clipped).sum()) * cell
+    st.alpha = clipped
+
+
+def _bits(x):
+    """A float's exact bits, so that 0.0 and -0.0 differ."""
+    return float(x).hex()
+
+
+def _poisson_inputs(sim, dt):
+    """beta_x, beta_y and the right-hand side that _project hands to
+    poisson_solve from the current fields."""
+    st = sim.state
+    sim.apply_boundaries()
+    u_star, v_star, rho_x, rho_y = sim._momentum(
+        dt, sim._pad_alpha(st.alpha), sim._u_full(), sim._v_full(),
+        sim.curvatures())
+    div_star = ((u_star[1:, :] - u_star[:-1, :]) / st.grid.dx
+                + (v_star[:, 1:] - v_star[:, :-1]) / st.grid.dy)
+    return 1.0 / rho_x, 1.0 / rho_y, div_star / dt
+
+
+def _assert_scans_match_reference(sim, dt):
+    st, setup = sim.state, sim.setup
+    full_gap = setup.full_gap
+    args = (st.alpha, st.grid.dx, st.grid.dy, setup.geom.theta_e)
+    assert _same_bits(
+        curvature_height_function(*args, wall_left=full_gap),
+        _reference_curvature(*args, wall_left=full_gap))
+    assert _bits(apex_height(st, full_gap=full_gap)) == \
+        _bits(_reference_apex_height(st, full_gap=full_gap))
+    assert _bits(compute_dt(st, setup.fluid)) == \
+        _bits(_reference_compute_dt(st, setup.fluid))
+    beta_x, beta_y, rhs = _poisson_inputs(sim, dt)
+    for bottom in ("dirichlet", "neumann"):
+        assert _same_bits(
+            poisson_solve(st.grid, beta_x, beta_y, rhs, bottom=bottom),
+            _reference_poisson_solve(st.grid, beta_x, beta_y, rhs,
+                                     bottom=bottom))
+
+
+def _assert_advect_matches_reference(sim, dt):
+    """advect_alpha from the current fields against the parent's
+    bookkeeping: fractions, diagnostics and boundary influx."""
+    st = sim.state
+    saved = (st.alpha.copy(), st.u.copy(), st.v.copy(), sim.diag,
+             sim._boundary_influx)
+    runs = []
+    for advect in (Simulator.advect_alpha, _reference_advect_alpha):
+        st.alpha, st.u, st.v = (a.copy() for a in saved[:3])
+        sim.diag = RunDiagnostics(**vars(saved[3]))
+        sim._boundary_influx = saved[4]
+        advect(sim, dt)
+        runs.append((st.alpha, sim.diag.deterministic_fields(),
+                     sim._boundary_influx))
+    (alpha, diag, influx), (ref_alpha, ref_diag, ref_influx) = runs
+    assert _same_bits(alpha, ref_alpha)
+    assert {k: _bits(x) for k, x in diag.items()} == \
+        {k: _bits(x) for k, x in ref_diag.items()}
+    assert _bits(influx) == _bits(ref_influx)
+    st.alpha, st.u, st.v, sim.diag, sim._boundary_influx = saved
+
+
+class TestScansMatchReference:
+    def test_recorded_rise_fields(self):
+        n = 0
+        for sim, dt in _recorded_rise(1200, 300):
+            _assert_scans_match_reference(sim, dt)
+            _assert_advect_matches_reference(sim, dt)
+            n += 1
+        assert n == 4
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"slip": SlipSpec.numerical()}, {"full_gap": True},
+         {"closed_bottom": True, "gravity_on": False}, {"nx": 4},
+         {"nx": 16}],
+        ids=["numerical_slip", "full_gap", "closed_bottom_no_gravity",
+             "nx4", "nx16"])
+    def test_other_cases(self, options):
+        n = 0
+        for sim, dt in _recorded_rise(300, 150, **options):
+            _assert_scans_match_reference(sim, dt)
+            _assert_advect_matches_reference(sim, dt)
+            n += 1
+        assert n == 2
+
+    @pytest.mark.parametrize("omega, sigma", [(0.1, 0.2), (1.0, 0.04),
+                                              (10.0, 0.01), (100.0, 0.001)])
+    def test_compute_dt_every_binding_limit(self, omega, sigma):
+        # capillary-bound (omega <= 1), viscous-bound (10, 100) and, with
+        # fast enough flow, convective-bound steps, at three meshes
+        fluid, geom = synth_params(omega, sigma)
+        rng = np.random.default_rng(5)
+        for nx in (4, 8, 16):
+            state = init_case(geom, nx)
+            for scale in (0.0, 1e-3, 1e3):
+                state.u[:] = scale * rng.standard_normal(state.u.shape)
+                state.v[:] = scale * rng.standard_normal(state.v.shape)
+                assert _bits(compute_dt(state, fluid)) == \
+                    _bits(_reference_compute_dt(state, fluid))
+
+    def test_advect_with_overshoot_clips_as_before(self):
+        # a tilted layer moved at half the CFL limit overshoots [0, 1],
+        # so the clip runs and its area is booked
+        grid = Grid.half_gap(8, 1.0)
+        ii = np.arange(grid.nx)[:, None]
+        jj = np.arange(grid.ny)[None, :]
+        alpha = np.clip(12.6 - 0.35 * ii - 0.8 * jj, 0.0, 1.0)
+        fluid = FluidPair(rho_l=1.0, rho_g=0.5, mu_l=1e-3, mu_g=1e-4,
+                          sigma=1.0, g=1.0)
+        setup = CaseSetup2D(fluid=fluid, geom=Geometry(
+            R=1.0, theta_e=math.pi / 4, h0=2.0, h_domain=8.0),
+            slip=SlipSpec.numerical(), nx=8, t_end=1.0)
+        sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
+        rng = np.random.default_rng(3)
+        sim.state.u[:, :] = rng.uniform(-0.3, 0.3, sim.state.u.shape)
+        sim.state.v[:, :] = rng.uniform(-0.3, 0.3, sim.state.v.shape)
+        dt = 0.5 * grid.dx / 0.3
+        clipped = 0
+        for k in range(6):
+            sim.state.step_count = k
+            _assert_advect_matches_reference(sim, dt)
+            before = sim.diag.clipped_area_total
+            sim.advect_alpha(dt)
+            clipped += sim.diag.clipped_area_total > before
+        assert clipped > 0
+
+
+def _random_stencils(rng, n):
+    """3x3 fraction stencils with a mixed centre: random, uniform (the
+    degenerate normal), x- or y-only gradients (axis-aligned normals)
+    and neighbours drawn from {0, 1, centre}."""
+    for k in range(n):
+        c = float(rng.uniform(1e-9, 1.0 - 1e-9))
+        kind = k % 5
+        if kind == 0:
+            s = rng.uniform(0.0, 1.0, (3, 3))
+        elif kind == 1:
+            s = np.full((3, 3), c)
+        elif kind == 2:
+            s = np.repeat(rng.uniform(0.0, 1.0, (1, 3)), 3, axis=0)
+        elif kind == 3:
+            s = np.repeat(rng.uniform(0.0, 1.0, (3, 1)), 3, axis=1)
+        else:
+            s = rng.choice([0.0, 1.0, c], (3, 3))
+        s[1, 1] = c
+        yield s.tolist()
+
+
+def _slabs(rng, hx, hy):
+    """Sub-rectangles a donor cuts: x and y slabs on either side, full
+    and zero depth, and one inverted (empty) slab."""
+    w = float(rng.uniform(0.0, 1.0))
+    for depth_x, depth_y in ((w * hx, w * hy), (hx, hy), (0.0, 0.0)):
+        yield (hx - depth_x, hx, 0.0, hy)
+        yield (0.0, depth_x, 0.0, hy)
+        yield (0.0, hx, hy - depth_y, hy)
+        yield (0.0, hx, 0.0, depth_y)
+    yield (0.5 * hx, 0.25 * hx, 0.0, hy)
+
+
+class TestPlicMatchesReference:
+    def test_random_stencils(self):
+        rng = np.random.default_rng(2024)
+        n = 0
+        for sten in _random_stencils(rng, 12000):
+            hx = float(rng.choice([1.0, 6.25e-4, rng.uniform(0.1, 2.0)]))
+            hy = hx if rng.uniform() < 0.5 else float(rng.uniform(0.1, 2.0))
+            plane = plic_reconstruct(sten, hx, hy)
+            normal, offset = _reference_plane(sten, hx, hy)
+            assert type(plane) is PlicPlane
+            assert plane == (normal, offset, hx, hy)
+            assert _bits(plane.offset) == _bits(offset)
+            for slab in _slabs(rng, hx, hy):
+                assert _bits(plane.slab_area(*slab)) == \
+                    _bits(_reference_slab_area(normal, offset, *slab))
+            n += 1
+        assert n == 12000
+
+    def test_signed_zero_depths(self):
+        # depths that come out as -0.0 or 0.0 exactly, through every
+        # branch of the clipped area, reflections included
+        for n in ((0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (1.0, 0.0),
+                  (1.0, -0.0), (-1.0, 0.0), (0.6, 0.8), (-0.6, 0.8),
+                  (0.0, 0.0), (-0.0, -0.0)):
+            for d in (-0.0, 0.0, -1.0, 0.3, 2.0, 0.6 * 0.5, -0.6 * 0.5):
+                for dx, dy in ((1.0, 1.0), (0.5, 0.25)):
+                    assert _bits(liquid_area(n, d, dx, dy)) == \
+                        _bits(_reference_liquid_area(n, d, dx, dy)), \
+                        (n, d, dx, dy)
+
+    def test_axis_aligned_and_degenerate_normals_are_covered(self):
+        rng = np.random.default_rng(2024)
+        normals = {youngs_normal(s, 1.0, 1.0)
+                   for s in _random_stencils(rng, 50)}
+        assert (0.0, 1.0) in normals
+        assert any(n1 == 0.0 and n2 != 0.0 for n1, n2 in normals)
+        assert any(n2 == 0.0 and n1 != 0.0 for n1, n2 in normals)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The exact bits of what fn returns, or the type and message of what
+    it raised."""
+    try:
+        value = fn(*args, **kwargs)
+    except (StencilInvalid, MultiValuedColumn) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    return value if isinstance(value, int) else _bits(value)
+
+
+# columns of 20 cells, interface near row 10 unless the case moves it
+_SHARP = [1.0] * 10 + [0.4] + [0.0] * 9
+_STENCIL_COLUMNS = {
+    "sharp": _SHARP,
+    "no_interface": [0.3] * 5 + [0.0] * 15,
+    "leaves_bottom": [1.0, 0.6] + [0.0] * 18,
+    "leaves_top": [1.0] * 18 + [0.6, 0.0],
+    "bottom_not_liquid": [0.5] * 3 + [0.99] * 7 + [0.4] + [0.0] * 9,
+    "top_not_gas": [1.0] * 10 + [0.4] + [1e-6] * 9,
+    # the 7-cell window fails, the 9-cell one brackets the interface
+    "widened": [1.0] * 7 + [0.9, 0.8, 0.7, 0.5, 0.2] + [0.0] * 8,
+    # and with a 0.95 at the 9-cell window's bottom neither does
+    "widened_fails": [1.0] * 6 + [0.95, 0.9, 0.8, 0.7, 0.5, 0.2] + [0.0] * 8,
+    "widened_leaves_top": [1.0] * 12 + [0.9, 0.8, 0.7, 0.5, 0.2] + [0.0] * 3,
+    "nan_window": [1.0] * 7 + [np.nan] + [1.0] * 2 + [0.4] + [0.0] * 9,
+    "nan_top_no_interface": [0.3] * 5 + [0.0] * 14 + [np.nan],
+}
+_COLUMN_SCAN_CASES = {
+    "pure_liquid": [1.0] * 20,
+    "pure_gas": [0.0] * 20,
+    "band": [1.0] * 9 + [0.7, 0.2] + [0.0] * 9,
+    "not_contiguous": [1.0] * 9 + [0.7, 0.0, 0.2] + [0.0] * 8,
+    "gas_below": [1.0] * 5 + [0.0] + [1.0] * 3 + [0.5] + [0.0] * 10,
+    "liquid_above": [1.0] * 9 + [0.5] + [0.0] * 5 + [1.0] + [0.0] * 4,
+    "detached": [1.0] * 5 + [0.0] * 5 + [1.0] * 2 + [0.0] * 8,
+    "nan_partial": [1.0] * 9 + [np.nan, 0.3] + [0.0] * 9,
+    "nan_below": [1.0] * 4 + [np.nan] + [1.0] * 4 + [0.3] + [0.0] * 10,
+    "nan_pure": [1.0] * 9 + [np.nan] + [0.0] * 10,
+    "eps_edges": ([1.0] * 8 + [1.0 - ALPHA_EPS, 0.5, ALPHA_EPS]
+                  + [0.0] * 9),
+}
+
+
+class TestScanMessagesMatchReference:
+    @pytest.mark.parametrize("case", sorted(_STENCIL_COLUMNS))
+    def test_interface_cell_and_column_height(self, case):
+        col = np.array(_STENCIL_COLUMNS[case])
+        assert _outcome(interface_cell, col) == \
+            _outcome(_reference_interface_cell, col)
+        for jc in range(-1, col.size + 1):
+            for half in (3, 4):
+                assert _outcome(column_height, col, jc, 0.25, half) == \
+                    _outcome(_reference_column_height, col, jc, 0.25, half)
+
+    @pytest.mark.parametrize("case", sorted(_STENCIL_COLUMNS))
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_curvature(self, case, column):
+        a = np.array([_SHARP, [1.0] * 10 + [0.6] + [0.0] * 9, _SHARP])
+        a[column] = _STENCIL_COLUMNS[case]
+        assert _outcome(curvature_height_function, a, 0.25, 0.25,
+                        GEOM.theta_e) == \
+            _outcome(_reference_curvature, a, 0.25, 0.25, GEOM.theta_e)
+
+    def test_curvature_first_failing_column_wins(self):
+        # column 0 fails its window, column 2 has no interface cell
+        a = np.array([_STENCIL_COLUMNS["widened_fails"], _SHARP,
+                      _STENCIL_COLUMNS["no_interface"]])
+        got = _outcome(curvature_height_function, a, 0.25, 0.25,
+                       GEOM.theta_e)
+        assert got == _outcome(_reference_curvature, a, 0.25, 0.25,
+                               GEOM.theta_e)
+        assert got == (StencilInvalid, "window bottom is not pure liquid")
+
+    @pytest.mark.parametrize("case", sorted(_COLUMN_SCAN_CASES))
+    @pytest.mark.parametrize("full_gap", [False, True])
+    def test_apex_height(self, case, full_gap):
+        grid = Grid(nx=4, ny=20, dx=0.25, dy=0.25)
+        a = np.zeros((grid.nx, grid.ny))
+        a[:] = _COLUMN_SCAN_CASES["band"]
+        a[2 if full_gap else 0] = _COLUMN_SCAN_CASES[case]
+        state = SimState.quiescent(grid, a)
+        assert _outcome(apex_height, state, full_gap=full_gap) == \
+            _outcome(_reference_apex_height, state, full_gap=full_gap)
+
+
+class TestNonFiniteVelocity:
+    @pytest.fixture(scope="class")
+    def rise(self):
+        """The nx 8 rise after 50 steps."""
+        fluid, geom = synth_params(1.0, 0.04)
+        setup = CaseSetup2D(fluid=fluid, geom=geom,
+                            slip=SlipSpec.navier(geom.R / 5), nx=8,
+                            t_end=1.0)
+        sim = Simulator(setup)
+        for _ in range(50):
+            sim.step(compute_dt(sim.state, fluid))
+        return sim
+
+    @pytest.mark.parametrize("component, bad",
+                             [("u", np.nan), ("v", np.nan), ("u", np.inf),
+                              ("v", -np.inf)],
+                             ids=["nan-u", "nan-v", "inf-u", "-inf-v"])
+    def test_compute_dt_refuses(self, rise, component, bad):
+        state = copy.deepcopy(rise.state)
+        getattr(state, component)[2, 20] = bad
+        with pytest.raises(CourantViolation, match="not finite"):
+            compute_dt(state, rise.setup.fluid)
+
+    @pytest.mark.parametrize("component", ["u", "v"])
+    def test_advect_alpha_refuses_nan(self, rise, component):
+        sim = copy.deepcopy(rise)
+        getattr(sim.state, component)[2, 20] = np.nan
+        alpha = sim.state.alpha.copy()
+        cfl_max = sim.diag.cfl_max
+        with pytest.raises(CourantViolation, match="not at most 1"):
+            sim.advect_alpha(1e-5)
+        # nothing moved, and the NaN is not booked as a CFL figure
+        assert _same_bits(sim.state.alpha, alpha)
+        assert sim.diag.cfl_max == cfl_max
+
+    def test_finite_fields_keep_their_step(self, rise):
+        assert compute_dt(rise.state, rise.setup.fluid) == \
+            _reference_compute_dt(rise.state, rise.setup.fluid)
