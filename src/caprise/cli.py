@@ -105,7 +105,7 @@ def _cmd_cost(args) -> int:
     if not args.cells >= 1:
         raise ValueError("--cells must be >= 1")
     fluid, geom = synth_params(args.omega, args.sigma)
-    lim = timestep_limits(fluid, geom.R / args.cells, u_max=0.0)
+    lim = timestep_limits(fluid, geom.R / args.cells)
     counts = step_counts(fluid, geom, args.cells)
     n_steps = {kind: {"sigma": counts.n_sigma[i], "mu": counts.n_mu[i]}
                for i, kind in enumerate(SCALING_KINDS)}

@@ -45,7 +45,6 @@ class DtLimits:
     dt_sigma_estimate: float  # sqrt(rho_l dx^3/(4 pi sigma)) [s]
     dt_sigma_solver: float    # sqrt((rho_l+rho_g) dx^3/(4 pi sigma)) [s]
     dt_mu: float              # rho_l dx^2/(6 mu_l) [s]
-    dt_u: float               # dx/u_max, +inf at rest [s]
 
 
 @dataclass(frozen=True)
@@ -72,19 +71,16 @@ def synth_params(omega: float, sigma: float) -> tuple[FluidPair, Geometry]:
     return fluid, geom
 
 
-def timestep_limits(fluid: FluidPair, dx: float, u_max: float) -> DtLimits:
-    """Capillary, viscous and convective timestep ceilings at mesh size dx."""
+def timestep_limits(fluid: FluidPair, dx: float) -> DtLimits:
+    """Capillary and viscous timestep ceilings at mesh size dx."""
     if not dx > 0.0:
         raise ValueError("dx must be positive")
-    if u_max < 0.0:
-        raise ValueError("u_max must be >= 0")
     dt_sigma_est = math.sqrt(fluid.rho_l * dx**3 / (4.0 * math.pi * fluid.sigma))
     dt_sigma_sol = math.sqrt((fluid.rho_l + fluid.rho_g) * dx**3
                              / (4.0 * math.pi * fluid.sigma))
     dt_mu = fluid.rho_l * dx**2 / (6.0 * fluid.mu_l)
-    dt_u = dx / u_max if u_max > 0.0 else math.inf
     return DtLimits(dt_sigma_estimate=dt_sigma_est, dt_sigma_solver=dt_sigma_sol,
-                    dt_mu=dt_mu, dt_u=dt_u)
+                    dt_mu=dt_mu)
 
 
 def crossover_cells(fluid: FluidPair, geom: Geometry) -> float:
@@ -107,7 +103,7 @@ def step_counts(fluid: FluidPair, geom: Geometry, n_cells: float) -> StepCounts:
     if not n_cells >= 1.0:
         raise ValueError("n_cells must be >= 1")
     dx = geom.R / n_cells
-    lim = timestep_limits(fluid, dx, 0.0)
+    lim = timestep_limits(fluid, dx)
     s = scaling.coefficients(fluid, geom, "2d")
     rates = [scaling.units(kind, s).t_rate for kind in scaling.SCALING_KINDS]
     n_sigma = tuple(1.0 / (r * lim.dt_sigma_estimate) for r in rates)

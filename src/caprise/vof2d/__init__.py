@@ -7,8 +7,7 @@ walls.
 """
 
 from .geometry import Grid, SimState, apex_height, init_case
-from .plic import PlicPlane, liquid_area, offset_for_area, plic_reconstruct, \
-    youngs_normal
+from .plic import PlicPlane, plic_reconstruct, youngs_normal
 from .curvature import contact_angle_ghost, curvature_height_function
 from .solver import CaseSetup2D, Simulator, compute_dt, run
 
@@ -23,8 +22,6 @@ __all__ = [
     "contact_angle_ghost",
     "curvature_height_function",
     "init_case",
-    "liquid_area",
-    "offset_for_area",
     "plic_reconstruct",
     "run",
     "youngs_normal",

@@ -71,20 +71,17 @@ def _height_with_widening(col: np.ndarray, j_top: int, dy: float) -> float:
 
 
 def curvature_height_function(alpha: np.ndarray, dx: float, dy: float,
-                              theta: float, *,
-                              wall_left: bool = False,
-                              wall_right: bool = True) -> np.ndarray:
-    """Per-column interface curvature over the whole width.
+                              theta: float) -> np.ndarray:
+    """Per-column interface curvature over the half gap.
 
     alpha is the (nx, ny) fraction field.  Returns kappa (nx,).  The
-    boundary treatment on each side is either a wall (contact-angle
-    ghost) or the symmetry plane (mirror ghost).
+    ghost column left of column 0 mirrors it across the symmetry plane;
+    the one right of the last column is the wall's contact-angle ghost.
     """
     h = [_height_with_widening(col, j, dy)
          for col, j in zip(alpha, _topmost_half_full(alpha))]
-    # ghost columns
-    h.insert(0, contact_angle_ghost(h[0], dx, theta) if wall_left else h[0])
-    h.append(contact_angle_ghost(h[-1], dx, theta) if wall_right else h[-1])
+    h.insert(0, h[0])
+    h.append(contact_angle_ghost(h[-1], dx, theta))
     # the slope and second difference in plain floats, numpy's operations
     # one column at a time; the power stays numpy's
     hpp, q = [], []

@@ -2,14 +2,12 @@
 
 Half-gap configuration: x in [0, R] with the symmetry plane at x = 0 and
 the wall at x = R, y in [0, h_domain] with h_domain = 8 R.  Square cells.
-A full-gap debug configuration doubles the width and replaces the
-symmetry plane with a second wall.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,37 +162,24 @@ def arc_total_area(geom: Geometry) -> float:
     return _arc_antiderivative(geom.R, r, yc) - _arc_antiderivative(0.0, r, yc)
 
 
-def init_case(geom: Geometry, nx: int, *, full_gap: bool = False) -> SimState:
+def init_case(geom: Geometry, nx: int) -> SimState:
     """Quiescent state with the exact arc fractions on a fresh grid."""
     grid = Grid.half_gap(nx, geom.R)
     if not math.isclose(geom.h_domain, grid.ny * grid.dy, rel_tol=1e-12):
         raise ValueError(f"h_domain {geom.h_domain:g} m is not the grid's 8 R")
-    alpha = arc_column_fractions(geom, grid)
-    if full_gap:  # mirror the half gap's columns at the same cell size
-        grid = replace(grid, nx=2 * nx)
-        alpha = np.concatenate([alpha[::-1, :], alpha], axis=0)
-    return SimState.quiescent(grid, alpha)
+    return SimState.quiescent(grid, arc_column_fractions(geom, grid))
 
 
-def apex_height(state: SimState, *, full_gap: bool = False) -> float:
-    """Integrated liquid height of the apex column(s).
+def apex_height(state: SimState) -> float:
+    """Integrated liquid height of the symmetry-plane column.
 
-    Sums alpha * dy down the symmetry-plane column (or the mean of the
-    two centre columns in the full-gap layout).  The column must be
-    single valued: full cells below a contiguous band of partial cells
-    below empty cells.
+    Sums alpha * dy down column 0.  The column must be single valued:
+    full cells below a contiguous band of partial cells below empty
+    cells.
     """
-    grid = state.grid
-    if full_gap:
-        mid = grid.nx // 2
-        cols = [state.alpha[mid - 1, :], state.alpha[mid, :]]
-    else:
-        cols = [state.alpha[0, :]]
-    heights = []
-    for col in cols:
-        _check_single_valued(col)
-        heights.append(float(col.sum()) * grid.dy)
-    return sum(heights) / len(heights)
+    col = state.alpha[0, :]
+    _check_single_valued(col)
+    return float(col.sum()) * state.grid.dy
 
 
 def _check_single_valued(col: np.ndarray) -> None:

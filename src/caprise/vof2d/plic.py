@@ -61,19 +61,6 @@ def _area_pos(n1: float, n2: float, d: float, dx: float, dy: float) -> float:
     return (dc * dc - t1 * t1 - t2 * t2) / (2.0 * n1 * n2)
 
 
-def liquid_area(normal, d: float, dx: float, dy: float) -> float:
-    """Area of {n . x <= d} inside the [0,dx]x[0,dy] cell."""
-    n1, n2 = normal
-    # reflect to the positive-normal octant; d shifts by the flipped span
-    if n1 < 0.0:
-        d = d - n1 * dx
-        n1 = -n1
-    if n2 < 0.0:
-        d = d - n2 * dy
-        n2 = -n2
-    return _area_pos(n1, n2, d, dx, dy)
-
-
 def _offset_pos(n1: float, n2: float, area: float,
                 dx: float, dy: float) -> float:
     if n1 <= _EPS_NORMAL:
@@ -94,18 +81,10 @@ def _offset_pos(n1: float, n2: float, area: float,
     return 0.5 * (2.0 * n1 * area / dy + span_y)
 
 
-def offset_for_area(normal, area: float, dx: float, dy: float) -> float:
-    """Inverse of :func:`liquid_area` in d for a fixed normal."""
-    cell = dx * dy
-    if not 0.0 <= area <= cell * (1.0 + 1e-12):
-        raise ValueError(f"target area {area} outside cell [0, {cell}]")
-    return _offset(normal, min(area, cell), dx, dy)
-
-
 def _offset(normal, area: float, dx: float, dy: float) -> float:
     n1, n2 = normal
     d = _offset_pos(abs(n1), abs(n2), area, dx, dy)
-    # undo the reflections applied by liquid_area
+    # undo the reflections applied by slab_area
     if n1 < 0.0:
         d = d + n1 * dx
     if n2 < 0.0:
@@ -121,9 +100,6 @@ class PlicPlane(NamedTuple):
     dx: float
     dy: float
 
-    def area(self) -> float:
-        return liquid_area(self.normal, self.offset, self.dx, self.dy)
-
     def slab_area(self, x0: float, x1: float, y0: float, y1: float) -> float:
         """Liquid area inside the sub-rectangle [x0,x1]x[y0,y1]."""
         if x1 <= x0 or y1 <= y0:
@@ -131,7 +107,7 @@ class PlicPlane(NamedTuple):
         (n1, n2), d, _, _ = self
         d = d - n1 * x0 - n2 * y0
         w, h = x1 - x0, y1 - y0
-        # liquid_area's reflection, written out: a donor flux per call
+        # reflect to the positive-normal octant; d shifts by the flipped span
         if n1 < 0.0:
             d = d - n1 * w
             n1 = -n1

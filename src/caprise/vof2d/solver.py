@@ -46,7 +46,6 @@ class CaseSetup2D:
     dt_out: float | None = None
     closed_bottom: bool = False
     gravity_on: bool = True
-    full_gap: bool = False
 
 
 @dataclass
@@ -76,7 +75,7 @@ class RunDiagnostics:
 @functools.lru_cache(maxsize=16)
 def _fixed_dt_limit(fluid: FluidPair, dx: float) -> float:
     """The surface-tension and viscous limits: constant through a run."""
-    lim = timestep_limits(fluid, dx, u_max=0.0)
+    lim = timestep_limits(fluid, dx)
     return min(lim.dt_sigma_solver, lim.dt_mu)
 
 
@@ -125,7 +124,7 @@ class Simulator:
         dt_out = setup.dt_out if setup.dt_out is not None else setup.t_end / 500.0
         self._t_out = output_times(setup.t_end, dt_out)
         if state is None:
-            state = init_case(setup.geom, setup.nx, full_gap=setup.full_gap)
+            state = init_case(setup.geom, setup.nx)
         self.state = state
         self.diag = RunDiagnostics()
         self._vol_start = state.liquid_area()
@@ -161,10 +160,7 @@ class Simulator:
         dx = st.grid.dx
         vf = np.empty((nx + 2, ny + 3))
         vf[1:-1, 1:-1] = st.v
-        if self.setup.full_gap:
-            vf[0, 1:-1] = slip_ghost(st.v[0, :], dx, self.setup.slip)
-        else:
-            vf[0, 1:-1] = st.v[0, :]
+        vf[0, 1:-1] = st.v[0, :]  # mirrored across the symmetry plane
         vf[-1, 1:-1] = slip_ghost(st.v[-1, :], dx, self.setup.slip)
         vf[:, 0] = vf[:, 1]
         vf[:, -1] = vf[:, -2]
@@ -188,8 +184,7 @@ class Simulator:
             return np.zeros(alpha.shape[0])
         return curvature_height_function(
             alpha, self.state.grid.dx, self.state.grid.dy,
-            self.setup.geom.theta_e,
-            wall_left=self.setup.full_gap, wall_right=True)
+            self.setup.geom.theta_e)
 
     def _momentum(self, dt: float, A_pad, u_full, v_full, kappa):
         st = self.state
@@ -416,13 +411,13 @@ class Simulator:
         t_end = setup.t_end
         t0 = time.perf_counter()
         times = [self.state.t]
-        apex = [apex_height(self.state, full_gap=setup.full_gap)]
+        apex = [apex_height(self.state)]
         while self.state.t < t_end * (1.0 - 1e-12):
             dt = compute_dt(self.state, setup.fluid)
             dt = min(dt, t_end - self.state.t)
             self.step(dt)
             times.append(self.state.t)
-            apex.append(apex_height(self.state, full_gap=setup.full_gap))
+            apex.append(apex_height(self.state))
         self.diag.wall_time_s = time.perf_counter() - t0
 
         vol_end = self.state.liquid_area()

@@ -97,27 +97,25 @@ def test_synth_params_match_printed_table(omega):
 def test_timestep_limits_frozen():
     fluid = FluidPair(rho_l=83.1, rho_g=0.0831, mu_l=0.01, mu_g=1e-5,
                       sigma=0.04, g=4.17)
-    lim = timestep_limits(fluid, 0.005 / 32, 0.0)
+    lim = timestep_limits(fluid, 0.005 / 32)
     assert lim.dt_sigma_estimate == pytest.approx(2.5112828063850368e-5, rel=1e-12)
     assert lim.dt_sigma_estimate == pytest.approx(2.5113e-5, rel=1e-4)
     assert lim.dt_mu == pytest.approx(3.38134765625e-5, rel=1e-12)
     assert lim.dt_mu == pytest.approx(3.3813e-5, rel=1e-4)
-    assert math.isinf(lim.dt_u)
     # the solver variant carries the gas density too
     assert lim.dt_sigma_solver / lim.dt_sigma_estimate == pytest.approx(
         math.sqrt(1.001), rel=1e-12)
 
 
-def test_timestep_limits_power_law_and_u():
+def test_timestep_limits_power_law():
     fluid, _ = synth_params(1.0, 0.04)
-    a = timestep_limits(fluid, 1e-4, 2.0)
-    b = timestep_limits(fluid, 5e-5, 2.0)
+    a = timestep_limits(fluid, 1e-4)
+    b = timestep_limits(fluid, 5e-5)
     assert a.dt_sigma_estimate / b.dt_sigma_estimate == pytest.approx(2**1.5,
                                                                       rel=1e-12)
     assert a.dt_mu / b.dt_mu == pytest.approx(4.0, rel=1e-12)
-    assert a.dt_u == pytest.approx(1e-4 / 2.0, rel=1e-15)
     with pytest.raises(ValueError):
-        timestep_limits(fluid, -1e-4, 0.0)
+        timestep_limits(fluid, -1e-4)
 
 
 CROSSOVER = {0.1: 5804.157965549497, 0.5: 232.16631862197988,
@@ -137,8 +135,8 @@ def test_crossover_property():
     # dt_sigma dominates below N*, dt_mu above
     fluid, geom = synth_params(1.0, 0.04)
     n_star = crossover_cells(fluid, geom)
-    lo = timestep_limits(fluid, geom.R / math.floor(n_star), 0.0)
-    hi = timestep_limits(fluid, geom.R / math.ceil(n_star), 0.0)
+    lo = timestep_limits(fluid, geom.R / math.floor(n_star))
+    hi = timestep_limits(fluid, geom.R / math.ceil(n_star))
     assert lo.dt_sigma_estimate <= lo.dt_mu
     assert hi.dt_mu <= hi.dt_sigma_estimate
 
@@ -172,7 +170,7 @@ def test_step_counts_power_laws():
 
 def test_step_counts_internal_consistency():
     fluid, geom = synth_params(10.0, 0.01)
-    lim = timestep_limits(fluid, geom.R / 32, 0.0)
+    lim = timestep_limits(fluid, geom.R / 32)
     sc = step_counts(fluid, geom, 32)
     for k in range(3):
         assert sc.n_sigma[k] / sc.n_mu[k] == pytest.approx(

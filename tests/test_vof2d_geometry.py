@@ -11,8 +11,8 @@ from caprise.errors import ArcExceedsDomain, MultiValuedColumn
 from caprise.vof2d.geometry import (Grid, SimState, apex_height,
                                     arc_column_fractions, arc_total_area,
                                     init_case)
-from caprise.vof2d.plic import (PlicPlane, liquid_area, offset_for_area,
-                                plic_reconstruct, youngs_normal)
+from caprise.vof2d.plic import (PlicPlane, _offset, plic_reconstruct,
+                                youngs_normal)
 
 GEOM = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01, h_domain=0.04)
 
@@ -39,6 +39,12 @@ def clip_polygon_area(n1, n2, d, dx, dy):
     return 0.5 * abs(area)
 
 
+def cell_area(n, d, dx, dy):
+    """Liquid area of {n . x <= d} in the whole cell, the slab that is
+    the cell itself."""
+    return PlicPlane(n, d, dx, dy).slab_area(0.0, dx, 0.0, dy)
+
+
 class TestLiquidArea:
     def test_matches_polygon_clipping_oracle(self):
         rng = np.random.default_rng(42)
@@ -51,22 +57,24 @@ class TestLiquidArea:
             span = max(corners) - min(corners)
             d = rng.uniform(min(corners) - 0.1 * span,
                             max(corners) + 0.1 * span)
-            got = liquid_area(n, d, dx, dy)
+            got = cell_area(n, d, dx, dy)
             want = clip_polygon_area(n[0], n[1], d, dx, dy)
             assert got == pytest.approx(want, abs=1e-12 * dx * dy)
 
     def test_empty_and_full_limits(self):
         n = (math.cos(1.0), math.sin(1.0))
-        assert liquid_area(n, -5.0, 1.0, 1.0) == 0.0
-        assert liquid_area(n, 5.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert cell_area(n, -5.0, 1.0, 1.0) == 0.0
+        assert cell_area(n, 5.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_axis_aligned_normals(self):
-        assert liquid_area((0.0, 1.0), 0.3, 1.0, 1.0) == pytest.approx(0.3)
-        assert liquid_area((0.0, -1.0), -0.3, 1.0, 1.0) == pytest.approx(0.7)
-        assert liquid_area((1.0, 0.0), 0.25, 1.0, 2.0) == pytest.approx(0.5)
+        assert cell_area((0.0, 1.0), 0.3, 1.0, 1.0) == pytest.approx(0.3)
+        assert cell_area((0.0, -1.0), -0.3, 1.0, 1.0) == pytest.approx(0.7)
+        assert cell_area((1.0, 0.0), 0.25, 1.0, 2.0) == pytest.approx(0.5)
 
 
 class TestOffsetForArea:
+    """plic_reconstruct's offset: the inverse of the cell area in d."""
+
     def test_roundtrip_random(self):
         rng = np.random.default_rng(9)
         for _ in range(500):
@@ -75,20 +83,14 @@ class TestOffsetForArea:
             dx = rng.uniform(0.5, 2.0)
             dy = rng.uniform(0.5, 2.0)
             target = rng.uniform(0.0, 1.0) * dx * dy
-            d = offset_for_area(n, target, dx, dy)
-            assert liquid_area(n, d, dx, dy) == pytest.approx(
+            d = _offset(n, target, dx, dy)
+            assert cell_area(n, d, dx, dy) == pytest.approx(
                 target, abs=1e-12 * dx * dy)
 
     def test_roundtrip_axis_aligned(self):
         for n in ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)):
-            d = offset_for_area(n, 0.4, 1.0, 1.0)
-            assert liquid_area(n, d, 1.0, 1.0) == pytest.approx(0.4, abs=1e-14)
-
-    def test_rejects_out_of_range_area(self):
-        with pytest.raises(ValueError):
-            offset_for_area((0.0, 1.0), -0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            offset_for_area((0.0, 1.0), 1.1, 1.0, 1.0)
+            d = _offset(n, 0.4, 1.0, 1.0)
+            assert cell_area(n, d, 1.0, 1.0) == pytest.approx(0.4, abs=1e-14)
 
 
 class TestReconstruction:
@@ -102,8 +104,8 @@ class TestReconstruction:
             corners = [0.0, n[0], n[1], n[0] + n[1]]
             lo, hi = min(corners), max(corners)
             d0 = lo + rng.uniform(0.05, 0.95) * (hi - lo)
-            sten = [[liquid_area(n, d0 - n[0] * (i - 1) - n[1] * (j - 1),
-                                 1.0, 1.0)
+            sten = [[cell_area(n, d0 - n[0] * (i - 1) - n[1] * (j - 1),
+                               1.0, 1.0)
                      for j in range(3)] for i in range(3)]
             if not 0.02 < sten[1][1] < 0.98:
                 continue
@@ -122,7 +124,7 @@ class TestReconstruction:
             sten = rng.uniform(0.0, 1.0, size=(3, 3))
             sten[1, 1] = rng.uniform(1e-6, 1.0 - 1e-6)
             plane = plic_reconstruct(sten.tolist(), 1.0, 1.0)
-            assert plane.area() == pytest.approx(sten[1, 1], abs=1e-12)
+            assert cell_area(*plane) == pytest.approx(sten[1, 1], abs=1e-12)
 
     def test_reconstruct_rejects_pure_cell(self):
         sten = [[1.0] * 3 for _ in range(3)]
@@ -139,11 +141,11 @@ class TestReconstruction:
             xi = rng.uniform(0.1, 0.9)
             both = (plane.slab_area(0.0, xi, 0.0, 1.0)
                     + plane.slab_area(xi, 1.0, 0.0, 1.0))
-            assert both == pytest.approx(plane.area(), abs=1e-13)
+            assert both == pytest.approx(cell_area(*plane), abs=1e-13)
             eta = rng.uniform(0.1, 0.9)
             both = (plane.slab_area(0.0, 1.0, 0.0, eta)
                     + plane.slab_area(0.0, 1.0, eta, 1.0))
-            assert both == pytest.approx(plane.area(), abs=1e-13)
+            assert both == pytest.approx(cell_area(*plane), abs=1e-13)
 
 
 class TestGrid:
@@ -151,11 +153,6 @@ class TestGrid:
         g = Grid.half_gap(8, 0.005)
         assert (g.nx, g.ny) == (8, 64)
         assert g.dx == g.dy == pytest.approx(0.005 / 8)
-
-    def test_full_gap_doubles_width(self):
-        g = init_case(GEOM, 8, full_gap=True).grid
-        assert (g.nx, g.ny) == (16, 64)
-        assert g.dx == pytest.approx(0.005 / 8)
 
     def test_too_coarse_rejected(self):
         with pytest.raises(ValueError):
@@ -230,9 +227,8 @@ class TestArcInit:
         # the grid is 8 R tall; a 20 R domain would be filled with liquid
         geom = Geometry(R=0.005, theta_e=math.radians(30.0),
                         h0=9 * 0.005, h_domain=20 * 0.005)
-        for full_gap in (False, True):
-            with pytest.raises(ValueError, match="h_domain"):
-                init_case(geom, 8, full_gap=full_gap)
+        with pytest.raises(ValueError, match="h_domain"):
+            init_case(geom, 8)
 
     def test_init_case_apex_near_h0(self):
         state = init_case(GEOM, 8)
@@ -240,13 +236,6 @@ class TestArcInit:
         assert GEOM.h0 <= apex <= GEOM.h0 + state.grid.dy
         # frozen: exact arc integral over the apex column
         assert apex == pytest.approx(0.010011296277628659, rel=1e-12)
-
-    def test_full_gap_mirror_symmetric(self):
-        state = init_case(GEOM, 8, full_gap=True)
-        a = state.alpha
-        assert np.array_equal(a, a[::-1, :])
-        assert apex_height(state, full_gap=True) == pytest.approx(
-            apex_height(init_case(GEOM, 8)), rel=1e-14)
 
 
 class TestApexHeight:

@@ -18,8 +18,7 @@ from caprise.study import synth_params, timestep_limits
 from caprise.vof2d import solver
 from caprise.vof2d.geometry import (ALPHA_EPS, Grid, SimState, apex_height,
                                     arc_column_fractions, init_case)
-from caprise.vof2d.plic import (PlicPlane, liquid_area, plic_reconstruct,
-                                youngs_normal)
+from caprise.vof2d.plic import PlicPlane, plic_reconstruct, youngs_normal
 from caprise.vof2d.solver import (_MIXED_EPS, CaseSetup2D, RunDiagnostics,
                                   Simulator, compute_dt, poisson_solve,
                                   slip_ghost)
@@ -64,12 +63,13 @@ class TestColumnHeights:
 
 class TestCurvature:
     def test_flat_interface_is_zero_without_walls(self):
+        # at 90 degrees the wall ghost adds no offset: the wall acts as a
+        # mirror, as the symmetry plane does
         grid = Grid.half_gap(8, GEOM.R)
         a = np.zeros((grid.nx, grid.ny))
         a[:, :20] = 1.0
         a[:, 20] = 0.4
-        k = curvature_height_function(a, grid.dx, grid.dy, GEOM.theta_e,
-                                      wall_left=False, wall_right=False)
+        k = curvature_height_function(a, grid.dx, grid.dy, math.pi / 2)
         assert np.all(k == 0.0)
 
     def test_wall_ghost_bends_last_column(self):
@@ -77,8 +77,7 @@ class TestCurvature:
         a = np.zeros((grid.nx, grid.ny))
         a[:, :20] = 1.0
         a[:, 20] = 0.4
-        k = curvature_height_function(a, grid.dx, grid.dy, GEOM.theta_e,
-                                      wall_right=True)
+        k = curvature_height_function(a, grid.dx, grid.dy, GEOM.theta_e)
         assert np.all(k[:-1] == 0.0)
         assert k[-1] > 0.0
 
@@ -474,9 +473,8 @@ class TestSweepMatchesReference:
             n += 1
         assert n == 4
 
-    @pytest.mark.parametrize("layout", [{"closed_bottom": True},
-                                        {"full_gap": True}],
-                             ids=["closed_bottom", "full_gap"])
+    @pytest.mark.parametrize("layout", [{"closed_bottom": True}],
+                             ids=["closed_bottom"])
     def test_other_layouts(self, layout):
         for sim, dt in _recorded_rise(300, 150, **layout):
             _assert_sweeps_match_reference(sim, dt)
@@ -715,10 +713,10 @@ class TestStepMatchesReference:
 
     @pytest.mark.parametrize(
         "options",
-        [{"slip": SlipSpec.numerical()}, {"full_gap": True},
+        [{"slip": SlipSpec.numerical()},
          {"closed_bottom": True, "gravity_on": False}, {"nx": 4},
          {"nx": 16}],
-        ids=["numerical_slip", "full_gap", "closed_bottom_no_gravity",
+        ids=["numerical_slip", "closed_bottom_no_gravity",
              "nx4", "nx16"])
     def test_other_cases(self, options):
         n = 0
@@ -811,8 +809,7 @@ def _reference_column_height(col, j_center, dy, half):
     return (j_lo + float(col[j_lo:j_hi + 1].sum())) * dy
 
 
-def _reference_curvature(alpha, dx, dy, theta, *, wall_left=False,
-                         wall_right=True):
+def _reference_curvature(alpha, dx, dy, theta):
     nx = alpha.shape[0]
     h = np.empty(nx + 2)
     for i in range(nx):
@@ -822,9 +819,8 @@ def _reference_curvature(alpha, dx, dy, theta, *, wall_left=False,
             h[i + 1] = _reference_column_height(col, jc, dy, half=3)
         except StencilInvalid:
             h[i + 1] = _reference_column_height(col, jc, dy, half=4)
-    h[0] = contact_angle_ghost(h[1], dx, theta) if wall_left else h[1]
-    h[nx + 1] = (contact_angle_ghost(h[nx], dx, theta) if wall_right
-                 else h[nx])
+    h[0] = h[1]
+    h[nx + 1] = contact_angle_ghost(h[nx], dx, theta)
     hp = (h[2:] - h[:-2]) / (2.0 * dx)
     hpp = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / (dx * dx)
     return hpp / (1.0 + hp * hp) ** 1.5
@@ -848,13 +844,9 @@ def _reference_check_single_valued(col):
             raise MultiValuedColumn("detached liquid in column")
 
 
-def _reference_apex_height(state, *, full_gap=False):
+def _reference_apex_height(state):
     grid = state.grid
-    if full_gap:
-        mid = grid.nx // 2
-        cols = [state.alpha[mid - 1, :], state.alpha[mid, :]]
-    else:
-        cols = [state.alpha[0, :]]
+    cols = [state.alpha[0, :]]
     heights = []
     for col in cols:
         _reference_check_single_valued(col)
@@ -864,8 +856,9 @@ def _reference_apex_height(state, *, full_gap=False):
 
 def _reference_compute_dt(state, fluid):
     u_max = max(float(np.abs(state.u).max()), float(np.abs(state.v).max()))
-    lim = timestep_limits(fluid, state.grid.dx, u_max=u_max)
-    return 0.9 * min(lim.dt_sigma_solver, lim.dt_mu, lim.dt_u)
+    lim = timestep_limits(fluid, state.grid.dx)
+    dt_u = state.grid.dx / u_max if u_max > 0.0 else math.inf
+    return 0.9 * min(lim.dt_sigma_solver, lim.dt_mu, dt_u)
 
 
 def _reference_poisson_solve(grid, beta_x, beta_y, rhs, *,
@@ -948,7 +941,7 @@ def _reference_plane(alpha3x3, dx, dy):
     return n, _reference_offset(n, alpha3x3[1][1] * dx * dy, dx, dy)
 
 
-def _reference_liquid_area(normal, d, dx, dy):
+def _reference_cell_area(normal, d, dx, dy):
     n1, n2 = normal
     if n1 < 0.0:
         d = d - n1 * dx
@@ -964,7 +957,7 @@ def _reference_slab_area(normal, offset, x0, x1, y0, y1):
         return 0.0
     n1, n2 = normal
     d = offset - n1 * x0 - n2 * y0
-    return _reference_liquid_area(normal, d, x1 - x0, y1 - y0)
+    return _reference_cell_area(normal, d, x1 - x0, y1 - y0)
 
 
 def _reference_advect_alpha(sim, dt):
@@ -1013,13 +1006,10 @@ def _poisson_inputs(sim, dt):
 
 def _assert_scans_match_reference(sim, dt):
     st, setup = sim.state, sim.setup
-    full_gap = setup.full_gap
     args = (st.alpha, st.grid.dx, st.grid.dy, setup.geom.theta_e)
-    assert _same_bits(
-        curvature_height_function(*args, wall_left=full_gap),
-        _reference_curvature(*args, wall_left=full_gap))
-    assert _bits(apex_height(st, full_gap=full_gap)) == \
-        _bits(_reference_apex_height(st, full_gap=full_gap))
+    assert _same_bits(curvature_height_function(*args),
+                      _reference_curvature(*args))
+    assert _bits(apex_height(st)) == _bits(_reference_apex_height(st))
     assert _bits(compute_dt(st, setup.fluid)) == \
         _bits(_reference_compute_dt(st, setup.fluid))
     beta_x, beta_y, rhs = _poisson_inputs(sim, dt)
@@ -1063,10 +1053,10 @@ class TestScansMatchReference:
 
     @pytest.mark.parametrize(
         "options",
-        [{"slip": SlipSpec.numerical()}, {"full_gap": True},
+        [{"slip": SlipSpec.numerical()},
          {"closed_bottom": True, "gravity_on": False}, {"nx": 4},
          {"nx": 16}],
-        ids=["numerical_slip", "full_gap", "closed_bottom_no_gravity",
+        ids=["numerical_slip", "closed_bottom_no_gravity",
              "nx4", "nx16"])
     def test_other_cases(self, options):
         n = 0
@@ -1171,14 +1161,16 @@ class TestPlicMatchesReference:
 
     def test_signed_zero_depths(self):
         # depths that come out as -0.0 or 0.0 exactly, through every
-        # branch of the clipped area, reflections included
+        # branch of the clipped area, reflections included; the slab is
+        # the whole cell
         for n in ((0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (1.0, 0.0),
                   (1.0, -0.0), (-1.0, 0.0), (0.6, 0.8), (-0.6, 0.8),
                   (0.0, 0.0), (-0.0, -0.0)):
             for d in (-0.0, 0.0, -1.0, 0.3, 2.0, 0.6 * 0.5, -0.6 * 0.5):
                 for dx, dy in ((1.0, 1.0), (0.5, 0.25)):
-                    assert _bits(liquid_area(n, d, dx, dy)) == \
-                        _bits(_reference_liquid_area(n, d, dx, dy)), \
+                    slab = (0.0, dx, 0.0, dy)
+                    assert _bits(PlicPlane(n, d, dx, dy).slab_area(*slab)) \
+                        == _bits(_reference_slab_area(n, d, *slab)), \
                         (n, d, dx, dy)
 
     def test_axis_aligned_and_degenerate_normals_are_covered(self):
@@ -1266,15 +1258,14 @@ class TestScanMessagesMatchReference:
         assert got == (StencilInvalid, "window bottom is not pure liquid")
 
     @pytest.mark.parametrize("case", sorted(_COLUMN_SCAN_CASES))
-    @pytest.mark.parametrize("full_gap", [False, True])
-    def test_apex_height(self, case, full_gap):
+    def test_apex_height(self, case):
         grid = Grid(nx=4, ny=20, dx=0.25, dy=0.25)
         a = np.zeros((grid.nx, grid.ny))
         a[:] = _COLUMN_SCAN_CASES["band"]
-        a[2 if full_gap else 0] = _COLUMN_SCAN_CASES[case]
+        a[0] = _COLUMN_SCAN_CASES[case]
         state = SimState.quiescent(grid, a)
-        assert _outcome(apex_height, state, full_gap=full_gap) == \
-            _outcome(_reference_apex_height, state, full_gap=full_gap)
+        assert _outcome(apex_height, state) == \
+            _outcome(_reference_apex_height, state)
 
 
 class TestNonFiniteVelocity:
