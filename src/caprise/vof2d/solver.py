@@ -84,12 +84,16 @@ def compute_dt(state: SimState, fluid: FluidPair) -> float:
 
     A NaN or infinite velocity raises CourantViolation.
     """
-    u_max = float(np.abs(state.u).max())
-    v_max = float(np.abs(state.v).max())
+    return _dt_from_speeds(float(np.abs(state.u).max()),
+                           float(np.abs(state.v).max()), fluid, state.grid.dx)
+
+
+def _dt_from_speeds(u_max: float, v_max: float, fluid: FluidPair,
+                    dx: float) -> float:
+    """compute_dt from the largest |u| and |v|."""
     if not (u_max < math.inf and v_max < math.inf):  # NaN fails too
         raise CourantViolation(
             f"velocity not finite: max |u| {u_max}, max |v| {v_max}")
-    dx = state.grid.dx
     u_max = max(u_max, v_max)
     dt_u = dx / u_max if u_max > 0.0 else math.inf
     return _DT_SAFETY * min(_fixed_dt_limit(fluid, dx), dt_u)
@@ -303,8 +307,10 @@ class Simulator:
         cell = dx * dy
         u, v = st.u, st.v
 
-        cfl_x = float(np.abs(u).max()) * dt / dx
-        cfl_y = float(np.abs(v).max()) * dt / dy
+        # the fields this step leaves: run() takes the next dt from them
+        self._speeds = (float(np.abs(u).max()), float(np.abs(v).max()))
+        cfl_x = self._speeds[0] * dt / dx
+        cfl_y = self._speeds[1] * dt / dy
         self.diag.cfl_max = max(self.diag.cfl_max, cfl_x, cfl_y)
         if not (cfl_x <= 1.0 + 1e-12 and cfl_y <= 1.0 + 1e-12):  # NaN fails too
             raise CourantViolation(
@@ -412,12 +418,14 @@ class Simulator:
         t0 = time.perf_counter()
         times = [self.state.t]
         apex = [apex_height(self.state)]
+        dt = compute_dt(self.state, setup.fluid)
         while self.state.t < t_end * (1.0 - 1e-12):
-            dt = compute_dt(self.state, setup.fluid)
-            dt = min(dt, t_end - self.state.t)
-            self.step(dt)
+            self.step(min(dt, t_end - self.state.t))
             times.append(self.state.t)
             apex.append(apex_height(self.state))
+            # u and v are as advect_alpha scanned them: no second scan
+            dt = _dt_from_speeds(*self._speeds, setup.fluid,
+                                 self.state.grid.dx)
         self.diag.wall_time_s = time.perf_counter() - t0
 
         vol_end = self.state.liquid_area()

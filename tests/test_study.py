@@ -102,9 +102,11 @@ def test_timestep_limits_frozen():
     assert lim.dt_sigma_estimate == pytest.approx(2.5113e-5, rel=1e-4)
     assert lim.dt_mu == pytest.approx(3.38134765625e-5, rel=1e-12)
     assert lim.dt_mu == pytest.approx(3.3813e-5, rel=1e-4)
-    # the solver variant carries the gas density too
+    # the solver variant (Denner & van Wachem) carries the gas density
+    # too and sits sqrt(2) above Brackbill's bound
+    assert lim.dt_sigma_solver == pytest.approx(3.553265505131513e-5, rel=1e-12)
     assert lim.dt_sigma_solver / lim.dt_sigma_estimate == pytest.approx(
-        math.sqrt(1.001), rel=1e-12)
+        math.sqrt(2.0 * 1.001), rel=1e-12)
 
 
 def test_timestep_limits_power_law():

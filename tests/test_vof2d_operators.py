@@ -1081,6 +1081,42 @@ class TestScansMatchReference:
                 assert _bits(compute_dt(state, fluid)) == \
                     _bits(_reference_compute_dt(state, fluid))
 
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"slip": SlipSpec.numerical(), "nx": 4},
+         {"closed_bottom": True, "gravity_on": False}],
+        ids=["navier_nx8", "numerical_nx4", "closed_bottom_no_gravity"])
+    def test_run_steps_at_compute_dt(self, options):
+        # run() reuses the speeds advect_alpha scanned; every step must
+        # still be compute_dt of the fields it starts from
+        fluid, geom = synth_params(1.0, 0.04)
+        setup = CaseSetup2D(fluid=fluid, geom=geom, t_end=0.05, **{
+            "nx": 8, "slip": SlipSpec.navier(geom.R / 5), **options})
+
+        class Recording(Simulator):
+            def step(self, dt):
+                if self.dts:  # the last advect_alpha scanned these fields
+                    assert self._speeds == (
+                        float(np.abs(self.state.u).max()),
+                        float(np.abs(self.state.v).max()))
+                self.dts.append(dt)
+                super().step(dt)
+
+        sim = Recording(setup)
+        sim.dts = []
+        sim.run()
+        ref = Simulator(setup)
+        ref_dts = []
+        while ref.state.t < setup.t_end * (1.0 - 1e-12):
+            ref_dts.append(min(_reference_compute_dt(ref.state, fluid),
+                               setup.t_end - ref.state.t))
+            ref.step(ref_dts[-1])
+        assert len(sim.dts) > 50
+        assert [_bits(d) for d in sim.dts] == [_bits(d) for d in ref_dts]
+        for name in ("alpha", "u", "v", "p"):
+            assert _same_bits(getattr(sim.state, name),
+                              getattr(ref.state, name))
+
     def test_advect_with_overshoot_clips_as_before(self):
         # a tilted layer moved at half the CFL limit overshoots [0, 1],
         # so the clip runs and its area is booked
