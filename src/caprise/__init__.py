@@ -20,7 +20,7 @@ from .harness import (
     run_case,
     run_suite,
 )
-from .odemodels import ModelSpec, RiseState, Trajectory, integrate
+from .odemodels import ModelSpec, Trajectory, integrate
 
 __all__ = [
     "BenchResult",
@@ -30,7 +30,6 @@ __all__ = [
     "FluidPair",
     "Geometry",
     "ModelSpec",
-    "RiseState",
     "SlipSpec",
     "Trajectory",
     "compare",

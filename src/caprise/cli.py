@@ -148,7 +148,7 @@ def _cmd_sim2d(args) -> int:
     res = run_case(_case(args, args.slip), "vof2d", t_end=args.t_end,
                    nx=args.cells_per_radius)
     write_trajectory_csv(res.trajectory, args.out)
-    print(json.dumps(res.diagnostics.deterministic_fields(), sort_keys=True),
+    print(json.dumps(dataclasses.asdict(res.diagnostics), sort_keys=True),
           file=sys.stderr)
     return 0
 

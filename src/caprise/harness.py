@@ -16,8 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +32,11 @@ from .errors import CapriseError, NoOverlap
 from .odemodels import (
     ModelSpec,
     PeakList,
-    RiseState,
     Trajectory,
     ca_max,
     detect_peaks,
     integrate,
-    settle_metrics,
+    settle_time,
 )
 from .scaling import SCALING_KINDS, auto_t_end, coefficients, nondimensionalize
 from .study import synth_params
@@ -229,7 +227,6 @@ class BenchResult:
     peaks: PeakList
     ca_max: float
     t_settle: float | None
-    wall_time_s: float | None
     step_count: int
     diagnostics: RunDiagnostics | None = None
 
@@ -242,15 +239,13 @@ def _own_target(case: CaseSpec, model: str) -> float:
 
 
 def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
-             dt_out: float | None = None, nx: int | None = None,
-             timings: bool = False) -> BenchResult:
+             dt_out: float | None = None, nx: int | None = None) -> BenchResult:
     """Run one model on one case and collect the standard metrics.
 
     t_end defaults to the auto policy (scaled time 10 in every scaling).
     vof2d needs an explicit resolution nx; it is never chosen silently.
     A case whose corrected stationary height is not positive is refused
-    before any model runs.  wall_time_s stays None unless timings is set,
-    keeping repeated exports byte-identical.
+    before any model runs.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
@@ -259,7 +254,6 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
         raise ValueError(f"stationary height {h_inf_pred:g} m is not positive")
     if t_end is None:
         t_end = auto_t_end(case.fluid, case.geom)
-    t0 = time.perf_counter()
     diag = None
     if model == "vof2d":
         if nx is None:
@@ -272,12 +266,10 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
         # limit is no slip, so the extended model runs with L = 0
         L = case.slip.L if case.slip.kind == "navier" else 0.0
         spec = ModelSpec.classical() if model == "classical" else ModelSpec.extended(L)
-        traj = integrate(spec, case.fluid, case.geom, RiseState(h=case.geom.h0, v=0.0),
-                         t_end, dt_out=dt_out, label=case.label)
-    wall = time.perf_counter() - t0
+        traj = integrate(spec, case.fluid, case.geom, t_end, dt_out=dt_out,
+                         label=case.label)
 
     traj.metadata["h_inf"] = _own_target(case, model)
-    settle = settle_metrics(traj, traj.metadata["h_inf"])
     h_final = float(traj.h[-1])
     steps = diag.n_steps if diag is not None else traj.metadata["nfev"]
     return BenchResult(
@@ -285,8 +277,7 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
         h_inf_predicted=h_inf_pred, h_final=h_final,
         rel_stationary_err=abs(h_final - h_inf_pred) / h_inf_pred,
         peaks=detect_peaks(traj), ca_max=ca_max(traj, case.fluid),
-        t_settle=settle.t_settle,
-        wall_time_s=wall if timings else None, step_count=steps,
+        t_settle=settle_time(traj, traj.metadata["h_inf"]), step_count=steps,
         diagnostics=diag)
 
 
@@ -302,7 +293,7 @@ def _summary_entry(case: CaseSpec, model: str, res: BenchResult) -> dict:
                    "R": gm.R, "theta_deg": round(math.degrees(gm.theta_e), 12)},
         "h_jurin": jurin_height(f, gm),
         "h_hat": height_correction(gm),
-        "h_inf": stationary_height(f, gm),
+        "h_inf": res.h_inf_predicted,
         "h_final": res.h_final,
         "rel_stationary_err": res.rel_stationary_err,
         "ca_max": res.ca_max,
@@ -310,10 +301,11 @@ def _summary_entry(case: CaseSpec, model: str, res: BenchResult) -> dict:
         "peaks": [{"t": p.t, "h": p.h, "is_max": p.is_max}
                   for p in res.peaks.peaks],
         "n_steps": res.step_count,
-        "wall_time_s": res.wall_time_s,
+        # no run records its wall time; the key stays for the byte contract
+        "wall_time_s": None,
     }
     if res.diagnostics is not None:
-        entry["diagnostics"] = res.diagnostics.deterministic_fields()
+        entry["diagnostics"] = asdict(res.diagnostics)
     return entry
 
 

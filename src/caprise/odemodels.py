@@ -56,18 +56,6 @@ def _rms(a: float, b: float) -> float:
 
 
 @dataclass(frozen=True)
-class RiseState:
-    """Instantaneous apex state."""
-
-    h: float  # apex height [m]
-    v: float  # apex velocity [m/s]
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.h) and math.isfinite(self.v)):
-            raise ValueError("state must be finite")
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Which rise model to evaluate."""
 
@@ -97,13 +85,8 @@ class ModelSpec:
 class SlipGroups:
     """Dimensionless slip-length groups of the extended model."""
 
-    s: float  # L/R [-]
-    k: float  # 1/(1+3S) [-]
+    k: float  # 1/(1+3S), S = L/R [-]
     q: float  # convective profile factor [-]
-
-    def __post_init__(self) -> None:
-        if self.s < 0.0:
-            raise ValueError("s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -151,13 +134,6 @@ class PeakList:
         return len(self.peaks)
 
 
-@dataclass(frozen=True)
-class SettleMetrics:
-    t_settle: float | None  # None when the 1% band is never held to the end
-    h_final: float
-    overshoot: float
-
-
 class RiseBalance(NamedTuple):
     """Coefficient row of the one rise-model balance
 
@@ -188,14 +164,13 @@ class RiseBalance(NamedTuple):
 
 
 def slip_groups(L: float, R: float) -> SlipGroups:
-    """Dimensionless groups S = L/R, K = 1/(1+3S) and the convective Q."""
+    """Dimensionless groups K = 1/(1+3S), S = L/R, and the convective Q."""
     if not (0.0 <= L < math.inf and R > 0.0):
         raise ValueError("need a finite L >= 0 and R > 0")
-    s = L / R
     # Q of the Navier-slip velocity profile, written in L and R so that the
     # dimensional rows keep their bits; with R = 1 it is Q(S)
     q = 3.0 * (15.0 * L * L + 10.0 * L * R + 2.0 * R * R) / (5.0 * (R + 3.0 * L) ** 2)
-    return SlipGroups(s=s, k=1.0 / (1.0 + 3.0 * s), q=q)
+    return SlipGroups(k=1.0 / (1.0 + 3.0 * (L / R)), q=q)
 
 
 def model_balance(model: ModelSpec, fluid: FluidPair, geom: Geometry) -> RiseBalance:
@@ -392,20 +367,20 @@ def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, *,
     return Trajectory(t=t_eval, h=np.array(hs), v=np.array(vs), metadata=meta)
 
 
-def integrate(model: ModelSpec, fluid: FluidPair, geom: Geometry, init: RiseState,
-              t_end: float, *, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+def integrate(model: ModelSpec, fluid: FluidPair, geom: Geometry, t_end: float, *,
+              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
               dt_out: float | None = None, label: str = "") -> Trajectory:
-    """Integrate the rise model from ``init`` over [0, t_end].
+    """Integrate the rise model from rest at geom.h0 over [0, t_end].
 
     dt_out defaults to t_end/2000; the last sample lands exactly on t_end.
     """
-    if model.kind == "classical" and init.h <= 1e-9 * geom.R:
+    if model.kind == "classical" and geom.h0 <= 1e-9 * geom.R:
         # the classical equation is singular at h=0; refuse rather than regularize
         raise ValueError("classical model requires h0 > 1e-9*R")
     meta = {"label": label, "model": model.kind}
     if model.kind == "extended":
         meta["slip_length"] = model.slip_length
-    return solve_rk45(model_balance(model, fluid, geom), init.h, init.v, t_end,
+    return solve_rk45(model_balance(model, fluid, geom), geom.h0, 0.0, t_end,
                       rtol=rtol, atol=atol, dt_out=dt_out, metadata=meta)
 
 
@@ -467,21 +442,18 @@ def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4,
     return PeakList(peaks=tuple(peaks))
 
 
-def settle_metrics(traj: Trajectory, h_inf: float) -> SettleMetrics:
-    """Settling time into the 1% band around h_inf, final height, overshoot."""
+def settle_time(traj: Trajectory, h_inf: float) -> float | None:
+    """Time from which h stays in the 1% band around h_inf; None when the
+    band is not held to the end."""
     if not h_inf > 0.0:
         raise ValueError("h_inf must be positive")
     outside = np.abs(traj.h - h_inf) > 0.01 * h_inf
     idx = np.nonzero(outside)[0]
     if idx.size == 0:
-        t_settle: float | None = float(traj.t[0])
-    elif idx[-1] == len(traj) - 1:
-        t_settle = None  # not settled by t_end
-    else:
-        t_settle = float(traj.t[idx[-1] + 1])
-    overshoot = max(0.0, float(np.max(traj.h)) - h_inf)
-    return SettleMetrics(t_settle=t_settle, h_final=float(traj.h[-1]),
-                         overshoot=overshoot)
+        return float(traj.t[0])
+    if idx[-1] == len(traj) - 1:
+        return None
+    return float(traj.t[idx[-1] + 1])
 
 
 def ca_max(traj: Trajectory, fluid: FluidPair) -> float:

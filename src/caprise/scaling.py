@@ -26,22 +26,20 @@ SCALING_KINDS = ("I", "II", "III")
 
 @dataclass(frozen=True)
 class ScaleSet:
-    """Scaling coefficients of a case; omega is redundant and checked."""
+    """Scaling coefficients of a case."""
 
     a: float      # rho R / (sigma cos) [s^2/m^3-compatible]
     b: float      # viscous coefficient [s/m^2-compatible]
     c: float      # rho g R / (sigma cos) = 1/h_Jurin [1/m]
-    dim: str      # "2d" | "3d"
-    omega: float  # dimensionless group [-]
 
     def __post_init__(self) -> None:
         if not (self.a > 0.0 and self.b > 0.0 and self.c > 0.0):
             raise ValueError("a, b, c must be positive")
-        if self.dim not in ("2d", "3d"):
-            raise ValueError("dim must be '2d' or '3d'")
-        om = math.sqrt(self.b**2 / (self.a * self.c**2))
-        if abs(self.omega - om) > 1e-12 * om:
-            raise ValueError("omega inconsistent with sqrt(b^2/(a c^2))")
+
+    @property
+    def omega(self) -> float:
+        """The dimensionless group sqrt(b^2/(a c^2)) [-]."""
+        return math.sqrt(self.b**2 / (self.a * self.c**2))
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,7 @@ def coefficients(fluid: FluidPair, geom: Geometry, dim: str = "2d") -> ScaleSet:
         c = rho * g * R / (2.0 * sc)
     else:
         raise ValueError("dim must be '2d' or '3d'")
-    omega = math.sqrt(b**2 / (a * c**2))
-    return ScaleSet(a=a, b=b, c=c, dim=dim, omega=omega)
+    return ScaleSet(a=a, b=b, c=c)
 
 
 def units(kind: str, s: ScaleSet) -> ScaleUnits:

@@ -97,14 +97,12 @@ class PlicPlane(NamedTuple):
 
     normal: tuple[float, float]
     offset: float
-    dx: float
-    dy: float
 
     def slab_area(self, x0: float, x1: float, y0: float, y1: float) -> float:
         """Liquid area inside the sub-rectangle [x0,x1]x[y0,y1]."""
         if x1 <= x0 or y1 <= y0:
             return 0.0
-        (n1, n2), d, _, _ = self
+        (n1, n2), d = self
         d = d - n1 * x0 - n2 * y0
         w, h = x1 - x0, y1 - y0
         # reflect to the positive-normal octant; d shifts by the flipped span
@@ -124,6 +122,6 @@ def plic_reconstruct(alpha3x3, dx: float, dy: float) -> PlicPlane:
         raise ValueError(f"centre fraction {ac} is not a mixed cell")
     n = youngs_normal(alpha3x3, dx, dy)
     # ac < 1 keeps ac*dx*dy <= dx*dy: no range check or clamp needed
-    plane = (n, _offset(n, ac * dx * dy, dx, dy), dx, dy)
+    plane = (n, _offset(n, ac * dx * dy, dx, dy))
     # tuple.__new__ skips the NamedTuple constructor's Python frame
     return tuple.__new__(PlicPlane, plane)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,14 +61,6 @@ class RunDiagnostics:
     vol_drift_rel: float = 0.0
     clipped_area_total: float = 0.0
     alpha_overshoot_max: float = 0.0
-    wall_time_s: float = 0.0
-
-    def deterministic_fields(self) -> dict:
-        """Every field but wall_time_s, the one that differs between
-        identical runs."""
-        fields = asdict(self)
-        del fields["wall_time_s"]
-        return fields
 
 
 @functools.lru_cache(maxsize=16)
@@ -415,7 +406,6 @@ class Simulator:
     def run(self) -> tuple[Trajectory, RunDiagnostics]:
         setup = self.setup
         t_end = setup.t_end
-        t0 = time.perf_counter()
         times = [self.state.t]
         apex = [apex_height(self.state)]
         dt = compute_dt(self.state, setup.fluid)
@@ -426,7 +416,6 @@ class Simulator:
             # u and v are as advect_alpha scanned them: no second scan
             dt = _dt_from_speeds(*self._speeds, setup.fluid,
                                  self.state.grid.dx)
-        self.diag.wall_time_s = time.perf_counter() - t0
 
         vol_end = self.state.liquid_area()
         denom = max(self._vol_start, self.state.grid.dx * self.state.grid.dy)

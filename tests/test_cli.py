@@ -11,7 +11,7 @@ from caprise.core import SlipSpec
 from caprise.errors import StepSizeUnderflow
 from caprise.harness import (read_trajectory_csv, trajectory_csv_text,
                              write_trajectory_csv)
-from caprise.odemodels import ModelSpec, RiseState, Trajectory, integrate
+from caprise.odemodels import ModelSpec, Trajectory, integrate
 from caprise.scaling import auto_t_end
 from caprise.study import synth_params
 from caprise.vof2d import CaseSetup2D, Simulator
@@ -90,8 +90,10 @@ class TestOde:
         fluid, geom = synth_params(1.0, 0.04)
         if h0 is not None:
             geom = dataclasses.replace(geom, h0=h0)
-        traj = integrate(model, fluid, geom, RiseState(h=geom.h0, v=0.0),
-                         auto_t_end(fluid, geom))
+        traj = integrate(model, fluid, geom, auto_t_end(fluid, geom))
+        # from rest at geom.h0, the 2D solver's initial state too
+        assert traj.h[0] == geom.h0
+        assert traj.v[0] == 0.0
         out = run_ok(capsys, ["ode", "--omega", "1", "--sigma", "0.04"] + argv)
         assert out == trajectory_csv_text(traj)
 

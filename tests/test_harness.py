@@ -272,11 +272,6 @@ class TestRunCase:
         assert cls.trajectory.metadata["h_inf"] == jurin_height(case.fluid,
                                                                 case.geom)
         assert cls.step_count > 0
-        assert cls.wall_time_s is None
-
-    def test_timings_opt_in(self, suite):
-        res = run_case(suite[-1], "classical", timings=True)
-        assert res.wall_time_s > 0.0
 
     @pytest.mark.parametrize("model", ["classical", "extended", "vof2d"])
     def test_non_positive_stationary_height_refused(self, model, monkeypatch):
@@ -426,10 +421,8 @@ class TestRunSuite:
         entry = json.loads((out / "summary.json").read_text())[0]
         assert entry["n_steps"] == res.step_count
         assert (out / "omega1_vof2d_none.csv").exists()
-        # the run's diagnostics reach the summary, all but the wall time
-        diag = dataclasses.asdict(res.diagnostics)
-        del diag["wall_time_s"]
-        assert entry["diagnostics"] == diag
+        # the run's diagnostics reach the summary
+        assert entry["diagnostics"] == dataclasses.asdict(res.diagnostics)
         assert entry["diagnostics"]["n_steps"] == res.step_count
 
     def test_summary_entry_fields(self, tmp_path, suite):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from caprise.odemodels import (
     DEFAULT_RTOL,
     ModelSpec,
     RiseBalance,
-    RiseState,
     Trajectory,
     _rms,
     ca_max,
@@ -32,7 +32,7 @@ from caprise.odemodels import (
     integrate,
     model_balance,
     output_times,
-    settle_metrics,
+    settle_time,
     slip_groups,
     solve_rk45,
 )
@@ -141,17 +141,14 @@ def test_integrate_argument_checks():
     fluid, geom = synth_params(1.0, 0.04)
     # classical model refuses a (near-)dry start
     with pytest.raises(ValueError):
-        integrate(ModelSpec.classical(), fluid, geom, RiseState(h=1e-13, v=0.0),
-                  t_end=1.0)
+        integrate(ModelSpec.classical(), fluid, replace(geom, h0=1e-13), t_end=1.0)
     # extended model accepts h0 = 0
-    integrate(ModelSpec.extended(0.001), fluid, geom, RiseState(h=0.0, v=0.0),
-              t_end=1e-3)
+    integrate(ModelSpec.extended(0.001), fluid, replace(geom, h0=0.0), t_end=1e-3)
 
 
 def _integrate_dimensional(**kw):
     fluid, geom = synth_params(1.0, 0.04)
-    return integrate(ModelSpec.extended(0.001), fluid, geom, RiseState(h=0.01, v=0.0),
-                     **kw)
+    return integrate(ModelSpec.extended(0.001), fluid, replace(geom, h0=0.01), **kw)
 
 
 def _integrate_scaled_ii(**kw):
@@ -198,7 +195,7 @@ def test_solve_rk45_matches_scipy_rk45(omega, model):
                 else ModelSpec.extended(case.slip.L))
         f = model_balance(spec, case.fluid, case.geom)
         h0, t_end = case.geom.h0, auto_t_end(case.fluid, case.geom)
-        tr = integrate(spec, case.fluid, case.geom, RiseState(h=h0, v=0.0), t_end)
+        tr = integrate(spec, case.fluid, case.geom, t_end)
     t_eval = output_times(t_end, t_end / 2000.0)
     ref = solve_ivp(lambda t, y: f(y[0], y[1]), (0.0, t_end), [h0, 0.0],
                     method="RK45", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, t_eval=t_eval)
@@ -399,8 +396,8 @@ def test_import_leaves_out_scipy_integrate():
 
 def test_integrate_sampling_grid():
     fluid, geom = synth_params(1.0, 0.04)
-    tr = integrate(ModelSpec.extended(0.001), fluid, geom,
-                   RiseState(h=0.01, v=0.0), t_end=0.5)
+    tr = integrate(ModelSpec.extended(0.001), fluid, replace(geom, h0=0.01),
+                   t_end=0.5)
     assert len(tr) == 2001
     assert tr.t[0] == 0.0
     assert tr.t[-1] == 0.5
@@ -411,8 +408,7 @@ def test_integrate_sampling_grid():
 def test_integrate_holds_equilibrium():
     fluid, geom = synth_params(1.0, 0.04)
     h_j = jurin_height(fluid, geom)
-    tr = integrate(ModelSpec.classical(), fluid, geom, RiseState(h=h_j, v=0.0),
-                   t_end=1.0)
+    tr = integrate(ModelSpec.classical(), fluid, replace(geom, h0=h_j), t_end=1.0)
     assert np.max(np.abs(tr.h - h_j)) <= 1e-8 * h_j
 
 
@@ -433,8 +429,7 @@ def test_extended_reduces_to_classical():
     fluid, geom = synth_params(1.0, 0.04)
     t_end = auto_t_end(fluid, geom)
     tr_red = solve_rk45(_reduced_extended(fluid, geom), 0.01, 0.0, t_end)
-    tr_cls = integrate(ModelSpec.classical(), fluid, geom, RiseState(h=0.01, v=0.0),
-                       t_end)
+    tr_cls = integrate(ModelSpec.classical(), fluid, replace(geom, h0=0.01), t_end)
     scale = np.max(np.abs(tr_cls.h))
     assert np.max(np.abs(tr_red.h - tr_cls.h)) <= 10 * 1e-10 * scale
 
@@ -443,10 +438,10 @@ def test_extended_reduces_to_classical():
 def test_integrate_tolerance_convergence(omega, sigma):
     fluid, geom = synth_params(omega, sigma)
     t_end = auto_t_end(fluid, geom)
-    init = RiseState(h=0.01, v=0.0)
+    geom = replace(geom, h0=0.01)
     model = ModelSpec.extended(0.001)
-    h_a = integrate(model, fluid, geom, init, t_end, rtol=1e-8).h[-1]
-    h_b = integrate(model, fluid, geom, init, t_end, rtol=5e-9).h[-1]
+    h_a = integrate(model, fluid, geom, t_end, rtol=1e-8).h[-1]
+    h_b = integrate(model, fluid, geom, t_end, rtol=5e-9).h[-1]
     assert abs(h_a - h_b) / abs(h_b) < 1e-8
 
 
@@ -454,11 +449,10 @@ def test_initial_rise_and_damping():
     # v0=0, h0 below equilibrium: the column must move up at once and the
     # successive maxima of the damped oscillation must not grow
     fluid, geom = synth_params(0.1, 0.2)
-    init = RiseState(h=0.01, v=0.0)
-    _, dv0 = model_balance(ModelSpec.extended(0.001), fluid, geom)(init.h, init.v)
+    geom = replace(geom, h0=0.01)
+    _, dv0 = model_balance(ModelSpec.extended(0.001), fluid, geom)(geom.h0, 0.0)
     assert dv0 > 0.0
-    tr = integrate(ModelSpec.extended(0.001), fluid, geom, init,
-                   auto_t_end(fluid, geom))
+    tr = integrate(ModelSpec.extended(0.001), fluid, geom, auto_t_end(fluid, geom))
     peaks = detect_peaks(tr, h_ref=stationary_height(fluid, geom))
     maxima = peaks.maxima()
     assert len(maxima) >= 2
@@ -466,7 +460,7 @@ def test_initial_rise_and_damping():
     assert all(h2 <= h1 + 1e-12 for h1, h2 in zip(heights, heights[1:]))
     first_max_t = maxima[0].t
     rising = tr.h[(tr.t > 0) & (tr.t < first_max_t)]
-    assert np.all(rising > init.h)
+    assert np.all(rising > geom.h0)
 
 
 def test_detect_peaks_needs_three_samples():
@@ -511,25 +505,20 @@ def test_detect_peaks_prominence_suppression():
 def test_settle_metrics_constant():
     t = np.linspace(0.0, 1.0, 50)
     tr = synthetic_traj(t, np.full_like(t, 2.0))
-    m = settle_metrics(tr, 2.0)
-    assert m.t_settle == 0.0
-    assert m.overshoot == 0.0
-    assert m.h_final == 2.0
+    assert settle_time(tr, 2.0) == 0.0
 
 
 def test_settle_metrics_exponential_decay():
     # |h - 1| = 0.5 exp(-t) crosses the 1% band at t = ln 50
     t = np.linspace(0.0, 8.0, 8001)
     tr = synthetic_traj(t, 1.0 + 0.5 * np.exp(-t))
-    m = settle_metrics(tr, 1.0)
-    assert m.t_settle == pytest.approx(math.log(50.0), abs=t[1] - t[0])
-    assert m.overshoot == pytest.approx(0.5, rel=1e-12)
+    assert settle_time(tr, 1.0) == pytest.approx(math.log(50.0), abs=t[1] - t[0])
 
 
 def test_settle_metrics_not_settled():
     t = np.linspace(0.0, 1.0, 100)
     tr = synthetic_traj(t, 2.0 + t)  # walks away from h_inf = 2
-    assert settle_metrics(tr, 2.0).t_settle is None
+    assert settle_time(tr, 2.0) is None
 
 
 def test_ca_max():

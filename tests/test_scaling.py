@@ -9,7 +9,7 @@ import pytest
 from caprise.core import FluidPair, Geometry, SlipSpec, dimensionless_numbers, \
     height_correction, jurin_height
 from caprise.errors import NonWettingAngle
-from caprise.odemodels import ModelSpec, RiseState, Trajectory, detect_peaks, \
+from caprise.odemodels import ModelSpec, Trajectory, detect_peaks, \
     integrate, slip_groups, solve_rk45
 from caprise.scaling import (
     SCALING_KINDS,
@@ -34,12 +34,6 @@ def random_fluid_geom(rng):
     geom = Geometry(R=10 ** rng.uniform(-4, -1), theta_e=rng.uniform(0.05, 1.5),
                     h0=0.0, h_domain=1.0)
     return fluid, geom
-
-
-def test_scale_set_omega_consistency_enforced():
-    with pytest.raises(ValueError):
-        ScaleSet(a=1.0, b=2.0, c=3.0, dim="2d", omega=1.0)
-    ScaleSet(a=1.0, b=2.0, c=3.0, dim="2d", omega=2.0 / 3.0)
 
 
 def test_coefficients_table_row():
@@ -115,7 +109,8 @@ def test_units_scaling_II_equals_I_at_omega_one():
     # b^2 = a c^2 makes the viscous and inertial time rates coincide
     a, c = 2.0, 3.0
     b = math.sqrt(a) * c
-    s = ScaleSet(a=a, b=b, c=c, dim="2d", omega=1.0)
+    s = ScaleSet(a=a, b=b, c=c)
+    assert s.omega == pytest.approx(1.0, rel=1e-15)
     assert units("I", s).t_rate == pytest.approx(units("II", s).t_rate, rel=1e-15)
     assert units("I", s).h_rate == units("II", s).h_rate
 
@@ -132,7 +127,6 @@ def test_scaling_iii_equilibrium_identity():
 
 def test_slip_groups_frozen():
     g = slip_groups(0.001, 0.005)
-    assert g.s == pytest.approx(0.2, rel=1e-15)
     assert g.k == pytest.approx(0.625, rel=1e-15)
     assert g.q == pytest.approx(1.078125, rel=1e-12)
     g0 = slip_groups(0.0, 1.0)
@@ -316,8 +310,7 @@ def test_consistency_theorem_omega_one(kind):
     fluid, geom = synth_params(1.0, 0.04)
     L = geom.R / 5.0
     t_end = auto_t_end(fluid, geom)
-    traj = integrate(ModelSpec.extended(L), fluid, geom,
-                     RiseState(h=geom.h0, v=0.0), t_end)
+    traj = integrate(ModelSpec.extended(L), fluid, geom, t_end)
     s = coefficients(fluid, geom)
     scaled_ref = nondimensionalize(traj, kind, s)
     u = units(kind, s)

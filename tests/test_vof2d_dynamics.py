@@ -44,6 +44,17 @@ def _laplace_jump(sim):
     return st.p[0, jc + 4] - st.p[0, jc - 4]
 
 
+def _mean_laplace_jump(nx, t_end=0.06):
+    """Time mean of the Laplace jump in the static box over [0, t_end] s."""
+    sim, _ = _static_box(nx, steps=0)
+    total = 0.0
+    while sim.state.t < t_end * (1.0 - 1e-12):
+        dt = min(compute_dt(sim.state, FLUID), t_end - sim.state.t)
+        sim.step(dt)
+        total += _laplace_jump(sim) * dt
+    return total / t_end
+
+
 LAPLACE_JUMP = FLUID.sigma * math.cos(GEOM.theta_e) / GEOM.R
 
 
@@ -65,12 +76,12 @@ class TestStaticMeniscus:
         sim, _ = static_sim
         assert _laplace_jump(sim) == pytest.approx(LAPLACE_JUMP, rel=0.02)
 
-    def test_pressure_jump_converges(self, static_sim):
-        # measured relative errors: 1.99e-2, 3.99e-3 and 1.84e-3 at nx 4, 8,
-        # 16; the nx 16 error swings between 1e-4 and 2.4e-3 with the
-        # time reached in 100 steps
-        sims = [_static_box(nx)[0] for nx in (4, 8)] + [static_sim[0]]
-        errs = [abs(_laplace_jump(sim) / LAPLACE_JUMP - 1.0) for sim in sims]
+    def test_pressure_jump_converges(self):
+        # every mesh is measured over the same times, 83, 235 and 664 steps
+        # at nx 4, 8, 16; measured relative errors of the mean 1.87e-2,
+        # 4.72e-3 and 1.16e-3, about a quarter per halving
+        errs = [abs(_mean_laplace_jump(nx) / LAPLACE_JUMP - 1.0)
+                for nx in (4, 8, 16)]
         assert errs[1] < 0.5 * errs[0]
         assert errs[2] < 0.5 * errs[1]
 

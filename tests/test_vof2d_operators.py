@@ -1,6 +1,7 @@
 """Discrete operators: curvature, slip ghosts, projection, advection."""
 
 import copy
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -1032,7 +1033,7 @@ def _assert_advect_matches_reference(sim, dt):
         sim.diag = RunDiagnostics(**vars(saved[3]))
         sim._boundary_influx = saved[4]
         advect(sim, dt)
-        runs.append((st.alpha, sim.diag.deterministic_fields(),
+        runs.append((st.alpha, dataclasses.asdict(sim.diag),
                      sim._boundary_influx))
     (alpha, diag, influx), (ref_alpha, ref_diag, ref_influx) = runs
     assert _same_bits(alpha, ref_alpha)
@@ -1187,7 +1188,7 @@ class TestPlicMatchesReference:
             plane = plic_reconstruct(sten, hx, hy)
             normal, offset = _reference_plane(sten, hx, hy)
             assert type(plane) is PlicPlane
-            assert plane == (normal, offset, hx, hy)
+            assert plane == (normal, offset)
             assert _bits(plane.offset) == _bits(offset)
             for slab in _slabs(rng, hx, hy):
                 assert _bits(plane.slab_area(*slab)) == \
@@ -1205,7 +1206,7 @@ class TestPlicMatchesReference:
             for d in (-0.0, 0.0, -1.0, 0.3, 2.0, 0.6 * 0.5, -0.6 * 0.5):
                 for dx, dy in ((1.0, 1.0), (0.5, 0.25)):
                     slab = (0.0, dx, 0.0, dy)
-                    assert _bits(PlicPlane(n, d, dx, dy).slab_area(*slab)) \
+                    assert _bits(PlicPlane(n, d).slab_area(*slab)) \
                         == _bits(_reference_slab_area(n, d, *slab)), \
                         (n, d, dx, dy)
 
