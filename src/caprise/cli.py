@@ -29,6 +29,7 @@ from .harness import (
 )
 from .scaling import SCALING_KINDS, coefficients, nondimensionalize
 from .study import crossover_cells, step_counts, synth_params, timestep_limits
+from .vof2d.geometry import DOMAIN_RADII
 
 
 def _print_json(obj) -> None:
@@ -93,7 +94,7 @@ def _cmd_params(args) -> int:
         "R": geom.R,
         "theta_deg": round(math.degrees(geom.theta_e), 12),
         "h0": geom.h0,
-        "h_domain": geom.h_domain,
+        "h_domain": DOMAIN_RADII * geom.R,
         "eo": nums.eo,
         "oh": nums.oh,
         "l_cap": nums.l_cap,

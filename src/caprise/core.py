@@ -45,7 +45,6 @@ class Geometry:
     R: float        # half gap width [m]
     theta_e: float  # equilibrium contact angle [rad]
     h0: float       # initial apex height [m]
-    h_domain: float  # domain height [m]
 
     def __post_init__(self) -> None:
         if not self.R > 0.0:
@@ -54,10 +53,8 @@ class Geometry:
         # up; keep the package honest and refuse them at the door.
         if not 0.0 < self.theta_e <= 0.5 * math.pi:
             raise ValueError("theta_e must lie in (0, pi/2]")
-        if not self.h_domain > 0.0:
-            raise ValueError("h_domain must be positive")
-        if not 0.0 <= self.h0 < self.h_domain:
-            raise ValueError("h0 must lie in [0, h_domain)")
+        if not 0.0 <= self.h0 < math.inf:
+            raise ValueError("h0 must be finite and >= 0")
 
 
 @dataclass(frozen=True)

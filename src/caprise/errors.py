@@ -15,7 +15,8 @@ class NonWettingAngle(CapriseError, ValueError):
 
 
 class ArcExceedsDomain(CapriseError, ValueError):
-    """Initial meniscus arc does not fit inside the simulation domain."""
+    """Initial interface (meniscus arc or flat level) reaches the top of
+    the 2D grid."""
 
 
 class NoOverlap(CapriseError, ValueError):

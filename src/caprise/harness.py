@@ -31,7 +31,7 @@ from .core import (
 from .errors import CapriseError, NoOverlap
 from .odemodels import (
     ModelSpec,
-    PeakList,
+    Peak,
     Trajectory,
     ca_max,
     detect_peaks,
@@ -144,9 +144,8 @@ def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
     l2 = _rel(float(np.linalg.norm(diff)), float(np.linalg.norm(hb)))
     linf = _rel(float(np.max(np.abs(diff))), float(np.max(np.abs(hb))))
 
-    pa = detect_peaks(a) if len(a) >= 3 else PeakList(peaks=())
-    pb = detect_peaks(b) if len(b) >= 3 else PeakList(peaks=())
-    ma, mb = pa.maxima(), pb.maxima()
+    ma, mb = ([p for p in detect_peaks(tr) if p.is_max] if len(tr) >= 3 else []
+              for tr in (a, b))
     t_ratio: float | None = None
     o_ratio: float | None = None
     if ma and mb:
@@ -221,14 +220,24 @@ class BenchResult:
     case: CaseSpec
     model: str
     trajectory: Trajectory
-    h_inf_predicted: float
-    h_final: float
-    rel_stationary_err: float
-    peaks: PeakList
+    peaks: tuple[Peak, ...]
     ca_max: float
     t_settle: float | None
     step_count: int
     diagnostics: RunDiagnostics | None = None
+
+    @property
+    def h_inf_predicted(self) -> float:
+        return stationary_height(self.case.fluid, self.case.geom)
+
+    @property
+    def h_final(self) -> float:
+        return float(self.trajectory.h[-1])
+
+    @property
+    def rel_stationary_err(self) -> float:
+        h_inf = self.h_inf_predicted
+        return abs(self.h_final - h_inf) / h_inf
 
 
 def _own_target(case: CaseSpec, model: str) -> float:
@@ -270,13 +279,10 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
                          label=case.label)
 
     traj.metadata["h_inf"] = _own_target(case, model)
-    h_final = float(traj.h[-1])
     steps = diag.n_steps if diag is not None else traj.metadata["nfev"]
     return BenchResult(
-        case=case, model=model, trajectory=traj,
-        h_inf_predicted=h_inf_pred, h_final=h_final,
-        rel_stationary_err=abs(h_final - h_inf_pred) / h_inf_pred,
-        peaks=detect_peaks(traj), ca_max=ca_max(traj, case.fluid),
+        case=case, model=model, trajectory=traj, peaks=detect_peaks(traj),
+        ca_max=ca_max(traj, case.fluid),
         t_settle=settle_time(traj, traj.metadata["h_inf"]), step_count=steps,
         diagnostics=diag)
 
@@ -299,7 +305,7 @@ def _summary_entry(case: CaseSpec, model: str, res: BenchResult) -> dict:
         "ca_max": res.ca_max,
         "t_settle": res.t_settle,
         "peaks": [{"t": p.t, "h": p.h, "is_max": p.is_max}
-                  for p in res.peaks.peaks],
+                  for p in res.peaks],
         "n_steps": res.step_count,
         # no run records its wall time; the key stays for the byte contract
         "wall_time_s": None,

@@ -123,17 +123,6 @@ class Peak:
     is_max: bool
 
 
-@dataclass(frozen=True)
-class PeakList:
-    peaks: tuple[Peak, ...]
-
-    def maxima(self) -> tuple[Peak, ...]:
-        return tuple(p for p in self.peaks if p.is_max)
-
-    def __len__(self) -> int:
-        return len(self.peaks)
-
-
 class RiseBalance(NamedTuple):
     """Coefficient row of the one rise-model balance
 
@@ -385,7 +374,7 @@ def integrate(model: ModelSpec, fluid: FluidPair, geom: Geometry, t_end: float, 
 
 
 def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4,
-                 h_ref: float | None = None) -> PeakList:
+                 h_ref: float | None = None) -> tuple[Peak, ...]:
     """Interior extrema of h(t) with small wiggles suppressed.
 
     Extrema come from discrete slope sign changes and are polished with a
@@ -439,7 +428,7 @@ def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4,
         dt_loc = 0.5 * (traj.t[i + 1] - traj.t[i - 1])
         peaks.append(Peak(t=float(traj.t[i] + p * dt_loc),
                           h=float(b - 0.25 * (a - c) * p), is_max=is_max))
-    return PeakList(peaks=tuple(peaks))
+    return tuple(peaks)
 
 
 def settle_time(traj: Trajectory, h_inf: float) -> float | None:

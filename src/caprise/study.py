@@ -12,8 +12,8 @@ have the unique solution
     g   = sigma cos(theta) / (4 R^2 rho).
 
 The remaining inputs are fixed study-wide: R = 5 mm, mu_l = 0.01 Pa s,
-theta_e = 30 deg, density and viscosity ratios 1000, h0 = 2R in an 8R
-domain.
+theta_e = 30 deg, density and viscosity ratios 1000, h0 = 2R.  The 2D
+solver's domain height, 8R, belongs to its grid (vof2d.geometry).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ STUDY_THETA = math.radians(30.0)  # equilibrium contact angle [rad]
 STUDY_DENSITY_RATIO = 1000.0
 STUDY_VISCOSITY_RATIO = 1000.0
 STUDY_H0_FACTOR = 2.0    # h0 = 2R
-STUDY_DOMAIN_FACTOR = 8.0  # h_domain = 8R
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,7 @@ def synth_params(omega: float, sigma: float) -> tuple[FluidPair, Geometry]:
                       mu_l=STUDY_MU_L, mu_g=STUDY_MU_L / STUDY_VISCOSITY_RATIO,
                       sigma=sigma, g=g)
     geom = Geometry(R=STUDY_R, theta_e=STUDY_THETA,
-                    h0=STUDY_H0_FACTOR * STUDY_R,
-                    h_domain=STUDY_DOMAIN_FACTOR * STUDY_R)
+                    h0=STUDY_H0_FACTOR * STUDY_R)
     return fluid, geom
 
 

@@ -1,13 +1,14 @@
 """Grid layout, simulation state, and exact interface initialisation.
 
 Half-gap configuration: x in [0, R] with the symmetry plane at x = 0 and
-the wall at x = R, y in [0, h_domain] with h_domain = 8 R.  Square cells.
+the wall at x = R, y in [0, 8 R].  Square cells.  The domain height is the
+grid's, not the case's: a Geometry states only the channel and its fill.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +17,9 @@ from ..errors import ArcExceedsDomain, MultiValuedColumn
 
 # the fewest cells across a half gap that the stencils support
 MIN_NX = 4
+
+# domain height in half gap widths
+DOMAIN_RADII = 8
 
 # fractions closer than this to 0 or 1 count as pure cells
 ALPHA_EPS = 1e-9
@@ -27,28 +31,27 @@ _FLAT_COS = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform staggered MAC grid with square cells."""
+    """Uniform staggered MAC grid with square cells: dy is dx."""
 
     nx: int
     ny: int
     dx: float
-    dy: float
+    # a plain attribute, not a property: the step reads it often
+    dy: float = field(init=False)
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one cell per direction")
-        if self.dx <= 0.0 or self.dy <= 0.0:
-            raise ValueError("cell sizes must be positive")
-        if not math.isclose(self.dx, self.dy, rel_tol=1e-12):
-            raise ValueError("cells must be square")
+        if not self.dx > 0.0:  # NaN fails too
+            raise ValueError("cell size must be positive")
+        object.__setattr__(self, "dy", self.dx)
 
     @classmethod
     def half_gap(cls, nx: int, R: float) -> "Grid":
         """nx cells across the half gap [0, R], domain height 8 R."""
         if nx < MIN_NX:
             raise ValueError(f"need at least {MIN_NX} cells across the half gap")
-        dx = R / nx
-        return cls(nx=nx, ny=8 * nx, dx=dx, dy=dx)
+        return cls(nx=nx, ny=DOMAIN_RADII * nx, dx=R / nx)
 
 
 @dataclass
@@ -65,7 +68,6 @@ class SimState:
     v: np.ndarray
     p: np.ndarray
     t: float = 0.0
-    step_count: int = 0
 
     @classmethod
     def quiescent(cls, grid: Grid, alpha: np.ndarray) -> "SimState":
@@ -97,7 +99,8 @@ def arc_column_fractions(geom: Geometry, grid_half: Grid) -> np.ndarray:
     symmetry plane at height h0 (apex) and the wall at the equilibrium
     contact angle.  Liquid fills everything below it.  Fractions are
     exact integrals of the arc over each cell, computed per half-gap
-    column (column 0 at the symmetry plane).
+    column (column 0 at the symmetry plane).  A contact line at or above
+    the grid's top raises ArcExceedsDomain.
     """
     nx, ny = grid_half.nx, grid_half.ny
     dx, dy = grid_half.dx, grid_half.dy
@@ -105,7 +108,12 @@ def arc_column_fractions(geom: Geometry, grid_half: Grid) -> np.ndarray:
     alpha = np.zeros((nx, ny))
 
     cos_t = math.cos(theta)
-    if cos_t < _FLAT_COS:
+    flat = cos_t < _FLAT_COS
+    contact_h = h0 if flat else h0 + R * (1.0 - math.sin(theta)) / cos_t
+    if contact_h >= ny * dy:
+        raise ArcExceedsDomain(
+            f"contact line at {contact_h} exceeds domain height {ny * dy}")
+    if flat:
         # 90 degree contact angle: flat interface at y = h0
         for j in range(ny):
             alpha[:, j] = min(max((h0 - j * dy) / dy, 0.0), 1.0)
@@ -113,11 +121,6 @@ def arc_column_fractions(geom: Geometry, grid_half: Grid) -> np.ndarray:
 
     r = R / cos_t
     yc = h0 + r
-    contact_h = h0 + R * (1.0 - math.sin(theta)) / cos_t
-    if contact_h >= geom.h_domain:
-        raise ArcExceedsDomain(
-            f"contact line at {contact_h} exceeds domain height "
-            f"{geom.h_domain}")
 
     def y_if(x: float) -> float:
         return yc - math.sqrt(max(r * r - x * x, 0.0))
@@ -165,8 +168,6 @@ def arc_total_area(geom: Geometry) -> float:
 def init_case(geom: Geometry, nx: int) -> SimState:
     """Quiescent state with the exact arc fractions on a fresh grid."""
     grid = Grid.half_gap(nx, geom.R)
-    if not math.isclose(geom.h_domain, grid.ny * grid.dy, rel_tol=1e-12):
-        raise ValueError(f"h_domain {geom.h_domain:g} m is not the grid's 8 R")
     return SimState.quiescent(grid, arc_column_fractions(geom, grid))
 
 

@@ -63,7 +63,6 @@ class RunDiagnostics:
     alpha_overshoot_max: float = 0.0
 
 
-@functools.lru_cache(maxsize=16)
 def _fixed_dt_limit(fluid: FluidPair, dx: float) -> float:
     """The surface-tension and viscous limits: constant through a run."""
     lim = timestep_limits(fluid, dx)
@@ -75,19 +74,21 @@ def compute_dt(state: SimState, fluid: FluidPair) -> float:
 
     A NaN or infinite velocity raises CourantViolation.
     """
+    dx = state.grid.dx
     return _dt_from_speeds(float(np.abs(state.u).max()),
-                           float(np.abs(state.v).max()), fluid, state.grid.dx)
+                           float(np.abs(state.v).max()),
+                           _fixed_dt_limit(fluid, dx), dx)
 
 
-def _dt_from_speeds(u_max: float, v_max: float, fluid: FluidPair,
+def _dt_from_speeds(u_max: float, v_max: float, fixed: float,
                     dx: float) -> float:
-    """compute_dt from the largest |u| and |v|."""
+    """compute_dt from the largest |u| and |v| and the fixed limit."""
     if not (u_max < math.inf and v_max < math.inf):  # NaN fails too
         raise CourantViolation(
             f"velocity not finite: max |u| {u_max}, max |v| {v_max}")
     u_max = max(u_max, v_max)
     dt_u = dx / u_max if u_max > 0.0 else math.inf
-    return _DT_SAFETY * min(_fixed_dt_limit(fluid, dx), dt_u)
+    return _DT_SAFETY * min(fixed, dt_u)
 
 
 def slip_ghost(v_wall_col: np.ndarray, dx: float, slip: SlipSpec):
@@ -311,7 +312,7 @@ class Simulator:
         c_flag = (st.alpha >= 0.5).astype(float)
         influx = 0.0
 
-        for axis in (0, 1) if st.step_count % 2 == 0 else (1, 0):
+        for axis in (0, 1) if self.diag.n_steps % 2 == 0 else (1, 0):
             influx += self._sweep(dt, c_flag, axis)
         self._boundary_influx += influx
 
@@ -396,7 +397,6 @@ class Simulator:
         st.u, st.v, st.p = self._project(dt, u_star, v_star, rho_x, rho_y)
         self.advect_alpha(dt)
         st.t += dt
-        st.step_count += 1
         self.diag.n_steps += 1
         self.diag.dt_min = min(self.diag.dt_min, dt)
         self.diag.dt_max = max(self.diag.dt_max, dt)
@@ -408,14 +408,15 @@ class Simulator:
         t_end = setup.t_end
         times = [self.state.t]
         apex = [apex_height(self.state)]
+        dx = self.state.grid.dx
+        fixed = _fixed_dt_limit(setup.fluid, dx)
         dt = compute_dt(self.state, setup.fluid)
         while self.state.t < t_end * (1.0 - 1e-12):
             self.step(min(dt, t_end - self.state.t))
             times.append(self.state.t)
             apex.append(apex_height(self.state))
             # u and v are as advect_alpha scanned them: no second scan
-            dt = _dt_from_speeds(*self._speeds, setup.fluid,
-                                 self.state.grid.dx)
+            dt = _dt_from_speeds(*self._speeds, fixed, dx)
 
         vol_end = self.state.liquid_area()
         denom = max(self._vol_start, self.state.grid.dx * self.state.grid.dy)

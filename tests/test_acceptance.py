@@ -86,13 +86,13 @@ def _printed_decimals(x):
 
 
 def _n_maxima(peaklist):
-    return sum(p.is_max for p in peaklist.peaks)
+    return sum(p.is_max for p in peaklist)
 
 
 def _first_overshoot(traj):
     """Height of the first maximum above the stationary target, 0 if none."""
     h_inf = traj.metadata["h_inf"]
-    for p in detect_peaks(traj).peaks:
+    for p in detect_peaks(traj):
         if p.is_max:
             return p.h - h_inf
     return 0.0
@@ -193,7 +193,7 @@ def test_criterion_03_meniscus_correction_oracle():
     worst = 0.0
     for deg in (5, 15, 30, 45, 60, 75, 85):
         th = math.radians(deg)
-        geom = Geometry(R=R, theta_e=th, h0=0.0, h_domain=1.0)
+        geom = Geometry(R=R, theta_e=th, h0=0.0)
         r = R / math.cos(th)
         area, _ = quad(lambda x: r - math.sqrt(r * r - x * x), 0.0, R,
                        epsabs=1e-16, epsrel=1e-13)
@@ -201,7 +201,7 @@ def test_criterion_03_meniscus_correction_oracle():
         worst = max(worst, rel)
         if rel > 1e-9:
             fails.append(f"{deg} deg: rel {rel:.1e}")
-    geom30 = Geometry(R=R, theta_e=math.radians(30.0), h0=0.0, h_domain=1.0)
+    geom30 = Geometry(R=R, theta_e=math.radians(30.0), h0=0.0)
     # the 0.1678936 reference keeps 7 decimals; stay within one last-digit ulp
     ulps = round(height_correction(geom30) / R * 1e7) - 1678936
     if abs(ulps) > 1:
@@ -300,7 +300,7 @@ def test_criterion_07_oscillation_regimes(ode_results):
     if n_one > 1:
         fails.append(f"omega=1: {n_one} overshoot-scale maxima > 1")
     for omega in (10.0, 100.0):
-        n = len(ode_results[(omega, "extended")].peaks.peaks)
+        n = len(ode_results[(omega, "extended")].peaks)
         if n:
             fails.append(f"omega={omega:g}: {n} peaks in monotone regime")
     _verdict(7, "oscillation regimes split across the omega range",

@@ -37,6 +37,8 @@ class TestQueries:
         assert out["g"] == pytest.approx(26.042, rel=1e-3)
         assert out["theta_deg"] == 30.0
         assert out["rho"] / out["rho_g"] == pytest.approx(1000.0, rel=1e-12)
+        # the 2D grid's height, 8 R, to the bit
+        assert out["h_domain"] == 8 * 0.005
 
     def test_cost(self, capsys):
         out = json.loads(run_ok(capsys, ["cost", "--omega", "0.1",

@@ -28,7 +28,7 @@ def make_fluid(**kw):
 # table-rounded omega=1 study row, used by several frozen-value checks
 FLUID_OM1_TAB = FluidPair(rho_l=83.1, rho_g=0.0831, mu_l=0.01, mu_g=1e-5,
                           sigma=0.04, g=4.17)
-GEOM_STD = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01, h_domain=0.04)
+GEOM_STD = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01)
 
 
 def test_fluid_validation():
@@ -44,15 +44,18 @@ def test_fluid_validation():
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        Geometry(R=-1.0, theta_e=0.5, h0=0.0, h_domain=1.0)
+        Geometry(R=-1.0, theta_e=0.5, h0=0.0)
     with pytest.raises(ValueError):
-        Geometry(R=1.0, theta_e=0.0, h0=0.0, h_domain=1.0)
+        Geometry(R=1.0, theta_e=0.0, h0=0.0)
     with pytest.raises(ValueError):
-        Geometry(R=1.0, theta_e=math.radians(120.0), h0=0.0, h_domain=1.0)
-    with pytest.raises(ValueError):
-        Geometry(R=1.0, theta_e=0.5, h0=2.0, h_domain=1.0)
+        Geometry(R=1.0, theta_e=math.radians(120.0), h0=0.0)
+    for h0 in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="h0"):
+            Geometry(R=1.0, theta_e=0.5, h0=h0)
     # theta_e = pi/2 itself is a legal geometry
-    Geometry(R=1.0, theta_e=0.5 * math.pi, h0=0.0, h_domain=1.0)
+    Geometry(R=1.0, theta_e=0.5 * math.pi, h0=0.0)
+    # the channel has no top: only the 2D grid bounds the fill
+    Geometry(R=1.0, theta_e=0.5, h0=100.0)
 
 
 def test_slip_spec():
@@ -85,14 +88,14 @@ def test_jurin_height_exact_synth():
 def test_jurin_height_table_rounded_row():
     fluid = FluidPair(rho_l=1663.8, rho_g=1.6638, mu_l=0.01, mu_g=1e-5,
                       sigma=0.2, g=1.04)
-    geom = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01, h_domain=0.04)
+    geom = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01)
     assert jurin_height(fluid, geom) == pytest.approx(0.02001963539868047, rel=1e-12)
 
 
 def test_jurin_scales_inversely_with_R():
     fluid = make_fluid()
-    g1 = Geometry(R=0.004, theta_e=0.5, h0=0.0, h_domain=1.0)
-    g2 = Geometry(R=0.002, theta_e=0.5, h0=0.0, h_domain=1.0)
+    g1 = Geometry(R=0.004, theta_e=0.5, h0=0.0)
+    g2 = Geometry(R=0.002, theta_e=0.5, h0=0.0)
     ratio = jurin_height(fluid, g2) / jurin_height(fluid, g1)
     assert ratio == pytest.approx(2.0, rel=1e-12)
 
@@ -102,7 +105,7 @@ def test_height_correction_matches_quadrature(deg):
     # oracle: direct area integral of the circular arc, r = R/cos(theta)
     R = 0.005
     th = math.radians(deg)
-    geom = Geometry(R=R, theta_e=th, h0=0.0, h_domain=1.0)
+    geom = Geometry(R=R, theta_e=th, h0=0.0)
     r = R / math.cos(th)
     area, _ = quad(lambda x: r - math.sqrt(r * r - x * x), 0.0, R,
                    epsabs=1e-16, epsrel=1e-13)
@@ -119,18 +122,18 @@ def test_height_correction_frozen_30deg():
 
 def test_height_correction_full_wetting_limit():
     # theta -> 0: the arc is a half circle, h_hat/R = 1 - pi/4
-    geom = Geometry(R=1.0, theta_e=1e-9, h0=0.0, h_domain=10.0)
+    geom = Geometry(R=1.0, theta_e=1e-9, h0=0.0)
     assert height_correction(geom) == pytest.approx(1.0 - math.pi / 4.0, rel=1e-6)
 
 
 def test_height_correction_series_window():
     # the series fallback continues the closed form smoothly at the switch
     R = 0.005
-    just_out = Geometry(R=R, theta_e=0.5 * math.pi - 2e-6, h0=0.0, h_domain=1.0)
-    just_in = Geometry(R=R, theta_e=0.5 * math.pi - 5e-7, h0=0.0, h_domain=1.0)
+    just_out = Geometry(R=R, theta_e=0.5 * math.pi - 2e-6, h0=0.0)
+    just_in = Geometry(R=R, theta_e=0.5 * math.pi - 5e-7, h0=0.0)
     assert height_correction(just_in) < height_correction(just_out)
     assert height_correction(just_in) == pytest.approx(R * 5e-7 / 6.0, rel=1e-5)
-    flat = Geometry(R=R, theta_e=0.5 * math.pi, h0=0.0, h_domain=1.0)
+    flat = Geometry(R=R, theta_e=0.5 * math.pi, h0=0.0)
     assert abs(height_correction(flat)) < 1e-18
 
 
@@ -143,7 +146,7 @@ def test_stationary_height_frozen():
 def test_stationary_height_may_be_negative():
     # gravity so strong that the meniscus correction exceeds the Jurin height
     fluid = make_fluid(sigma=1e-4, g=100.0)
-    geom = Geometry(R=0.01, theta_e=math.radians(30.0), h0=0.0, h_domain=1.0)
+    geom = Geometry(R=0.01, theta_e=math.radians(30.0), h0=0.0)
     assert stationary_height(fluid, geom) < 0.0
 
 
@@ -159,7 +162,7 @@ def test_dimensionless_numbers_omega_row():
 
 def test_dimensionless_numbers_rejects_90deg():
     fluid = make_fluid()
-    geom = Geometry(R=0.005, theta_e=0.5 * math.pi, h0=0.0, h_domain=0.04)
+    geom = Geometry(R=0.005, theta_e=0.5 * math.pi, h0=0.0)
     with pytest.raises(NonWettingAngle):
         dimensionless_numbers(fluid, geom)
 
@@ -175,7 +178,7 @@ def test_oh_omega_identity_random():
                            sigma=10 ** rng.uniform(-3, 0),
                            g=10 ** rng.uniform(-1, 2))
         geom = Geometry(R=10 ** rng.uniform(-4, -1),
-                        theta_e=rng.uniform(0.05, 1.5), h0=0.0, h_domain=1.0)
+                        theta_e=rng.uniform(0.05, 1.5), h0=0.0)
         dn = dimensionless_numbers(fluid, geom)
         eo_liquid = dn.eo * fluid.rho_l / (fluid.rho_l - fluid.rho_g)
         rhs = dn.omega * eo_liquid / (3.0 * math.sqrt(math.cos(geom.theta_e)))

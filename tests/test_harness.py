@@ -40,7 +40,7 @@ def _sunken_case():
     the Jurin height, so the corrected stationary height is -3.04 mm."""
     fluid = FluidPair(rho_l=1000.0, rho_g=1.2, mu_l=1e-3, mu_g=1.8e-5,
                       sigma=0.072, g=9.81)
-    geom = Geometry(R=0.02, theta_e=math.radians(30.0), h0=0.04, h_domain=0.16)
+    geom = Geometry(R=0.02, theta_e=math.radians(30.0), h0=0.04)
     return CaseSpec(label="sunken", fluid=fluid, geom=geom,
                     slip=SlipSpec.navier(0.004),
                     omega_nominal=dimensionless_numbers(fluid, geom).omega)

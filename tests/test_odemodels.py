@@ -41,7 +41,7 @@ from caprise.study import synth_params
 
 FLUID_OM1_TAB = FluidPair(rho_l=83.1, rho_g=0.0831, mu_l=0.01, mu_g=1e-5,
                           sigma=0.04, g=4.17)
-GEOM_STD = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01, h_domain=0.04)
+GEOM_STD = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01)
 
 
 def synthetic_traj(t, h, v=None, **meta):
@@ -454,7 +454,7 @@ def test_initial_rise_and_damping():
     assert dv0 > 0.0
     tr = integrate(ModelSpec.extended(0.001), fluid, geom, auto_t_end(fluid, geom))
     peaks = detect_peaks(tr, h_ref=stationary_height(fluid, geom))
-    maxima = peaks.maxima()
+    maxima = [p for p in peaks if p.is_max]
     assert len(maxima) >= 2
     heights = [p.h for p in maxima]
     assert all(h2 <= h1 + 1e-12 for h1, h2 in zip(heights, heights[1:]))
@@ -485,10 +485,10 @@ def test_detect_peaks_synthetic_damped_cosine():
     phase = math.atan(-1.0 / (2 * math.pi))
     analytic = [(phase + k * math.pi) / (2 * math.pi) for k in range(1, 8)]
     assert len(peaks) >= 6
-    for found, want in zip(peaks.peaks, analytic):
+    for found, want in zip(peaks, analytic):
         assert abs(found.t - want) <= dt_out
     # alternating kinds, first one (t ~ 0.475) is a minimum
-    kinds = [p.is_max for p in peaks.peaks]
+    kinds = [p.is_max for p in peaks]
     assert kinds[0] is False
     assert all(a != b for a, b in zip(kinds, kinds[1:]))
 

@@ -24,7 +24,7 @@ from caprise.study import synth_params
 
 FLUID_OM1_TAB = FluidPair(rho_l=83.1, rho_g=0.0831, mu_l=0.01, mu_g=1e-5,
                           sigma=0.04, g=4.17)
-GEOM_STD = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01, h_domain=0.04)
+GEOM_STD = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01)
 
 
 def random_fluid_geom(rng):
@@ -32,7 +32,7 @@ def random_fluid_geom(rng):
                       mu_l=10 ** rng.uniform(-4, -1), mu_g=1e-6,
                       sigma=10 ** rng.uniform(-3, 0), g=10 ** rng.uniform(-1, 2))
     geom = Geometry(R=10 ** rng.uniform(-4, -1), theta_e=rng.uniform(0.05, 1.5),
-                    h0=0.0, h_domain=1.0)
+                    h0=0.0)
     return fluid, geom
 
 
@@ -45,7 +45,7 @@ def test_coefficients_table_row():
 
 
 def test_coefficients_rejects_nonwetting():
-    geom = Geometry(R=0.005, theta_e=0.5 * math.pi, h0=0.0, h_domain=0.04)
+    geom = Geometry(R=0.005, theta_e=0.5 * math.pi, h0=0.0)
     with pytest.raises(NonWettingAngle):
         coefficients(FLUID_OM1_TAB, geom)
 
@@ -257,7 +257,8 @@ def test_scaled_ii_small_omega_linearisation(omega, L):
     decay = groups.k * omega / 2.0
     period = 2.0 * math.pi / math.sqrt(1.0 - decay * decay)
     ratio = math.exp(-decay * period)
-    maxima = detect_peaks(tr, eps_peak=1e-12, h_ref=1.0).maxima()
+    maxima = [p for p in detect_peaks(tr, eps_peak=1e-12, h_ref=1.0)
+              if p.is_max]
     # late enough to be linear, early enough to stand above sampling noise
     pairs = [(a, b) for a, b in zip(maxima, maxima[1:])
              if 1e-5 <= a.h + hh - 1.0 <= 5e-3]

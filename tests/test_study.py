@@ -51,7 +51,6 @@ def test_synth_params_frozen(omega):
     assert fluid.mu_g == pytest.approx(fluid.mu_l / 1000.0, rel=1e-15)
     assert geom.R == STUDY_R
     assert geom.h0 == pytest.approx(2 * STUDY_R)
-    assert geom.h_domain == pytest.approx(8 * STUDY_R)
 
 
 @pytest.mark.parametrize("omega", sorted(TABLE_ROWS))

@@ -14,7 +14,7 @@ from caprise.vof2d.geometry import (Grid, SimState, apex_height,
 from caprise.vof2d.plic import (PlicPlane, _offset, plic_reconstruct,
                                 youngs_normal)
 
-GEOM = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01, h_domain=0.04)
+GEOM = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01)
 
 
 def clip_polygon_area(n1, n2, d, dx, dy):
@@ -157,8 +157,6 @@ class TestGrid:
     def test_too_coarse_rejected(self):
         with pytest.raises(ValueError):
             Grid.half_gap(3, 0.005)
-        with pytest.raises(ValueError):
-            Grid(nx=4, ny=8, dx=1e-3, dy=2e-3)
 
 
 class TestArcInit:
@@ -166,7 +164,7 @@ class TestArcInit:
         for nx in (4, 8, 16):
             for deg in (30.0, 60.0, 90.0):
                 geom = Geometry(R=0.005, theta_e=math.radians(deg),
-                                h0=0.01, h_domain=0.04)
+                                h0=0.01)
                 grid = Grid.half_gap(nx, geom.R)
                 a = arc_column_fractions(geom, grid)
                 total = a.sum() * grid.dx * grid.dy
@@ -209,7 +207,7 @@ class TestArcInit:
         apex_height(state)  # raises if any apex-column structure is bad
 
     def test_flat_interface_at_ninety_degrees(self):
-        geom = Geometry(R=0.005, theta_e=math.pi / 2, h0=0.01, h_domain=0.04)
+        geom = Geometry(R=0.005, theta_e=math.pi / 2, h0=0.01)
         grid = Grid.half_gap(8, geom.R)
         a = arc_column_fractions(geom, grid)
         # h0 = 16 dy exactly: 16 full rows, empty above
@@ -218,16 +216,16 @@ class TestArcInit:
 
     def test_arc_exceeding_domain_raises(self):
         geom = Geometry(R=0.005, theta_e=math.radians(30.0),
-                        h0=0.0375, h_domain=0.04)
+                        h0=0.0375)
         grid = Grid.half_gap(8, geom.R)
         with pytest.raises(ArcExceedsDomain):
             arc_column_fractions(geom, grid)
 
-    def test_init_case_refuses_other_domain_height(self):
-        # the grid is 8 R tall; a 20 R domain would be filled with liquid
-        geom = Geometry(R=0.005, theta_e=math.radians(30.0),
-                        h0=9 * 0.005, h_domain=20 * 0.005)
-        with pytest.raises(ValueError, match="h_domain"):
+    @pytest.mark.parametrize("deg", [30.0, 90.0])
+    def test_init_case_refuses_apex_above_grid(self, deg):
+        # the grid is 8 R tall: an apex at 9 R would fill it with liquid
+        geom = Geometry(R=0.005, theta_e=math.radians(deg), h0=9 * 0.005)
+        with pytest.raises(ArcExceedsDomain):
             init_case(geom, 8)
 
     def test_init_case_apex_near_h0(self):

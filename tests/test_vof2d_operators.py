@@ -24,7 +24,7 @@ from caprise.vof2d.solver import (_MIXED_EPS, CaseSetup2D, RunDiagnostics,
                                   Simulator, compute_dt, poisson_solve,
                                   slip_ghost)
 
-GEOM = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01, h_domain=0.04)
+GEOM = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01)
 
 
 class TestColumnHeights:
@@ -320,7 +320,7 @@ class TestAdvection:
         fluid = FluidPair(rho_l=1.0, rho_g=0.5, mu_l=1e-3, mu_g=1e-4,
                           sigma=1.0, g=1.0)
         setup = CaseSetup2D(fluid=fluid, geom=Geometry(
-            R=1.0, theta_e=math.pi / 4, h0=2.0, h_domain=8.0),
+            R=1.0, theta_e=math.pi / 4, h0=2.0),
             slip=SlipSpec.numerical(), nx=8, t_end=1.0)
         return Simulator(setup, state=state)
 
@@ -343,7 +343,7 @@ class TestAdvection:
         jj = np.arange(grid.ny)[None, :]
         x0, y0 = (ii * a0).sum() / v0, (jj * a0).sum() / v0
         for k in range(n):
-            sim.state.step_count = k
+            sim.diag.n_steps = k
             sim.advect_alpha(dt)
         a1 = sim.state.alpha
         v1 = a1.sum()
@@ -495,7 +495,7 @@ class TestSweepMatchesReference:
         fluid = FluidPair(rho_l=1.0, rho_g=0.5, mu_l=1e-3, mu_g=1e-4,
                           sigma=1.0, g=1.0)
         setup = CaseSetup2D(fluid=fluid, geom=Geometry(
-            R=1.0, theta_e=math.pi / 4, h0=2.0, h_domain=8.0),
+            R=1.0, theta_e=math.pi / 4, h0=2.0),
             slip=SlipSpec.numerical(), nx=8, t_end=1.0)
         sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
         sim.state.u[:, :] = U
@@ -504,7 +504,7 @@ class TestSweepMatchesReference:
         dt = 0.4 * grid.dx / abs(V)
         for k in range(6):
             _assert_sweeps_match_reference(sim, dt)
-            sim.state.step_count = k
+            sim.diag.n_steps = k
             sim.advect_alpha(dt)
 
 
@@ -973,7 +973,7 @@ def _reference_advect_alpha(sim, dt):
     vol_before = st.alpha.sum() * cell
     c_flag = (st.alpha >= 0.5).astype(float)
     influx = 0.0
-    for axis in (0, 1) if st.step_count % 2 == 0 else (1, 0):
+    for axis in (0, 1) if sim.diag.n_steps % 2 == 0 else (1, 0):
         influx += sim._sweep(dt, c_flag, axis)
     sim._boundary_influx += influx
     vol_after = st.alpha.sum() * cell
@@ -1128,7 +1128,7 @@ class TestScansMatchReference:
         fluid = FluidPair(rho_l=1.0, rho_g=0.5, mu_l=1e-3, mu_g=1e-4,
                           sigma=1.0, g=1.0)
         setup = CaseSetup2D(fluid=fluid, geom=Geometry(
-            R=1.0, theta_e=math.pi / 4, h0=2.0, h_domain=8.0),
+            R=1.0, theta_e=math.pi / 4, h0=2.0),
             slip=SlipSpec.numerical(), nx=8, t_end=1.0)
         sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
         rng = np.random.default_rng(3)
@@ -1137,7 +1137,7 @@ class TestScansMatchReference:
         dt = 0.5 * grid.dx / 0.3
         clipped = 0
         for k in range(6):
-            sim.state.step_count = k
+            sim.diag.n_steps = k
             _assert_advect_matches_reference(sim, dt)
             before = sim.diag.clipped_area_total
             sim.advect_alpha(dt)
@@ -1296,7 +1296,7 @@ class TestScanMessagesMatchReference:
 
     @pytest.mark.parametrize("case", sorted(_COLUMN_SCAN_CASES))
     def test_apex_height(self, case):
-        grid = Grid(nx=4, ny=20, dx=0.25, dy=0.25)
+        grid = Grid(nx=4, ny=20, dx=0.25)
         a = np.zeros((grid.nx, grid.ny))
         a[:] = _COLUMN_SCAN_CASES["band"]
         a[0] = _COLUMN_SCAN_CASES[case]
