@@ -137,6 +137,9 @@ def _cmd_ode(args) -> int:
 
 def _cmd_scale(args) -> int:
     traj = read_trajectory_csv(args.input)
+    if "scaling" in traj.metadata:
+        raise ValueError(f"{args.input} is already in scaling "
+                         f"{traj.metadata['scaling']}; scale a dimensional CSV")
     fluid, geom = synth_params(args.omega, args.sigma)
     coeffs = coefficients(fluid, geom, "2d" if args.dim == 2 else "3d")
     scaled = nondimensionalize(traj, args.scaling, coeffs)

@@ -183,7 +183,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Read a trajectory CSV; a ``.scale.json`` sidecar, when present,
-    is merged into the metadata."""
+    is checked and merged into the metadata."""
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\r\n")
@@ -198,7 +198,18 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     meta: dict = {"source": str(path)}
     sidecar = path.with_suffix(".scale.json")
     if sidecar.exists():
-        meta.update(json.loads(sidecar.read_text(encoding="utf-8")))
+        # integers parse as floats, so an oversized one is inf
+        side = json.loads(sidecar.read_text(encoding="utf-8"), parse_int=float)
+        if not (isinstance(side, dict) and side.get("scaling") in SCALING_KINDS):
+            raise ValueError(f"scale sidecar must be a JSON object with scaling "
+                             f"in {SCALING_KINDS}")
+        for key in ("t_rate", "h_rate"):
+            if not (type(side.get(key)) is float and 0.0 < side[key] < math.inf):
+                raise ValueError(f"scale sidecar {key} must be finite and positive")
+        h_inf = side.get("h_inf", 0.0)
+        if not (type(h_inf) is float and math.isfinite(h_inf)):
+            raise ValueError("scale sidecar h_inf must be finite")
+        meta.update(side)
     return Trajectory(t=data[:, 0], h=data[:, 1], v=data[:, 2], metadata=meta)
 
 
@@ -240,15 +251,8 @@ class BenchResult:
         return abs(self.h_final - h_inf) / h_inf
 
 
-def _own_target(case: CaseSpec, model: str) -> float:
-    """Stationary height the given model converges to."""
-    if model == "classical":
-        return jurin_height(case.fluid, case.geom)
-    return stationary_height(case.fluid, case.geom)
-
-
 def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
-             dt_out: float | None = None, nx: int | None = None) -> BenchResult:
+             nx: int | None = None) -> BenchResult:
     """Run one model on one case and collect the standard metrics.
 
     t_end defaults to the auto policy (scaled time 10 in every scaling).
@@ -268,17 +272,15 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
         if nx is None:
             raise ValueError("vof2d runs need an explicit cells-per-radius nx")
         setup = CaseSetup2D(fluid=case.fluid, geom=case.geom, slip=case.slip,
-                            nx=nx, t_end=t_end, dt_out=dt_out)
+                            nx=nx, t_end=t_end)
         traj, diag = run_vof2d(setup)
     else:
         # numerical slip has no continuum parameter; its mesh-converged
         # limit is no slip, so the extended model runs with L = 0
         L = case.slip.L if case.slip.kind == "navier" else 0.0
         spec = ModelSpec.classical() if model == "classical" else ModelSpec.extended(L)
-        traj = integrate(spec, case.fluid, case.geom, t_end, dt_out=dt_out,
-                         label=case.label)
+        traj = integrate(spec, case.fluid, case.geom, t_end, label=case.label)
 
-    traj.metadata["h_inf"] = _own_target(case, model)
     steps = diag.n_steps if diag is not None else traj.metadata["nfev"]
     return BenchResult(
         case=case, model=model, trajectory=traj, peaks=detect_peaks(traj),
@@ -352,13 +354,14 @@ def _export_case(out: Path, case: CaseSpec, model: str, traj: Trajectory,
 
 def run_suite(selection, *, models: tuple[str, ...] = ("classical", "extended"),
               scalings: tuple[str, ...] = ("none",),
-              out_dir: str | Path | None = None, with_pde: int | None = None,
-              t_end: float | None = None) -> list[BenchResult]:
+              out_dir: str | Path | None = None,
+              with_pde: int | None = None) -> list[BenchResult]:
     """Run every (case, model) pair, export CSVs and one summary.json.
 
-    Pairs run one after another in input order.  A case that fails
-    numerically is recorded in the summary with an ``error`` field and
-    the suite continues.  Returns the successful results.
+    Pairs run to the auto horizon, one after another in input order.  A
+    case that fails numerically is recorded in the summary with an
+    ``error`` field and the suite continues.  Returns the successful
+    results.
     """
     selection = list(selection)
     labels = [c.label for c in selection]
@@ -384,7 +387,7 @@ def run_suite(selection, *, models: tuple[str, ...] = ("classical", "extended"),
     entries: list[dict] = []
     for case, m in jobs:
         try:
-            res = run_case(case, m, t_end=t_end, nx=with_pde)
+            res = run_case(case, m, nx=with_pde)
         except (CapriseError, ValueError) as exc:
             entries.append(_failure_entry(case, m, exc))
             continue

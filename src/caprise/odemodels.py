@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FluidPair, Geometry, height_correction
+from .core import FluidPair, Geometry, height_correction, jurin_height, stationary_height
 from .errors import SingularHeight, StepSizeUnderflow
 
 DEFAULT_RTOL = 1e-10
@@ -357,20 +357,23 @@ def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, *,
 
 
 def integrate(model: ModelSpec, fluid: FluidPair, geom: Geometry, t_end: float, *,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-              dt_out: float | None = None, label: str = "") -> Trajectory:
+              label: str = "") -> Trajectory:
     """Integrate the rise model from rest at geom.h0 over [0, t_end].
 
-    dt_out defaults to t_end/2000; the last sample lands exactly on t_end.
+    Samples every t_end/2000 at solve_rk45's default tolerances; for others
+    call solve_rk45(model_balance(...), geom.h0, 0.0, t_end, ...).
+    metadata["h_inf"] is the model's own limit (classical: Jurin height).
     """
     if model.kind == "classical" and geom.h0 <= 1e-9 * geom.R:
         # the classical equation is singular at h=0; refuse rather than regularize
         raise ValueError("classical model requires h0 > 1e-9*R")
     meta = {"label": label, "model": model.kind}
     if model.kind == "extended":
-        meta["slip_length"] = model.slip_length
+        meta.update(slip_length=model.slip_length, h_inf=stationary_height(fluid, geom))
+    else:
+        meta["h_inf"] = jurin_height(fluid, geom)
     return solve_rk45(model_balance(model, fluid, geom), geom.h0, 0.0, t_end,
-                      rtol=rtol, atol=atol, dt_out=dt_out, metadata=meta)
+                      metadata=meta)
 
 
 def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4,

@@ -43,7 +43,7 @@ def interface_cell(col: np.ndarray) -> int:
     return _interface_cell(col, _topmost_half_full(col[None, :])[0])
 
 
-def column_height(col: np.ndarray, j_center: int, dy: float,
+def column_height(col: np.ndarray, j_center: int, dx: float,
                   half: int) -> float:
     """Liquid height from a fraction window around the interface cell.
 
@@ -59,26 +59,27 @@ def column_height(col: np.ndarray, j_center: int, dy: float,
         raise StencilInvalid("window bottom is not pure liquid")
     if col.item(j_hi) > ALPHA_EPS:
         raise StencilInvalid("window top is not pure gas")
-    return (j_lo + float(col[j_lo:j_hi + 1].sum())) * dy
+    return (j_lo + float(col[j_lo:j_hi + 1].sum())) * dx
 
 
-def _height_with_widening(col: np.ndarray, j_top: int, dy: float) -> float:
+def _height_with_widening(col: np.ndarray, j_top: int, dx: float) -> float:
     jc = _interface_cell(col, j_top)
     try:
-        return column_height(col, jc, dy, half=3)
+        return column_height(col, jc, dx, half=3)
     except StencilInvalid:
-        return column_height(col, jc, dy, half=4)
+        return column_height(col, jc, dx, half=4)
 
 
-def curvature_height_function(alpha: np.ndarray, dx: float, dy: float,
+def curvature_height_function(alpha: np.ndarray, dx: float,
                               theta: float) -> np.ndarray:
     """Per-column interface curvature over the half gap.
 
-    alpha is the (nx, ny) fraction field.  Returns kappa (nx,).  The
-    ghost column left of column 0 mirrors it across the symmetry plane;
-    the one right of the last column is the wall's contact-angle ghost.
+    alpha is the (nx, ny) fraction field on square cells of side dx.
+    Returns kappa (nx,).  The ghost column left of column 0 mirrors it
+    across the symmetry plane; the one right of the last column is the
+    wall's contact-angle ghost.
     """
-    h = [_height_with_widening(col, j, dy)
+    h = [_height_with_widening(col, j, dx)
          for col, j in zip(alpha, _topmost_half_full(alpha))]
     h.insert(0, h[0])
     h.append(contact_angle_ghost(h[-1], dx, theta))

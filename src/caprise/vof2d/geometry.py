@@ -8,7 +8,7 @@ grid's, not the case's: a Geometry states only the channel and its fill.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,20 +31,17 @@ _FLAT_COS = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform staggered MAC grid with square cells: dy is dx."""
+    """Uniform staggered MAC grid with square cells of side dx."""
 
     nx: int
     ny: int
     dx: float
-    # a plain attribute, not a property: the step reads it often
-    dy: float = field(init=False)
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one cell per direction")
         if not self.dx > 0.0:  # NaN fails too
             raise ValueError("cell size must be positive")
-        object.__setattr__(self, "dy", self.dx)
 
     @classmethod
     def half_gap(cls, nx: int, R: float) -> "Grid":
@@ -82,7 +79,7 @@ class SimState:
         )
 
     def liquid_area(self) -> float:
-        return float(self.alpha.sum()) * self.grid.dx * self.grid.dy
+        return float(self.alpha.sum()) * self.grid.dx * self.grid.dx
 
 
 def _arc_antiderivative(x: float, r: float, yc: float) -> float:
@@ -102,21 +99,20 @@ def arc_column_fractions(geom: Geometry, grid_half: Grid) -> np.ndarray:
     column (column 0 at the symmetry plane).  A contact line at or above
     the grid's top raises ArcExceedsDomain.
     """
-    nx, ny = grid_half.nx, grid_half.ny
-    dx, dy = grid_half.dx, grid_half.dy
+    nx, ny, dx = grid_half.nx, grid_half.ny, grid_half.dx
     R, theta, h0 = geom.R, geom.theta_e, geom.h0
     alpha = np.zeros((nx, ny))
 
     cos_t = math.cos(theta)
     flat = cos_t < _FLAT_COS
     contact_h = h0 if flat else h0 + R * (1.0 - math.sin(theta)) / cos_t
-    if contact_h >= ny * dy:
+    if contact_h >= ny * dx:
         raise ArcExceedsDomain(
-            f"contact line at {contact_h} exceeds domain height {ny * dy}")
+            f"contact line at {contact_h} exceeds domain height {ny * dx}")
     if flat:
         # 90 degree contact angle: flat interface at y = h0
         for j in range(ny):
-            alpha[:, j] = min(max((h0 - j * dy) / dy, 0.0), 1.0)
+            alpha[:, j] = min(max((h0 - j * dx) / dx, 0.0), 1.0)
         return alpha
 
     r = R / cos_t
@@ -130,19 +126,19 @@ def arc_column_fractions(geom: Geometry, grid_half: Grid) -> np.ndarray:
         dyc = yc - y
         return math.sqrt(max(r * r - dyc * dyc, 0.0))
 
-    cell = dx * dy
+    cell = dx * dx
     for i in range(nx):
         xa, xb = i * dx, (i + 1) * dx
         ya, yb = y_if(xa), y_if(xb)
         for j in range(ny):
-            y_lo, y_hi = j * dy, (j + 1) * dy
+            y_lo, y_hi = j * dx, (j + 1) * dx
             if yb <= y_lo:
                 alpha[i, j] = 0.0
                 continue
             if ya >= y_hi:
                 alpha[i, j] = 1.0
                 continue
-            # partial cell: integrate clamp(y_if - y_lo, 0, dy) over x
+            # partial cell: integrate clamp(y_if - y_lo, 0, dx) over x
             x_lo = x_at(y_lo) if ya < y_lo else xa
             x_hi = x_at(y_hi) if yb > y_hi else xb
             x_lo = min(max(x_lo, xa), xb)
@@ -150,7 +146,7 @@ def arc_column_fractions(geom: Geometry, grid_half: Grid) -> np.ndarray:
             area = (_arc_antiderivative(x_hi, r, yc)
                     - _arc_antiderivative(x_lo, r, yc)
                     - y_lo * (x_hi - x_lo))
-            area += (xb - x_hi) * dy
+            area += (xb - x_hi) * dx
             alpha[i, j] = min(max(area / cell, 0.0), 1.0)
     return alpha
 
@@ -174,13 +170,13 @@ def init_case(geom: Geometry, nx: int) -> SimState:
 def apex_height(state: SimState) -> float:
     """Integrated liquid height of the symmetry-plane column.
 
-    Sums alpha * dy down column 0.  The column must be single valued:
+    Sums alpha * dx down column 0.  The column must be single valued:
     full cells below a contiguous band of partial cells below empty
     cells.
     """
     col = state.alpha[0, :]
     _check_single_valued(col)
-    return float(col.sum()) * state.grid.dy
+    return float(col.sum()) * state.grid.dx
 
 
 def _check_single_valued(col: np.ndarray) -> None:

@@ -1,10 +1,10 @@
-"""Piecewise-linear interface reconstruction on a single rectangular cell.
+"""Piecewise-linear interface reconstruction on a single square cell.
 
 The liquid region inside a cell is the half-plane {n1*x + n2*y <= d} in
-cell-local coordinates, x in [0, dx], y in [0, dy].  The normal (n1, n2)
-is unit length and points out of the liquid.  Everything here is closed
-form: the wetted area of a half-plane clipped to a rectangle is piecewise
-quadratic in d, so both the forward map and its inverse have explicit
+cell-local coordinates, x and y in [0, dx].  The normal (n1, n2) is unit
+length and points out of the liquid.  Everything here is closed form: the
+wetted area of a half-plane clipped to a rectangle (a donor slab is one)
+is piecewise quadratic in d, so the area and its inverse have explicit
 branches.
 """
 
@@ -16,7 +16,7 @@ from typing import NamedTuple
 _EPS_NORMAL = 1e-14
 
 
-def youngs_normal(alpha3x3, dx: float, dy: float) -> tuple[float, float]:
+def youngs_normal(alpha3x3, dx: float) -> tuple[float, float]:
     """Unit interface normal from a 3x3 fraction stencil (1-2-1 weights).
 
     ``alpha3x3[i][j]`` is the fraction of the cell at x-offset i-1 and
@@ -27,7 +27,7 @@ def youngs_normal(alpha3x3, dx: float, dy: float) -> tuple[float, float]:
     gx = (a[2][0] + 2.0 * a[2][1] + a[2][2]
           - a[0][0] - 2.0 * a[0][1] - a[0][2]) / (8.0 * dx)
     gy = (a[0][2] + 2.0 * a[1][2] + a[2][2]
-          - a[0][0] - 2.0 * a[1][0] - a[2][0]) / (8.0 * dy)
+          - a[0][0] - 2.0 * a[1][0] - a[2][0]) / (8.0 * dx)
     norm = math.hypot(gx, gy)
     if norm < _EPS_NORMAL:
         # degenerate stencil (uniform fractions): fall back to liquid-below
@@ -61,14 +61,13 @@ def _area_pos(n1: float, n2: float, d: float, dx: float, dy: float) -> float:
     return (dc * dc - t1 * t1 - t2 * t2) / (2.0 * n1 * n2)
 
 
-def _offset_pos(n1: float, n2: float, area: float,
-                dx: float, dy: float) -> float:
+def _offset_pos(n1: float, n2: float, area: float, dx: float) -> float:
     if n1 <= _EPS_NORMAL:
         return n2 * (area / dx)
     if n2 <= _EPS_NORMAL:
-        return n1 * (area / dy)
-    cell = dx * dy
-    span_x, span_y = n1 * dx, n2 * dy
+        return n1 * (area / dx)
+    cell = dx * dx
+    span_x, span_y = n1 * dx, n2 * dx
     d_lo = span_y if span_y < span_x else span_x
     a_corner = d_lo * d_lo / (2.0 * n1 * n2)
     if area <= a_corner:
@@ -78,17 +77,17 @@ def _offset_pos(n1: float, n2: float, area: float,
     # mid branch: the cut is a trapezoid, area linear in d
     if span_x <= span_y:
         return 0.5 * (2.0 * n2 * area / dx + span_x)
-    return 0.5 * (2.0 * n1 * area / dy + span_y)
+    return 0.5 * (2.0 * n1 * area / dx + span_y)
 
 
-def _offset(normal, area: float, dx: float, dy: float) -> float:
+def _offset(normal, area: float, dx: float) -> float:
     n1, n2 = normal
-    d = _offset_pos(abs(n1), abs(n2), area, dx, dy)
+    d = _offset_pos(abs(n1), abs(n2), area, dx)
     # undo the reflections applied by slab_area
     if n1 < 0.0:
         d = d + n1 * dx
     if n2 < 0.0:
-        d = d + n2 * dy
+        d = d + n2 * dx
     return d
 
 
@@ -115,13 +114,13 @@ class PlicPlane(NamedTuple):
         return _area_pos(n1, n2, d, w, h)
 
 
-def plic_reconstruct(alpha3x3, dx: float, dy: float) -> PlicPlane:
+def plic_reconstruct(alpha3x3, dx: float) -> PlicPlane:
     """Plane matching the centre fraction with a Youngs stencil normal."""
     ac = alpha3x3[1][1]
     if not 0.0 < ac < 1.0:
         raise ValueError(f"centre fraction {ac} is not a mixed cell")
-    n = youngs_normal(alpha3x3, dx, dy)
-    # ac < 1 keeps ac*dx*dy <= dx*dy: no range check or clamp needed
-    plane = (n, _offset(n, ac * dx * dy, dx, dy))
+    n = youngs_normal(alpha3x3, dx)
+    # ac < 1 keeps ac*dx*dx <= dx*dx: no range check or clamp needed
+    plane = (n, _offset(n, ac * dx * dx, dx))
     # tuple.__new__ skips the NamedTuple constructor's Python frame
     return tuple.__new__(PlicPlane, plane)

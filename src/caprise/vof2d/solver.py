@@ -35,14 +35,13 @@ _DT_SAFETY = 0.9
 
 @dataclass(frozen=True)
 class CaseSetup2D:
-    """Everything needed to run one half-gap simulation."""
+    """One half-gap simulation; its trajectory is sampled every t_end/500."""
 
     fluid: FluidPair
     geom: Geometry
     slip: SlipSpec
     nx: int
     t_end: float
-    dt_out: float | None = None
     closed_bottom: bool = False
     gravity_on: bool = True
 
@@ -117,8 +116,7 @@ class Simulator:
     def __init__(self, setup: CaseSetup2D, state: SimState | None = None):
         self.setup = setup
         # refuses a bad horizon before any step
-        dt_out = setup.dt_out if setup.dt_out is not None else setup.t_end / 500.0
-        self._t_out = output_times(setup.t_end, dt_out)
+        self._t_out = output_times(setup.t_end, setup.t_end / 500.0)
         if state is None:
             state = init_case(setup.geom, setup.nx)
         self.state = state
@@ -179,13 +177,12 @@ class Simulator:
             # single phase, no interface to reconstruct
             return np.zeros(alpha.shape[0])
         return curvature_height_function(
-            alpha, self.state.grid.dx, self.state.grid.dy,
-            self.setup.geom.theta_e)
+            alpha, self.state.grid.dx, self.setup.geom.theta_e)
 
     def _momentum(self, dt: float, A_pad, u_full, v_full, kappa):
         st = self.state
         fl = self.setup.fluid
-        dx, dy = st.grid.dx, st.grid.dy
+        dx = st.grid.dx
         u, v, alpha = st.u, st.v, st.alpha
 
         rho_pad = fl.rho_g + (fl.rho_l - fl.rho_g) * A_pad
@@ -198,7 +195,7 @@ class Simulator:
         # viscosity is a harmonic 4-cell mean: an arithmetic mean next to
         # the interface pairs mu ~ mu_l/2 with a gas-density face, an
         # effective diffusivity far beyond the explicit stability limit
-        dudy_n = (u_full[:, 1:] - u_full[:, :-1]) / dy
+        dudy_n = (u_full[:, 1:] - u_full[:, :-1]) / dx
         dvdx_n = (v_full[1:, 1:-1] - v_full[:-1, 1:-1]) / dx
         inv_mu = 1.0 / mu_pad
         mu_n = 4.0 / (inv_mu[:-1, :-1] + inv_mu[1:, :-1]
@@ -218,7 +215,7 @@ class Simulator:
         mu2 = 2.0 * mu_pad[1:-1, :]
         txx = mu2[:, 1:-1] * du / dx
         visc_u = ((txx[1:, :] - txx[:-1, :]) / dx
-                  + (txy[1:-1, 1:] - txy[1:-1, :-1]) / dy)
+                  + (txy[1:-1, 1:] - txy[1:-1, :-1]) / dx)
 
         kappa_u = 0.5 * (kappa[:-1] + kappa[1:])
         f_u = -fl.sigma * kappa_u[:, None] * (alpha[1:, :] - alpha[:-1, :]) / dx
@@ -231,16 +228,16 @@ class Simulator:
         ubar = 0.25 * (u_full[:-1, :-1] + u_full[1:, :-1]
                        + u_full[:-1, 1:] + u_full[1:, 1:])
         dv = v_full[1:-1, 1:] - v_full[1:-1, :-1]
-        dvdy = dv / dy
+        dvdy = dv / dx
         adv_v = (ubar * np.where(ubar > 0.0, dvdx_n[:-1], dvdx_n[1:])
                  + vc * np.where(vc > 0.0, dvdy[:, :-1], dvdy[:, 1:]))
 
         # tyy on cells -1..ny so boundary faces see a ghost cell
-        tyy = mu2 * dv / dy
-        visc_v = ((tyy[:, 1:] - tyy[:, :-1]) / dy
+        tyy = mu2 * dv / dx
+        visc_v = ((tyy[:, 1:] - tyy[:, :-1]) / dx
                   + (txy[1:, :] - txy[:-1, :]) / dx)
 
-        f_v = -fl.sigma * kappa[:, None] * (A_pad[1:-1, 1:] - A_pad[1:-1, :-1]) / dy
+        f_v = -fl.sigma * kappa[:, None] * (A_pad[1:-1, 1:] - A_pad[1:-1, :-1]) / dx
 
         g_acc = -fl.g if self.setup.gravity_on else 0.0
         v_star = vc + dt * ((visc_v + f_v) / rho_y - adv_v + g_acc)
@@ -251,13 +248,13 @@ class Simulator:
     def _project(self, dt: float, u_star, v_star, rho_x, rho_y):
         """Correct u_star and v_star in place to a divergence-free field."""
         st = self.state
-        dx, dy = st.grid.dx, st.grid.dy
+        dx = st.grid.dx
 
         beta_x = 1.0 / rho_x
         beta_y = 1.0 / rho_y
 
         div_star = ((u_star[1:, :] - u_star[:-1, :]) / dx
-                    + (v_star[:, 1:] - v_star[:, :-1]) / dy)
+                    + (v_star[:, 1:] - v_star[:, :-1]) / dx)
 
         p = poisson_solve(
             st.grid, beta_x, beta_y, div_star / dt,
@@ -265,15 +262,15 @@ class Simulator:
 
         dt_beta_y = dt * beta_y
         u_star[1:-1, :] -= dt * beta_x[1:-1, :] * (p[1:, :] - p[:-1, :]) / dx
-        v_star[:, 1:-1] -= dt_beta_y[:, 1:-1] * (p[:, 1:] - p[:, :-1]) / dy
+        v_star[:, 1:-1] -= dt_beta_y[:, 1:-1] * (p[:, 1:] - p[:, :-1]) / dx
         # a closed bottom face keeps the zero _momentum gave it
         if not self.setup.closed_bottom:
             # ghost pressure -p across an open boundary face
-            v_star[:, 0] -= dt_beta_y[:, 0] * 2.0 * p[:, 0] / dy
-        v_star[:, -1] += dt_beta_y[:, -1] * 2.0 * p[:, -1] / dy
+            v_star[:, 0] -= dt_beta_y[:, 0] * 2.0 * p[:, 0] / dx
+        v_star[:, -1] += dt_beta_y[:, -1] * 2.0 * p[:, -1] / dx
 
         div_new = ((u_star[1:, :] - u_star[:-1, :]) / dx
-                   + (v_star[:, 1:] - v_star[:, :-1]) / dy)
+                   + (v_star[:, 1:] - v_star[:, :-1]) / dx)
         div_inf = float(np.abs(div_new).max())
         self.diag.div_step_rel_max = max(
             self.diag.div_step_rel_max, div_inf * dt)
@@ -294,15 +291,14 @@ class Simulator:
         """
         self.apply_boundaries()
         st = self.state
-        grid = st.grid
-        dx, dy = grid.dx, grid.dy
-        cell = dx * dy
+        dx = st.grid.dx
+        cell = dx * dx
         u, v = st.u, st.v
 
         # the fields this step leaves: run() takes the next dt from them
         self._speeds = (float(np.abs(u).max()), float(np.abs(v).max()))
         cfl_x = self._speeds[0] * dt / dx
-        cfl_y = self._speeds[1] * dt / dy
+        cfl_y = self._speeds[1] * dt / dx
         self.diag.cfl_max = max(self.diag.cfl_max, cfl_x, cfl_y)
         if not (cfl_x <= 1.0 + 1e-12 and cfl_y <= 1.0 + 1e-12):  # NaN fails too
             raise CourantViolation(
@@ -340,8 +336,7 @@ class Simulator:
         x-boundary faces carry nothing because u is pinned there.
         """
         st = self.state
-        h = (st.grid.dx, st.grid.dy)
-        h_side = h[1 - axis]
+        dx = st.grid.dx
         vel = st.u if axis == 0 else st.v
         A = self._pad_alpha(st.alpha)
         # clipping moves no donor across _MIXED_EPS, so it can come first
@@ -357,7 +352,6 @@ class Simulator:
         mixed = (a > _MIXED_EPS) ^ full
         di, dj = _along(axis, 1, 0)
         ncol = vel.shape[1]
-        hx, hy = h
         faces = mixed.ravel().nonzero()[0]
         moving, flux = [], []
         for k, vk in zip(faces.tolist(), vel.take(faces).tolist()):
@@ -370,19 +364,19 @@ class Simulator:
             i, j = divmod(k, ncol)
             if vk > 0.0:
                 i, j = i - di, j - dj
-                s0, s1 = h[axis] - wk, h[axis]
+                s0, s1 = dx - wk, dx
             else:
                 s0, s1 = 0.0, wk
-            plane = plic_reconstruct(A[i:i + 3, j:j + 3].tolist(), hx, hy)
-            area = (plane.slab_area(s0, s1, 0.0, hy) if axis == 0
-                    else plane.slab_area(0.0, hx, s0, s1))
+            plane = plic_reconstruct(A[i:i + 3, j:j + 3].tolist(), dx)
+            area = (plane.slab_area(s0, s1, 0.0, dx) if axis == 0
+                    else plane.slab_area(0.0, dx, s0, s1))
             moving.append(k)
-            flux.append(area / h_side)
+            flux.append(area / dx)
         f.put(moving, flux)
-        F = np.copysign(f * h_side, vel)
+        F = np.copysign(f * dx, vel)
         below, above = _along(axis, _BELOW), _along(axis, _ABOVE)
-        st.alpha -= (F[above] - F[below]) / (h[0] * h[1])
-        st.alpha += c_flag * dt * (vel[above] - vel[below]) / h[axis]
+        st.alpha -= (F[above] - F[below]) / (dx * dx)
+        st.alpha += c_flag * dt * (vel[above] - vel[below]) / dx
         return float(F[_along(axis, 0)].sum() - F[_along(axis, -1)].sum())
 
     def step(self, dt: float) -> None:
@@ -419,7 +413,7 @@ class Simulator:
             dt = _dt_from_speeds(*self._speeds, fixed, dx)
 
         vol_end = self.state.liquid_area()
-        denom = max(self._vol_start, self.state.grid.dx * self.state.grid.dy)
+        denom = max(self._vol_start, self.state.grid.dx * self.state.grid.dx)
         self.diag.vol_drift_rel = abs(
             vol_end - self._vol_start - self._boundary_influx) / denom
 
@@ -461,14 +455,14 @@ def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
     diag, east, north = band[0], band[1, :-1, :], band[nx, :, :-1]
     # -(beta/h^2), bit for bit, and diag - (-c) is diag + c
     np.divide(beta_x[1:-1, :], -grid.dx ** 2, out=east)
-    np.divide(beta_y[:, 1:-1], -grid.dy ** 2, out=north)
+    np.divide(beta_y[:, 1:-1], -grid.dx ** 2, out=north)
     diag[1:, :] -= east
     diag[:-1, :] -= east
     diag[:, 1:] -= north
     diag[:, :-1] -= north
     if bottom == "dirichlet":
-        diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dy ** 2
-    diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dy ** 2
+        diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dx ** 2
+    diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dx ** 2
     ab = band.reshape((nx + 1, nx * ny), order="F")
     bf = np.negative(rhs, order="F", dtype=float).ravel(order="F")
     # dpbsv factors a copy of the band: the residual needs it intact

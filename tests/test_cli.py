@@ -161,6 +161,22 @@ class TestScale:
             outs.append(read_trajectory_csv(dst).metadata["t_rate"])
         assert outs[0] != outs[1]
 
+    def test_refuses_already_scaled_input(self, tmp_path, capsys):
+        src = tmp_path / "dim.csv"
+        run_ok(capsys, ["ode", "--model", "extended", "--omega", "1",
+                        "--sigma", "0.04", "--t-end", "0.1",
+                        "--out", str(src)])
+        dst = tmp_path / "rise_II.csv"
+        args = ["--scaling", "II", "--omega", "1", "--sigma", "0.04",
+                "--out", str(dst)]
+        run_ok(capsys, ["scale", "--input", str(src)] + args)
+        before = dst.read_bytes(), dst.with_suffix(".scale.json").read_bytes()
+        # scaling the output again, onto itself, would apply the rates twice
+        assert main(["scale", "--input", str(dst)] + args) == 2
+        assert "already in scaling II" in capsys.readouterr().err
+        assert (dst.read_bytes(), dst.with_suffix(".scale.json").read_bytes()) \
+            == before
+
     def test_missing_input(self, tmp_path):
         assert main(["scale", "--input", str(tmp_path / "nope.csv"),
                      "--scaling", "I", "--omega", "1", "--sigma", "0.04",
@@ -287,6 +303,16 @@ class TestCompareCmd:
         write_trajectory_csv(Trajectory(t=t, h=t + 1.0, v=t), a)
         write_trajectory_csv(Trajectory(t=t + 5.0, h=t + 1.0, v=t), b)
         assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
+
+
+    def test_malformed_sidecar_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        t = np.linspace(0.0, 1.0, 5)
+        write_trajectory_csv(Trajectory(t=t, h=t + 1.0, v=t), a)
+        a.with_suffix(".scale.json").write_text('{"scaling": "II", "t_rate": '
+                                                '2.0, "h_rate": 3.0, "h_inf": "x"}')
+        assert main(["compare", "--a", str(a), "--b", str(a)]) == 2
+        assert "h_inf must be finite" in capsys.readouterr().err
 
 
 def test_subcommand_required():

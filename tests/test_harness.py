@@ -24,7 +24,8 @@ from caprise.harness import (
     write_scale_sidecar,
     write_trajectory_csv,
 )
-from caprise.odemodels import RiseBalance, Trajectory
+from caprise.odemodels import (ModelSpec, RiseBalance, Trajectory,
+                               model_balance, solve_rk45)
 from caprise.scaling import auto_t_end
 
 
@@ -130,9 +131,11 @@ class TestCompare:
         # linear-interpolation error, which shrinks as dt_out^2
         case = suite[2]
         t_end = auto_t_end(case.fluid, case.geom)
+        row = model_balance(ModelSpec.extended(case.slip.L), case.fluid,
+                            case.geom)
         errs = []
         for n in (2000, 4000):
-            a = run_case(case, "extended", dt_out=t_end / n).trajectory
+            a = solve_rk45(row, case.geom.h0, 0.0, t_end, dt_out=t_end / n)
             b = Trajectory(t=a.t[::2], h=a.h[::2], v=a.v[::2],
                            metadata=dict(a.metadata))
             errs.append(compare(b, a).l2_rel)
@@ -259,6 +262,40 @@ class TestCsvContract:
         assert back.metadata["scaling"] == "II"
         assert back.metadata["t_rate"] == 2.0
         assert back.metadata["h_inf"] == 0.5
+
+    def test_sidecar_integer_rates_read_as_floats(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,h,hdot\n0,1,0\n1,1,0\n")
+        path.with_suffix(".scale.json").write_text(
+            '{"scaling": "I", "t_rate": 2, "h_rate": 3, "h_inf": 1}')
+        meta = read_trajectory_csv(path).metadata
+        assert [type(meta[k]) for k in ("t_rate", "h_rate", "h_inf")] == [float] * 3
+
+    @pytest.mark.parametrize("sidecar, match", [
+        ('[1, 2]', "JSON object"),
+        ('{"t_rate": 2.0, "h_rate": 3.0}', "scaling"),
+        ('{"scaling": "IV", "t_rate": 2.0, "h_rate": 3.0}', "scaling"),
+        ('{"scaling": "II", "h_rate": 3.0}', "t_rate"),
+        ('{"scaling": "II", "t_rate": "2", "h_rate": 3.0}', "t_rate"),
+        ('{"scaling": "II", "t_rate": true, "h_rate": 3.0}', "t_rate"),
+        ('{"scaling": "II", "t_rate": 0.0, "h_rate": 3.0}', "t_rate"),
+        ('{"scaling": "II", "t_rate": NaN, "h_rate": 3.0}', "t_rate"),
+        ('{"scaling": "II", "t_rate": 2.0, "h_rate": -3.0}', "h_rate"),
+        ('{"scaling": "II", "t_rate": 2.0, "h_rate": Infinity}', "h_rate"),
+        ('{"scaling": "II", "t_rate": 2.0, "h_rate": 3.0, "h_inf": "x"}', "h_inf"),
+        ('{"scaling": "II", "t_rate": 2.0, "h_rate": 3.0, "h_inf": NaN}', "h_inf"),
+        ('{"scaling": "II", "t_rate": 2.0, "h_rate": 3.0, "h_inf": 1%s}' % ("0" * 400),
+         "h_inf"),
+        ('{"scaling": "II"', "Expecting"),
+    ], ids=["list", "no-scaling", "scaling-IV", "no-t_rate", "t_rate-text",
+            "t_rate-bool", "t_rate-0", "t_rate-nan", "h_rate<0", "h_rate-inf",
+            "h_inf-text", "h_inf-nan", "h_inf-huge-int", "not-json"])
+    def test_malformed_sidecar_refused(self, tmp_path, sidecar, match):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,h,hdot\n0,1,0\n1,1,0\n")
+        path.with_suffix(".scale.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=match):
+            read_trajectory_csv(path)
 
 
 class TestRunCase:
@@ -413,7 +450,7 @@ class TestRunSuite:
     def test_pde_runs_through_suite(self, tmp_path, suite):
         out = tmp_path / "pde"
         results = run_suite([suite[2]], models=("vof2d",), with_pde=4,
-                            t_end=0.02, out_dir=out)
+                            out_dir=out)
         assert len(results) == 1
         res = results[0]
         assert res.step_count > 10

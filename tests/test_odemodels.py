@@ -136,6 +136,17 @@ def test_trajectory_validation():
     assert len(tr) == 2
 
 
+@pytest.mark.parametrize("omega, sigma", [(0.1, 0.2), (1.0, 0.04), (100.0, 0.001)])
+def test_integrate_records_its_own_limit(omega, sigma):
+    # the classical model settles on the Jurin height, the extended one on
+    # the corrected stationary height: the same bits as the core functions
+    fluid, geom = synth_params(omega, sigma)
+    cls = integrate(ModelSpec.classical(), fluid, geom, 1e-3)
+    ext = integrate(ModelSpec.extended(geom.R / 5), fluid, geom, 1e-3)
+    assert cls.metadata["h_inf"].hex() == jurin_height(fluid, geom).hex()
+    assert ext.metadata["h_inf"].hex() == stationary_height(fluid, geom).hex()
+
+
 def test_integrate_argument_checks():
     # t_end, rtol and dt_out: see test_integrate_rejects_bad_arguments
     fluid, geom = synth_params(1.0, 0.04)
@@ -146,9 +157,14 @@ def test_integrate_argument_checks():
     integrate(ModelSpec.extended(0.001), fluid, replace(geom, h0=0.0), t_end=1e-3)
 
 
-def _integrate_dimensional(**kw):
+def _integrate_dimensional(t_end, **kw):
     fluid, geom = synth_params(1.0, 0.04)
-    return integrate(ModelSpec.extended(0.001), fluid, replace(geom, h0=0.01), **kw)
+    model, geom = ModelSpec.extended(0.001), replace(geom, h0=0.01)
+    if not kw:
+        return integrate(model, fluid, geom, t_end)
+    # integrate has solve_rk45's defaults; other tolerances and grids go
+    # to solve_rk45 with the same row
+    return solve_rk45(model_balance(model, fluid, geom), geom.h0, 0.0, t_end, **kw)
 
 
 def _integrate_scaled_ii(**kw):
@@ -440,8 +456,9 @@ def test_integrate_tolerance_convergence(omega, sigma):
     t_end = auto_t_end(fluid, geom)
     geom = replace(geom, h0=0.01)
     model = ModelSpec.extended(0.001)
-    h_a = integrate(model, fluid, geom, t_end, rtol=1e-8).h[-1]
-    h_b = integrate(model, fluid, geom, t_end, rtol=5e-9).h[-1]
+    row = model_balance(model, fluid, geom)
+    h_a = solve_rk45(row, geom.h0, 0.0, t_end, rtol=1e-8).h[-1]
+    h_b = solve_rk45(row, geom.h0, 0.0, t_end, rtol=5e-9).h[-1]
     assert abs(h_a - h_b) / abs(h_b) < 1e-8
 
 

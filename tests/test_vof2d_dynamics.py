@@ -88,7 +88,7 @@ class TestStaticMeniscus:
     def test_interface_stays_put(self, static_sim):
         sim, _ = static_sim
         apex0 = 0.010011296277628659  # exact arc integral at init
-        assert abs(apex_height(sim.state) - apex0) < 0.1 * sim.state.grid.dy
+        assert abs(apex_height(sim.state) - apex0) < 0.1 * sim.state.grid.dx
 
     def test_volume_conserved_with_closed_bottom(self, static_sim):
         sim, _ = static_sim
@@ -99,8 +99,7 @@ class TestStaticMeniscus:
 @pytest.fixture(scope="module")
 def short_rise():
     """Early rise at nx=8 with full physics."""
-    setup = CaseSetup2D(fluid=FLUID, geom=GEOM, slip=SLIP, nx=8,
-                        t_end=0.04, dt_out=0.04 / 200)
+    setup = CaseSetup2D(fluid=FLUID, geom=GEOM, slip=SLIP, nx=8, t_end=0.04)
     return run(setup)
 
 
@@ -217,12 +216,8 @@ class TestRefusedBeforeFirstStep:
     @pytest.mark.parametrize("bad,match", [
         ({"t_end": math.inf}, "t_end"), ({"t_end": math.nan}, "t_end"),
         ({"t_end": 0.0}, "t_end"), ({"t_end": -1.0}, "t_end"),
-        ({"t_end": 0.01, "dt_out": 0.02}, "dt_out"),
-        ({"t_end": 0.01, "dt_out": 0.0}, "dt_out"),
-        ({"t_end": 0.01, "dt_out": -1.0}, "dt_out"),
         ({"t_end": 0.01, "nx": 3}, "cells"),
-    ], ids=["t_end=inf", "t_end=nan", "t_end=0", "t_end<0", "dt_out>t_end",
-            "dt_out=0", "dt_out<0", "nx=3"])
+    ], ids=["t_end=inf", "t_end=nan", "t_end=0", "t_end<0", "nx=3"])
     def test_bad_setup(self, monkeypatch, bad, match):
         def no_step(self, dt):
             pytest.fail("a step ran before the setup was checked")

@@ -81,15 +81,14 @@ class TestOffsetForArea:
             phi = rng.uniform(0.0, 2.0 * math.pi)
             n = (math.cos(phi), math.sin(phi))
             dx = rng.uniform(0.5, 2.0)
-            dy = rng.uniform(0.5, 2.0)
-            target = rng.uniform(0.0, 1.0) * dx * dy
-            d = _offset(n, target, dx, dy)
-            assert cell_area(n, d, dx, dy) == pytest.approx(
-                target, abs=1e-12 * dx * dy)
+            target = rng.uniform(0.0, 1.0) * dx * dx
+            d = _offset(n, target, dx)
+            assert cell_area(n, d, dx, dx) == pytest.approx(
+                target, abs=1e-12 * dx * dx)
 
     def test_roundtrip_axis_aligned(self):
         for n in ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)):
-            d = _offset(n, 0.4, 1.0, 1.0)
+            d = _offset(n, 0.4, 1.0)
             assert cell_area(n, d, 1.0, 1.0) == pytest.approx(0.4, abs=1e-14)
 
 
@@ -109,27 +108,27 @@ class TestReconstruction:
                      for j in range(3)] for i in range(3)]
             if not 0.02 < sten[1][1] < 0.98:
                 continue
-            ne = youngs_normal(sten, 1.0, 1.0)
+            ne = youngs_normal(sten, 1.0)
             assert ne[0] * n[0] + ne[1] * n[1] > 0.997
             checked += 1
         assert checked > 200
 
     def test_youngs_uniform_stencil_falls_back(self):
         sten = [[0.5] * 3 for _ in range(3)]
-        assert youngs_normal(sten, 1.0, 1.0) == (0.0, 1.0)
+        assert youngs_normal(sten, 1.0) == (0.0, 1.0)
 
     def test_reconstruct_conserves_centre_fraction(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             sten = rng.uniform(0.0, 1.0, size=(3, 3))
             sten[1, 1] = rng.uniform(1e-6, 1.0 - 1e-6)
-            plane = plic_reconstruct(sten.tolist(), 1.0, 1.0)
+            plane = plic_reconstruct(sten.tolist(), 1.0)
             assert cell_area(*plane, 1.0, 1.0) == pytest.approx(sten[1, 1], abs=1e-12)
 
     def test_reconstruct_rejects_pure_cell(self):
         sten = [[1.0] * 3 for _ in range(3)]
         with pytest.raises(ValueError):
-            plic_reconstruct(sten, 1.0, 1.0)
+            plic_reconstruct(sten, 1.0)
 
     def test_slab_areas_partition_the_cell(self):
         rng = np.random.default_rng(5)
@@ -152,7 +151,7 @@ class TestGrid:
     def test_half_gap_shape(self):
         g = Grid.half_gap(8, 0.005)
         assert (g.nx, g.ny) == (8, 64)
-        assert g.dx == g.dy == pytest.approx(0.005 / 8)
+        assert g.dx == pytest.approx(0.005 / 8)
 
     def test_too_coarse_rejected(self):
         with pytest.raises(ValueError):
@@ -167,7 +166,7 @@ class TestArcInit:
                                 h0=0.01)
                 grid = Grid.half_gap(nx, geom.R)
                 a = arc_column_fractions(geom, grid)
-                total = a.sum() * grid.dx * grid.dy
+                total = a.sum() * grid.dx * grid.dx
                 assert total == pytest.approx(arc_total_area(geom),
                                               rel=1e-12)
 
@@ -183,17 +182,17 @@ class TestArcInit:
         def x_at(y):
             return math.sqrt(max(r * r - (yc - y) ** 2, 0.0))
 
-        cell = grid.dx * grid.dy
+        cell = grid.dx * grid.dx
         for i in (0, 3, 5, 7):
             for j in range(14, 22):
-                y_lo = j * grid.dy
+                y_lo = j * grid.dx
                 xa, xb = i * grid.dx, (i + 1) * grid.dx
                 # give quad the clamp kinks, and tolerances well below
                 # the tiny absolute size of a single-cell integral
-                kinks = [x for x in (x_at(y_lo), x_at(y_lo + grid.dy))
+                kinks = [x for x in (x_at(y_lo), x_at(y_lo + grid.dx))
                          if xa < x < xb]
                 val, _ = quad(
-                    lambda x: min(max(y_if(x) - y_lo, 0.0), grid.dy),
+                    lambda x: min(max(y_if(x) - y_lo, 0.0), grid.dx),
                     xa, xb, points=kinks or None, limit=200,
                     epsabs=1e-18, epsrel=1e-13)
                 assert a[i, j] == pytest.approx(val / cell, abs=1e-10)
@@ -201,7 +200,7 @@ class TestArcInit:
     def test_columns_single_valued_and_rising_to_wall(self):
         grid = Grid.half_gap(16, GEOM.R)
         a = arc_column_fractions(GEOM, grid)
-        heights = a.sum(axis=1) * grid.dy
+        heights = a.sum(axis=1) * grid.dx
         assert np.all(np.diff(heights) > 0.0)
         state = SimState.quiescent(grid, a)
         apex_height(state)  # raises if any apex-column structure is bad
@@ -210,7 +209,7 @@ class TestArcInit:
         geom = Geometry(R=0.005, theta_e=math.pi / 2, h0=0.01)
         grid = Grid.half_gap(8, geom.R)
         a = arc_column_fractions(geom, grid)
-        # h0 = 16 dy exactly: 16 full rows, empty above
+        # h0 = 16 dx exactly: 16 full rows, empty above
         assert np.all(a[:, :16] == 1.0)
         assert np.all(a[:, 16:] == 0.0)
 
@@ -231,7 +230,7 @@ class TestArcInit:
     def test_init_case_apex_near_h0(self):
         state = init_case(GEOM, 8)
         apex = apex_height(state)
-        assert GEOM.h0 <= apex <= GEOM.h0 + state.grid.dy
+        assert GEOM.h0 <= apex <= GEOM.h0 + state.grid.dx
         # frozen: exact arc integral over the apex column
         assert apex == pytest.approx(0.010011296277628659, rel=1e-12)
 
@@ -245,7 +244,7 @@ class TestApexHeight:
 
     def test_simple_column(self):
         state = self._state_with_column([1.0, 1.0, 0.5])
-        assert apex_height(state) == pytest.approx(2.5 * state.grid.dy)
+        assert apex_height(state) == pytest.approx(2.5 * state.grid.dx)
 
     def test_detached_partial_raises(self):
         state = self._state_with_column([1.0, 1.0, 0.5, 1.0, 0.3])

@@ -70,7 +70,7 @@ class TestCurvature:
         a = np.zeros((grid.nx, grid.ny))
         a[:, :20] = 1.0
         a[:, 20] = 0.4
-        k = curvature_height_function(a, grid.dx, grid.dy, math.pi / 2)
+        k = curvature_height_function(a, grid.dx, math.pi / 2)
         assert np.all(k == 0.0)
 
     def test_wall_ghost_bends_last_column(self):
@@ -78,7 +78,7 @@ class TestCurvature:
         a = np.zeros((grid.nx, grid.ny))
         a[:, :20] = 1.0
         a[:, 20] = 0.4
-        k = curvature_height_function(a, grid.dx, grid.dy, GEOM.theta_e)
+        k = curvature_height_function(a, grid.dx, GEOM.theta_e)
         assert np.all(k[:-1] == 0.0)
         assert k[-1] > 0.0
 
@@ -86,21 +86,21 @@ class TestCurvature:
         # the smeared column's interface cell is j = 10 and its 7-cell
         # window starts at the 0.9 cell, so its height comes from the 9-cell
         # window; it holds 10.1 cells of liquid, as column 0 of the sharp field
-        dx = dy = 0.25
+        dx = 0.25
         smeared = [1.0] * 7 + [0.9, 0.8, 0.7, 0.5, 0.2] + [0.0] * 8
         with pytest.raises(StencilInvalid):
-            column_height(np.array(smeared), 10, dy, half=3)
+            column_height(np.array(smeared), 10, dx, half=3)
         a = np.zeros((3, 20))
         a[:, :10] = 1.0
         a[:, 10] = [0.1, 0.3, 0.6]
-        sharp = curvature_height_function(a, dx, dy, GEOM.theta_e)
+        sharp = curvature_height_function(a, dx, GEOM.theta_e)
         a[0] = smeared
-        assert curvature_height_function(a, dx, dy, GEOM.theta_e) == \
+        assert curvature_height_function(a, dx, GEOM.theta_e) == \
             pytest.approx(sharp, rel=1e-12)
         # a 0.95 cell at the 9-cell window's bottom too: no window brackets
         a[0, 6] = 0.95
         with pytest.raises(StencilInvalid):
-            curvature_height_function(a, dx, dy, GEOM.theta_e)
+            curvature_height_function(a, dx, GEOM.theta_e)
 
     def test_arc_curvature_converges_to_inverse_radius(self):
         k_exact = math.cos(GEOM.theta_e) / GEOM.R
@@ -108,7 +108,7 @@ class TestCurvature:
         for nx in (8, 16, 32, 64):
             grid = Grid.half_gap(nx, GEOM.R)
             a = arc_column_fractions(GEOM, grid)
-            k = curvature_height_function(a, grid.dx, grid.dy, GEOM.theta_e)
+            k = curvature_height_function(a, grid.dx, GEOM.theta_e)
             errs[nx] = float(np.abs(k[:-1] - k_exact).max()) / k_exact
         # interior columns approach second order
         mean_rate = math.log2(errs[8] / errs[64]) / 3.0
@@ -121,7 +121,7 @@ class TestCurvature:
         for nx in (16, 32, 64):
             grid = Grid.half_gap(nx, GEOM.R)
             a = arc_column_fractions(GEOM, grid)
-            k = curvature_height_function(a, grid.dx, grid.dy, GEOM.theta_e)
+            k = curvature_height_function(a, grid.dx, GEOM.theta_e)
             errs[nx] = abs(float(k[-1]) - k_exact) / k_exact
         assert math.log2(errs[16] / errs[64]) / 2.0 > 0.7
 
@@ -150,7 +150,7 @@ def _dense_operator(grid, beta_x, beta_y, bottom):
     """div(beta grad) as a dense matrix, cell (i, j) in row i + nx*j; the
     top is Dirichlet."""
     nx, ny = grid.nx, grid.ny
-    dx2, dy2 = grid.dx ** 2, grid.dy ** 2
+    dx2 = dy2 = grid.dx ** 2
     A = np.zeros((nx * ny, nx * ny))
     for j in range(ny):
         for i in range(nx):
@@ -188,9 +188,9 @@ class TestPoisson:
     def _mms_error(self, nx, bottom):
         R = 1.0
         grid = Grid.half_gap(nx, R)
-        H = grid.ny * grid.dy
+        H = grid.ny * grid.dx
         x = (np.arange(grid.nx) + 0.5) * grid.dx
-        y = (np.arange(grid.ny) + 0.5) * grid.dy
+        y = (np.arange(grid.ny) + 0.5) * grid.dx
         X, Y = np.meshgrid(x, y, indexing="ij")
         # the y profile meets the bottom/top conditions at y = 0 and H
         if bottom == "dirichlet":
@@ -297,7 +297,7 @@ class TestSinglePhaseMomentum:
         # the falling column drains: gas enters through the top ghost
         assert np.all(st.alpha[:, :-1] == 1.0)
         assert st.alpha[:, -1] == pytest.approx(
-            1.0 - fluid.g * dt * dt / st.grid.dy, rel=1e-12)
+            1.0 - fluid.g * dt * dt / st.grid.dx, rel=1e-12)
 
     def test_closed_column_builds_hydrostatic_pressure(self):
         sim, fluid = _single_phase_setup(closed_bottom=True)
@@ -307,7 +307,7 @@ class TestSinglePhaseMomentum:
         assert np.abs(st.v).max() < 1e-12 * fluid.g * dt + 1e-16
         assert np.abs(st.u).max() < 1e-15
         # vertical pressure gradient balances gravity
-        dpdy = (st.p[:, 1:] - st.p[:, :-1]) / st.grid.dy
+        dpdy = (st.p[:, 1:] - st.p[:, :-1]) / st.grid.dx
         assert np.allclose(dpdy, -fluid.rho_l * fluid.g, rtol=1e-9)
 
 
@@ -351,10 +351,10 @@ class TestAdvection:
         assert abs(v1 - v0) / v0 < 1e-13
         x1, y1 = (ii * a1).sum() / v1, (jj * a1).sum() / v1
         assert abs((x1 - x0) - U * dt * n / grid.dx) < 0.02
-        assert abs((y1 - y0) - V * dt * n / grid.dy) < 0.02
+        assert abs((y1 - y0) - V * dt * n / grid.dx) < 0.02
         assert sim.diag.alpha_overshoot_max < 1e-12
         # translated-square reference: corners round off a little
-        ddx, ddy = U * dt * n / grid.dx, V * dt * n / grid.dy
+        ddx, ddy = U * dt * n / grid.dx, V * dt * n / grid.dx
         exact = np.zeros_like(a0)
         for i in range(grid.nx):
             for j in range(grid.ny):
@@ -400,7 +400,7 @@ def _reference_sweep(sim, dt, c_flag, axis):
     donors gathered face by face, a ghost-donor rule, one clip per mixed
     donor.  Kept as the reference the new sweep must match bit for bit."""
     st = sim.state
-    h = (st.grid.dx, st.grid.dy)
+    h = (st.grid.dx, st.grid.dx)
     h_side = h[1 - axis]
     vel = st.u if axis == 0 else st.v
     A_pad = sim._pad_alpha(st.alpha)
@@ -419,7 +419,7 @@ def _reference_sweep(sim, dt, c_flag, axis):
                                 donor[1][mixed].tolist(),
                                 w[mixed].tolist(), up[mixed].tolist()):
         sten = np.clip(A_pad[i - 1:i + 2, j - 1:j + 2], 0.0, 1.0)
-        plane = plic_reconstruct(sten.tolist(), h[0], h[1])
+        plane = plic_reconstruct(sten.tolist(), h[0])
         lo, hi = [0.0, 0.0], list(h)
         if upk:
             lo[axis] = h[axis] - wk
@@ -514,7 +514,7 @@ def _reference_slice_sweep(sim, dt, c_flag, axis):
     directions, and a 0-velocity test on every face.  Unlike
     _reference_sweep it leaves a NaN donor alone."""
     st = sim.state
-    h = (st.grid.dx, st.grid.dy)
+    h = (st.grid.dx, st.grid.dx)
     h_side = h[1 - axis]
     vel = st.u if axis == 0 else st.v
     A = sim._pad_alpha(st.alpha)
@@ -538,8 +538,7 @@ def _reference_slice_sweep(sim, dt, c_flag, axis):
             lo[axis] = h[axis] - wk
         else:
             hi[axis] = wk
-        plane = plic_reconstruct(A[i - 1:i + 2, j - 1:j + 2].tolist(),
-                                 h[0], h[1])
+        plane = plic_reconstruct(A[i - 1:i + 2, j - 1:j + 2].tolist(), h[0])
         flux.append(plane.slab_area(lo[0], hi[0], lo[1], hi[1]) / h_side)
     f[mixed] = flux
     F = np.copysign(f * h_side, vel)
@@ -583,7 +582,7 @@ def _reference_momentum(sim, dt, A_pad, u_full, v_full, kappa):
     Kept as the reference the new update must match bit for bit."""
     st = sim.state
     fl = sim.setup.fluid
-    dx, dy = st.grid.dx, st.grid.dy
+    dx = dy = st.grid.dx
     u, v, alpha = st.u, st.v, st.alpha
 
     rho_pad = fl.rho_g + (fl.rho_l - fl.rho_g) * A_pad
@@ -644,7 +643,7 @@ def _reference_project(sim, dt, u_star, v_star, rho_pad):
     """The projection that Simulator._project replaced: mobilities from
     rho_pad, corrections on copies of u_star and v_star."""
     st = sim.state
-    dx, dy = st.grid.dx, st.grid.dy
+    dx = dy = st.grid.dx
 
     beta_x = 1.0 / (0.5 * (rho_pad[:-1, 1:-1] + rho_pad[1:, 1:-1]))
     beta_y = 1.0 / (0.5 * (rho_pad[1:-1, :-1] + rho_pad[1:-1, 1:]))
@@ -851,7 +850,7 @@ def _reference_apex_height(state):
     heights = []
     for col in cols:
         _reference_check_single_valued(col)
-        heights.append(float(col.sum()) * grid.dy)
+        heights.append(float(col.sum()) * grid.dx)
     return sum(heights) / len(heights)
 
 
@@ -869,15 +868,15 @@ def _reference_poisson_solve(grid, beta_x, beta_y, rhs, *,
 
     nx, ny = grid.nx, grid.ny
     cx = beta_x[1:-1, :] / grid.dx ** 2
-    cy = beta_y[:, 1:-1] / grid.dy ** 2
+    cy = beta_y[:, 1:-1] / grid.dx ** 2
     diag = np.zeros((nx, ny))
     diag[1:, :] += cx
     diag[:-1, :] += cx
     diag[:, 1:] += cy
     diag[:, :-1] += cy
     if bottom == "dirichlet":
-        diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dy ** 2
-    diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dy ** 2
+        diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dx ** 2
+    diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dx ** 2
     b = -np.asarray(rhs, dtype=float)
     band = np.zeros((nx + 1, nx, ny), order="F")
     band[0] = diag
@@ -936,9 +935,20 @@ def _reference_offset(normal, area, dx, dy):
     return d
 
 
+def _reference_youngs_normal(a, dx, dy):
+    gx = (a[2][0] + 2.0 * a[2][1] + a[2][2]
+          - a[0][0] - 2.0 * a[0][1] - a[0][2]) / (8.0 * dx)
+    gy = (a[0][2] + 2.0 * a[1][2] + a[2][2]
+          - a[0][0] - 2.0 * a[1][0] - a[2][0]) / (8.0 * dy)
+    norm = math.hypot(gx, gy)
+    if norm < _REF_EPS_NORMAL:
+        return (0.0, 1.0)
+    return (-gx / norm, -gy / norm)
+
+
 def _reference_plane(alpha3x3, dx, dy):
     """(normal, offset) of the parent's plic_reconstruct."""
-    n = youngs_normal(alpha3x3, dx, dy)
+    n = _reference_youngs_normal(alpha3x3, dx, dy)
     return n, _reference_offset(n, alpha3x3[1][1] * dx * dy, dx, dy)
 
 
@@ -965,7 +975,7 @@ def _reference_advect_alpha(sim, dt):
     """The parent's advect_alpha: the same sweeps, a clip on every step."""
     sim.apply_boundaries()
     st = sim.state
-    dx, dy = st.grid.dx, st.grid.dy
+    dx = dy = st.grid.dx
     cell = dx * dy
     cfl = max(float(np.abs(st.u).max()) * dt / dx,
               float(np.abs(st.v).max()) * dt / dy)
@@ -1001,15 +1011,15 @@ def _poisson_inputs(sim, dt):
         dt, sim._pad_alpha(st.alpha), sim._u_full(), sim._v_full(),
         sim.curvatures())
     div_star = ((u_star[1:, :] - u_star[:-1, :]) / st.grid.dx
-                + (v_star[:, 1:] - v_star[:, :-1]) / st.grid.dy)
+                + (v_star[:, 1:] - v_star[:, :-1]) / st.grid.dx)
     return 1.0 / rho_x, 1.0 / rho_y, div_star / dt
 
 
 def _assert_scans_match_reference(sim, dt):
     st, setup = sim.state, sim.setup
-    args = (st.alpha, st.grid.dx, st.grid.dy, setup.geom.theta_e)
-    assert _same_bits(curvature_height_function(*args),
-                      _reference_curvature(*args))
+    dx, theta = st.grid.dx, setup.geom.theta_e
+    assert _same_bits(curvature_height_function(st.alpha, dx, theta),
+                      _reference_curvature(st.alpha, dx, dx, theta))
     assert _bits(apex_height(st)) == _bits(_reference_apex_height(st))
     assert _bits(compute_dt(st, setup.fluid)) == \
         _bits(_reference_compute_dt(st, setup.fluid))
@@ -1184,13 +1194,12 @@ class TestPlicMatchesReference:
         n = 0
         for sten in _random_stencils(rng, 12000):
             hx = float(rng.choice([1.0, 6.25e-4, rng.uniform(0.1, 2.0)]))
-            hy = hx if rng.uniform() < 0.5 else float(rng.uniform(0.1, 2.0))
-            plane = plic_reconstruct(sten, hx, hy)
-            normal, offset = _reference_plane(sten, hx, hy)
+            plane = plic_reconstruct(sten, hx)
+            normal, offset = _reference_plane(sten, hx, hx)
             assert type(plane) is PlicPlane
             assert plane == (normal, offset)
             assert _bits(plane.offset) == _bits(offset)
-            for slab in _slabs(rng, hx, hy):
+            for slab in _slabs(rng, hx, hx):
                 assert _bits(plane.slab_area(*slab)) == \
                     _bits(_reference_slab_area(normal, offset, *slab))
             n += 1
@@ -1212,7 +1221,7 @@ class TestPlicMatchesReference:
 
     def test_axis_aligned_and_degenerate_normals_are_covered(self):
         rng = np.random.default_rng(2024)
-        normals = {youngs_normal(s, 1.0, 1.0)
+        normals = {youngs_normal(s, 1.0)
                    for s in _random_stencils(rng, 50)}
         assert (0.0, 1.0) in normals
         assert any(n1 == 0.0 and n2 != 0.0 for n1, n2 in normals)
@@ -1280,7 +1289,7 @@ class TestScanMessagesMatchReference:
     def test_curvature(self, case, column):
         a = np.array([_SHARP, [1.0] * 10 + [0.6] + [0.0] * 9, _SHARP])
         a[column] = _STENCIL_COLUMNS[case]
-        assert _outcome(curvature_height_function, a, 0.25, 0.25,
+        assert _outcome(curvature_height_function, a, 0.25,
                         GEOM.theta_e) == \
             _outcome(_reference_curvature, a, 0.25, 0.25, GEOM.theta_e)
 
@@ -1288,8 +1297,7 @@ class TestScanMessagesMatchReference:
         # column 0 fails its window, column 2 has no interface cell
         a = np.array([_STENCIL_COLUMNS["widened_fails"], _SHARP,
                       _STENCIL_COLUMNS["no_interface"]])
-        got = _outcome(curvature_height_function, a, 0.25, 0.25,
-                       GEOM.theta_e)
+        got = _outcome(curvature_height_function, a, 0.25, GEOM.theta_e)
         assert got == _outcome(_reference_curvature, a, 0.25, 0.25,
                                GEOM.theta_e)
         assert got == (StencilInvalid, "window bottom is not pure liquid")
