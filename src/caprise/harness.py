@@ -40,8 +40,7 @@ from .odemodels import (
 )
 from .scaling import SCALING_KINDS, auto_t_end, coefficients, nondimensionalize
 from .study import synth_params
-from .vof2d import CaseSetup2D
-from .vof2d import run as run_vof2d
+from .vof2d import CaseSetup2D, Simulator
 from .vof2d.geometry import MIN_NX
 from .vof2d.solver import RunDiagnostics
 
@@ -105,9 +104,9 @@ class DeviationMetrics:
 
     The peak ratios are a/b for the first local maximum (time, and height
     above each trajectory's own stationary height); they are None unless
-    both trajectories have a first maximum, both carry an ``h_inf`` in
-    their metadata, and both overshoots are positive.  peak_count_* count
-    detected maxima.
+    both trajectories have a first maximum and both times, or both
+    overshoots, are positive.  The overshoot ratio also needs an
+    ``h_inf`` in both metadata.  peak_count_* count detected maxima.
     """
 
     l2_rel: float
@@ -149,7 +148,8 @@ def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
     t_ratio: float | None = None
     o_ratio: float | None = None
     if ma and mb:
-        t_ratio = ma[0].t / mb[0].t
+        if ma[0].t > 0.0 and mb[0].t > 0.0:
+            t_ratio = ma[0].t / mb[0].t
         ha_inf = a.metadata.get("h_inf")
         hb_inf = b.metadata.get("h_inf")
         if ha_inf is not None and hb_inf is not None:
@@ -195,7 +195,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
     if data.shape[1] != 3:
         raise ValueError("trajectory CSV must hold rows of t,h,hdot")
-    meta: dict = {"source": str(path)}
+    meta: dict = {}
     sidecar = path.with_suffix(".scale.json")
     if sidecar.exists():
         # integers parse as floats, so an oversized one is inf
@@ -219,7 +219,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """Outcome of one (case, model) run.
+    """Outcome of one (case, model) run; every figure is read from it.
 
     rel_stationary_err is measured against the corrected stationary
     height (h_inf_predicted) for every model; t_settle and the peak list
@@ -231,10 +231,6 @@ class BenchResult:
     case: CaseSpec
     model: str
     trajectory: Trajectory
-    peaks: tuple[Peak, ...]
-    ca_max: float
-    t_settle: float | None
-    step_count: int
     diagnostics: RunDiagnostics | None = None
 
     @property
@@ -250,10 +246,29 @@ class BenchResult:
         h_inf = self.h_inf_predicted
         return abs(self.h_final - h_inf) / h_inf
 
+    @property
+    def peaks(self) -> tuple[Peak, ...]:
+        return detect_peaks(self.trajectory)
+
+    @property
+    def ca_max(self) -> float:
+        return ca_max(self.trajectory, self.case.fluid)
+
+    @property
+    def t_settle(self) -> float | None:
+        return settle_time(self.trajectory, self.trajectory.metadata["h_inf"])
+
+    @property
+    def step_count(self) -> int:
+        # solver steps for vof2d, right-hand-side evaluations for an ODE
+        if self.diagnostics is not None:
+            return self.diagnostics.n_steps
+        return self.trajectory.metadata["nfev"]
+
 
 def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
              nx: int | None = None) -> BenchResult:
-    """Run one model on one case and collect the standard metrics.
+    """Run one model on one case.
 
     t_end defaults to the auto policy (scaled time 10 in every scaling).
     vof2d needs an explicit resolution nx; it is never chosen silently.
@@ -273,28 +288,23 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
             raise ValueError("vof2d runs need an explicit cells-per-radius nx")
         setup = CaseSetup2D(fluid=case.fluid, geom=case.geom, slip=case.slip,
                             nx=nx, t_end=t_end)
-        traj, diag = run_vof2d(setup)
+        traj, diag = Simulator(setup).run()
     else:
         # numerical slip has no continuum parameter; its mesh-converged
         # limit is no slip, so the extended model runs with L = 0
         L = case.slip.L if case.slip.kind == "navier" else 0.0
         spec = ModelSpec.classical() if model == "classical" else ModelSpec.extended(L)
         traj = integrate(spec, case.fluid, case.geom, t_end, label=case.label)
-
-    steps = diag.n_steps if diag is not None else traj.metadata["nfev"]
-    return BenchResult(
-        case=case, model=model, trajectory=traj, peaks=detect_peaks(traj),
-        ca_max=ca_max(traj, case.fluid),
-        t_settle=settle_time(traj, traj.metadata["h_inf"]), step_count=steps,
-        diagnostics=diag)
+    return BenchResult(case=case, model=model, trajectory=traj, diagnostics=diag)
 
 
-def _summary_entry(case: CaseSpec, model: str, res: BenchResult) -> dict:
+def _summary_entry(res: BenchResult) -> dict:
+    case = res.case
     f, gm = case.fluid, case.geom
     entry = {
         "label": case.label,
         "omega": case.omega_nominal,
-        "model": model,
+        "model": res.model,
         "slip": format_slip(case.slip),
         "params": {"rho": f.rho_l, "mu": f.mu_l, "sigma": f.sigma, "g": f.g,
                    # radians(30) does not round-trip exactly; drop the noise
@@ -388,11 +398,12 @@ def run_suite(selection, *, models: tuple[str, ...] = ("classical", "extended"),
     for case, m in jobs:
         try:
             res = run_case(case, m, nx=with_pde)
+            entry = _summary_entry(res)
         except (CapriseError, ValueError) as exc:
             entries.append(_failure_entry(case, m, exc))
             continue
         results.append(res)
-        entries.append(_summary_entry(case, m, res))
+        entries.append(entry)
         if out is not None:
             _export_case(out, case, m, res.trajectory, tuple(scalings))
     if out is not None:

@@ -352,7 +352,7 @@ def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, *,
                 i_out += 1
         t, h, v, kh1, kv1, dt = t_new, h_new, v_new, kh7, kv7, dt_next
 
-    meta = dict(metadata or {}, rtol=rtol, atol=atol, dt_out=dt_out, nfev=nfev)
+    meta = dict(metadata or {}, nfev=nfev)
     return Trajectory(t=t_eval, h=np.array(hs), v=np.array(vs), metadata=meta)
 
 
@@ -367,28 +367,23 @@ def integrate(model: ModelSpec, fluid: FluidPair, geom: Geometry, t_end: float, 
     if model.kind == "classical" and geom.h0 <= 1e-9 * geom.R:
         # the classical equation is singular at h=0; refuse rather than regularize
         raise ValueError("classical model requires h0 > 1e-9*R")
-    meta = {"label": label, "model": model.kind}
-    if model.kind == "extended":
-        meta.update(slip_length=model.slip_length, h_inf=stationary_height(fluid, geom))
-    else:
-        meta["h_inf"] = jurin_height(fluid, geom)
+    h_inf = (jurin_height(fluid, geom) if model.kind == "classical"
+             else stationary_height(fluid, geom))
     return solve_rk45(model_balance(model, fluid, geom), geom.h0, 0.0, t_end,
-                      metadata=meta)
+                      metadata={"label": label, "h_inf": h_inf})
 
 
-def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4,
-                 h_ref: float | None = None) -> tuple[Peak, ...]:
+def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4) -> tuple[Peak, ...]:
     """Interior extrema of h(t) with small wiggles suppressed.
 
     Extrema come from discrete slope sign changes and are polished with a
     3-point parabola.  Adjacent extremum pairs whose amplitude falls below
-    eps_peak * h_ref are cancelled; h_ref defaults to the trajectory's
-    stationary height when known, else max|h|.
+    eps_peak * h_ref are cancelled; h_ref is the trajectory's stationary
+    height, metadata["h_inf"], when known, else max|h|.
     """
     if len(traj) < 3:
         raise ValueError("need at least 3 samples")
-    if h_ref is None:
-        h_ref = traj.metadata.get("h_inf") or float(np.max(np.abs(traj.h)))
+    h_ref = traj.metadata.get("h_inf") or float(np.max(np.abs(traj.h)))
     thresh = eps_peak * abs(h_ref)
 
     h = traj.h
@@ -450,6 +445,4 @@ def settle_time(traj: Trajectory, h_inf: float) -> float | None:
 
 def ca_max(traj: Trajectory, fluid: FluidPair) -> float:
     """Maximum capillary number mu_l max|h'| / sigma along the trajectory."""
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
     return fluid.mu_l * float(np.max(np.abs(traj.v))) / fluid.sigma

@@ -9,7 +9,7 @@ walls.
 from .geometry import Grid, SimState, apex_height, init_case
 from .plic import PlicPlane, plic_reconstruct, youngs_normal
 from .curvature import contact_angle_ghost, curvature_height_function
-from .solver import CaseSetup2D, Simulator, compute_dt, run
+from .solver import CaseSetup2D, Simulator, compute_dt
 
 __all__ = [
     "CaseSetup2D",
@@ -23,6 +23,5 @@ __all__ = [
     "curvature_height_function",
     "init_case",
     "plic_reconstruct",
-    "run",
     "youngs_normal",
 ]

@@ -421,19 +421,8 @@ class Simulator:
         hdot = np.gradient(h_grid, self._t_out)
         traj = Trajectory(
             t=self._t_out, h=h_grid, v=hdot,
-            metadata={
-                "kind": "vof2d",
-                "nx": setup.nx,
-                "slip": setup.slip.kind,
-                "slip_length": setup.slip.L,
-                "h_inf": stationary_height(setup.fluid, setup.geom),
-            })
+            metadata={"h_inf": stationary_height(setup.fluid, setup.geom)})
         return traj, self.diag
-
-
-def run(setup: CaseSetup2D) -> tuple[Trajectory, RunDiagnostics]:
-    """Initialise from the arc and integrate to t_end."""
-    return Simulator(setup).run()
 
 
 def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,

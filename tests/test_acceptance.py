@@ -37,7 +37,7 @@ from caprise.scaling import (
     units,
 )
 from caprise.study import crossover_cells, step_counts, synth_params
-from caprise.vof2d import CaseSetup2D, Simulator, compute_dt, run
+from caprise.vof2d import CaseSetup2D, Simulator, compute_dt
 from caprise.vof2d import solver as vof2d_solver
 from caprise.vof2d.solver import _POISSON_TOL
 
@@ -120,7 +120,7 @@ def _pde_setup(name, nx):
 def _timed_run(setup):
     """The trajectory, the diagnostics and the wall time [s] of one run."""
     t0 = time.perf_counter()
-    traj, diag = run(setup)
+    traj, diag = Simulator(setup).run()
     return traj, diag, time.perf_counter() - t0
 
 
@@ -403,7 +403,7 @@ def test_vof2d_temporal_self_convergence(pde_runs, name, monkeypatch):
     # against 1.86e-2 (numerical slip)
     monkeypatch.setattr(vof2d_solver, "_DT_SAFETY",
                         0.5 * vof2d_solver._DT_SAFETY)
-    half, diag = run(_pde_setup(name, 8))
+    half, diag = Simulator(_pde_setup(name, 8)).run()
     full = pde_runs[(name, 8)][0]
     assert diag.n_steps > 1.9 * pde_runs[(name, 8)][1].n_steps
     d_time = compare(full, half).l2_rel

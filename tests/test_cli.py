@@ -15,7 +15,6 @@ from caprise.odemodels import ModelSpec, Trajectory, integrate
 from caprise.scaling import auto_t_end
 from caprise.study import synth_params
 from caprise.vof2d import CaseSetup2D, Simulator
-from caprise.vof2d import run as run_vof2d
 
 
 def run_ok(capsys, argv):
@@ -213,9 +212,9 @@ class TestSim2d:
         assert 0.0 < diag["cfl_max"] <= 1.0
 
         fluid, geom = synth_params(1.0, 0.04)
-        traj, run_diag = run_vof2d(CaseSetup2D(
+        traj, run_diag = Simulator(CaseSetup2D(
             fluid=fluid, geom=geom, slip=SlipSpec.navier(0.001), nx=4,
-            t_end=0.005))
+            t_end=0.005)).run()
         assert diag["n_steps"] == run_diag.n_steps
         assert out.read_text(encoding="utf-8") == trajectory_csv_text(traj)
 
@@ -304,6 +303,12 @@ class TestCompareCmd:
         write_trajectory_csv(Trajectory(t=t + 5.0, h=t + 1.0, v=t), b)
         assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
 
+    def test_first_maximum_at_time_zero(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("t,h,hdot\n-1,0,0\n0,1,0\n1,0,0\n")
+        out = json.loads(run_ok(capsys, ["compare", "--a", str(a),
+                                         "--b", str(a)]))
+        assert out["first_peak_time_ratio"] is None
 
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -172,6 +172,15 @@ class TestCompare:
         assert m.first_peak_time_ratio is not None
         assert m.first_peak_overshoot_ratio is None
 
+    def test_first_maximum_at_time_zero_has_no_time_ratio(self):
+        # a CSV may start below t = 0, which can put a first maximum at 0
+        tr = Trajectory(t=[-1.0, 0.0, 1.0], h=[0.0, 1.0, 0.0], v=[0.0, 0.0, 0.0],
+                        metadata={"h_inf": 0.5})
+        m = compare(tr, tr)
+        assert m.peak_count_a == m.peak_count_b == 1
+        assert m.first_peak_time_ratio is None
+        assert m.first_peak_overshoot_ratio == 1.0
+
 
 class TestCsvContract:
     def test_roundtrip_is_exact(self, tmp_path, osc_pair):
@@ -319,9 +328,20 @@ class TestRunCase:
         def no_run(*args, **kwargs):
             raise AssertionError("a model ran")
         monkeypatch.setattr(harness, "integrate", no_run)
-        monkeypatch.setattr(harness, "run_vof2d", no_run)
+        monkeypatch.setattr(harness, "Simulator", no_run)
         with pytest.raises(ValueError, match="stationary height"):
             run_case(case, model, nx=4)
+
+    def test_computes_no_summary_figures(self, suite, monkeypatch):
+        def no_peaks(traj):
+            raise AssertionError("peaks detected")
+        monkeypatch.setattr(harness, "detect_peaks", no_peaks)
+        res = run_case(suite[2], "classical")
+        assert res.step_count > 0
+        assert res.ca_max > 0.0
+        assert res.t_settle is None or res.t_settle > 0.0
+        with pytest.raises(AssertionError, match="peaks detected"):
+            res.peaks
 
     def test_vof2d_needs_resolution(self, suite):
         with pytest.raises(ValueError):

@@ -418,7 +418,6 @@ def test_integrate_sampling_grid():
     assert tr.t[0] == 0.0
     assert tr.t[-1] == 0.5
     assert np.allclose(np.diff(tr.t), 0.5 / 2000, rtol=0, atol=1e-15)
-    assert tr.metadata["model"] == "extended"
 
 
 def test_integrate_holds_equilibrium():
@@ -470,7 +469,7 @@ def test_initial_rise_and_damping():
     _, dv0 = model_balance(ModelSpec.extended(0.001), fluid, geom)(geom.h0, 0.0)
     assert dv0 > 0.0
     tr = integrate(ModelSpec.extended(0.001), fluid, geom, auto_t_end(fluid, geom))
-    peaks = detect_peaks(tr, h_ref=stationary_height(fluid, geom))
+    peaks = detect_peaks(tr)
     maxima = [p for p in peaks if p.is_max]
     assert len(maxima) >= 2
     heights = [p.h for p in maxima]

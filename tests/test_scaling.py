@@ -253,11 +253,11 @@ def test_scaled_ii_small_omega_linearisation(omega, L):
     hh = 0.04
     groups = slip_groups(L, 0.005)
     tr = solve_rk45(scaled_balance("II", omega, groups, hh), 0.46, 0.0, 200.0,
-                    dt_out=0.005)
+                    dt_out=0.005, metadata={"h_inf": 1.0})
     decay = groups.k * omega / 2.0
     period = 2.0 * math.pi / math.sqrt(1.0 - decay * decay)
     ratio = math.exp(-decay * period)
-    maxima = [p for p in detect_peaks(tr, eps_peak=1e-12, h_ref=1.0)
+    maxima = [p for p in detect_peaks(tr, eps_peak=1e-12)
               if p.is_max]
     # late enough to be linear, early enough to stand above sampling noise
     pairs = [(a, b) for a, b in zip(maxima, maxima[1:])
