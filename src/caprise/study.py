@@ -39,14 +39,16 @@ class DtLimits:
 
     The capillary limit comes in two variants.  The cost estimate is
     Brackbill, Kothe & Zemach's (1992) bound with the liquid density
-    alone.  The solver form is Denner & van Wachem's (2015, JCP 285)
-    capillary-wave bound sqrt(rho_mean dx^3/(pi sigma)) with
-    rho_mean = (rho_l+rho_g)/2, a factor sqrt(2) above Brackbill's
-    bound with the same densities.
+    alone.  The solver form is the time the shortest resolved capillary
+    wave, wavelength 2 dx, takes to cross one cell: with Lamb's (1932,
+    section 267) two-fluid phase speed c(k)^2 = sigma k/(rho_l+rho_g)
+    at k = pi/dx it is dx/c = sqrt((rho_l+rho_g) dx^3/(pi sigma)),
+    a factor sqrt(2) above Denner & van Wachem's (2015, JCP 285) bound
+    and 2 above Brackbill's with the same densities.
     """
 
     dt_sigma_estimate: float  # sqrt(rho_l dx^3/(4 pi sigma)) [s]
-    dt_sigma_solver: float    # sqrt((rho_l+rho_g) dx^3/(2 pi sigma)) [s]
+    dt_sigma_solver: float    # dx/c(pi/dx) = sqrt((rho_l+rho_g) dx^3/(pi sigma)) [s]
     dt_mu: float              # rho_l dx^2/(6 mu_l) [s]
 
 
@@ -77,14 +79,15 @@ def timestep_limits(fluid: FluidPair, dx: float) -> DtLimits:
     """Capillary and viscous timestep ceilings at mesh size dx.
 
     dt_sigma_estimate (Brackbill et al. 1992, liquid density) feeds the
-    published cost table through step_counts; dt_sigma_solver (Denner &
-    van Wachem 2015, both densities) and dt_mu cap the 2D solver's step.
+    published cost table through step_counts; dt_sigma_solver, the time
+    the 2 dx capillary wave takes to cross one cell at Lamb's two-fluid
+    phase speed, and dt_mu cap the 2D solver's step.
     """
     if not dx > 0.0:
         raise ValueError("dx must be positive")
     dt_sigma_est = math.sqrt(fluid.rho_l * dx**3 / (4.0 * math.pi * fluid.sigma))
     dt_sigma_sol = math.sqrt((fluid.rho_l + fluid.rho_g) * dx**3
-                             / (2.0 * math.pi * fluid.sigma))
+                             / (math.pi * fluid.sigma))
     dt_mu = fluid.rho_l * dx**2 / (6.0 * fluid.mu_l)
     return DtLimits(dt_sigma_estimate=dt_sigma_est, dt_sigma_solver=dt_sigma_sol,
                     dt_mu=dt_mu)

@@ -399,7 +399,7 @@ def test_criterion_12_vof2d_invariants(pde_runs):
 @pytest.mark.parametrize("name", ["navier", "numerical"])
 def test_vof2d_temporal_self_convergence(pde_runs, name, monkeypatch):
     """Halving the 2D step moves the nx 8 rise far less than the mesh does."""
-    # measured l2_rel: 2.1e-4 against 1.34e-2 (Navier R/5), 1.6e-4
+    # measured l2_rel: 3.0e-4 against 1.35e-2 (Navier R/5), 2.3e-4
     # against 1.86e-2 (numerical slip)
     monkeypatch.setattr(vof2d_solver, "_DT_SAFETY",
                         0.5 * vof2d_solver._DT_SAFETY)

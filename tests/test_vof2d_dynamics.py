@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from caprise.core import SlipSpec, stationary_height
+from caprise.scaling import auto_t_end
 from caprise.study import synth_params
 from caprise.vof2d import (CaseSetup2D, Grid, SimState, Simulator,
                            apex_height)
+from caprise.vof2d import solver as vof2d_solver
 from caprise.vof2d.curvature import interface_cell
-from caprise.vof2d.solver import compute_dt
+from caprise.vof2d.solver import _POISSON_TOL, compute_dt
 
 FLUID, GEOM = synth_params(1.0, 0.04)
 SLIP = SlipSpec.navier(GEOM.R / 5.0)
@@ -66,9 +68,10 @@ class TestStaticMeniscus:
         assert speeds[-1] <= 0.5 * bound
 
     def test_spurious_currents_stay_bounded_over_400_steps(self):
-        # the capillary step is Denner & van Wachem's, sqrt(2) above
-        # Brackbill's: the currents must not grow over four times the
-        # horizon above (measured 2.70e-3 at both 100 and 400 steps)
+        # the step at nx 16 is dt_mu, 0.95 times the capillary limit (the
+        # one-cell crossing time of the 2 dx capillary wave, 2 above
+        # Brackbill's): the currents must not grow over four times the
+        # horizon above (measured 2.71e-3 at both 100 and 400 steps)
         _, speeds = _static_box(16, steps=400)
         assert max(speeds) <= 1e-3 * FLUID.sigma / FLUID.mu_l
 
@@ -77,7 +80,7 @@ class TestStaticMeniscus:
         assert _laplace_jump(sim) == pytest.approx(LAPLACE_JUMP, rel=0.02)
 
     def test_pressure_jump_converges(self):
-        # every mesh is measured over the same times, 83, 235 and 664 steps
+        # every mesh is measured over the same times, 59, 166 and 493 steps
         # at nx 4, 8, 16; measured relative errors of the mean 1.87e-2,
         # 4.72e-3 and 1.16e-3, about a quarter per halving
         errs = [abs(_mean_laplace_jump(nx) / LAPLACE_JUMP - 1.0)
@@ -137,6 +140,25 @@ class TestRiseDiagnostics:
             stationary_height(FLUID, GEOM), rel=1e-12)
         assert traj.t[0] == 0.0
         assert traj.t[-1] == 0.04
+
+
+def test_capillary_step_has_headroom(monkeypatch):
+    # omega 0.5, nx 8, Navier R/5 is a capillary-bound rise that blows up
+    # at 1.75 times the step (CourantViolation, as do omega 0.5 nx 16 and
+    # omega 1 nx 8); at 1.4 times the step it must still settle and keep
+    # the invariants (measured 2735 steps)
+    fluid, geom = synth_params(0.5, 0.1)
+    monkeypatch.setattr(vof2d_solver, "_DT_SAFETY",
+                        1.4 * vof2d_solver._DT_SAFETY)
+    setup = CaseSetup2D(fluid=fluid, geom=geom, slip=SlipSpec.navier(geom.R / 5),
+                        nx=8, t_end=auto_t_end(fluid, geom))
+    traj, diag = Simulator(setup).run()
+    assert traj.t[-1] == setup.t_end
+    h_inf = stationary_height(fluid, geom)
+    assert abs(traj.h[-1] - h_inf) <= 0.05 * h_inf
+    assert diag.vol_balance_rel_max <= 1e-10
+    assert diag.alpha_overshoot_max <= 1e-10
+    assert diag.div_reduction_max <= 10.0 * _POISSON_TOL
 
 
 class _LiquidTopGhost(Simulator):

@@ -1094,15 +1094,16 @@ class TestScansMatchReference:
 
     @pytest.mark.parametrize(
         "options",
-        [{}, {"slip": SlipSpec.numerical(), "nx": 4},
+        [{}, {"slip": SlipSpec.numerical(), "nx": 4, "t_end": 0.1},
          {"closed_bottom": True, "gravity_on": False}],
         ids=["navier_nx8", "numerical_nx4", "closed_bottom_no_gravity"])
     def test_run_steps_at_compute_dt(self, options):
         # run() reuses the speeds advect_alpha scanned; every step must
         # still be compute_dt of the fields it starts from
         fluid, geom = synth_params(1.0, 0.04)
-        setup = CaseSetup2D(fluid=fluid, geom=geom, t_end=0.05, **{
-            "nx": 8, "slip": SlipSpec.navier(geom.R / 5), **options})
+        setup = CaseSetup2D(fluid=fluid, geom=geom, **{
+            "t_end": 0.05, "nx": 8, "slip": SlipSpec.navier(geom.R / 5),
+            **options})
 
         class Recording(Simulator):
             def step(self, dt):
