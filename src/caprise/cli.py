@@ -123,9 +123,7 @@ def _cmd_cost(args) -> int:
 def _cmd_ode(args) -> int:
     if args.model == "classical" and args.slip_length is not None:
         raise ValueError("--slip-length applies to the extended model only")
-    # run_case runs numerical slip as the no-slip limit L = 0
-    slip = (SlipSpec.navier(args.slip_length) if args.slip_length
-            else SlipSpec.numerical())
+    slip = SlipSpec(args.slip_length or 0.0)  # no length: numerical slip
     traj = run_case(_case(args, slip, args.h0), args.model,
                     t_end=args.t_end).trajectory
     if args.out:

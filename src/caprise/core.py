@@ -59,29 +59,24 @@ class Geometry:
 
 @dataclass(frozen=True)
 class SlipSpec:
-    """Wall slip model: numerical slip (one-cell effect of a no-slip ghost)
-    or a Navier condition with slip length L."""
+    """Wall slip length L [m] of a Navier condition. L = 0 is numerical
+    slip: the no-slip ghost, whose effective slip shrinks with the mesh."""
 
-    kind: str            # "numerical" | "navier"
-    L: float | None = None  # slip length [m], Navier only
+    L: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind == "navier":
-            if self.L is None or not 0.0 < self.L < math.inf:
-                raise ValueError("navier slip requires a finite L > 0")
-        elif self.kind == "numerical":
-            if self.L is not None:
-                raise ValueError("numerical slip takes no slip length")
-        else:
-            raise ValueError(f"unknown slip kind {self.kind!r}")
+        if not 0.0 <= self.L < math.inf:
+            raise ValueError("slip length L must be finite and >= 0")
 
     @classmethod
     def numerical(cls) -> "SlipSpec":
-        return cls(kind="numerical")
+        return cls()
 
     @classmethod
     def navier(cls, L: float) -> "SlipSpec":
-        return cls(kind="navier", L=L)
+        if not 0.0 < L < math.inf:
+            raise ValueError("navier slip requires a finite L > 0")
+        return cls(L)
 
 
 @dataclass(frozen=True)

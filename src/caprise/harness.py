@@ -75,8 +75,8 @@ def omega_suite(slip_variant: str = DEFAULT_SLIP) -> list[CaseSpec]:
 
 
 def format_slip(slip: SlipSpec) -> str:
-    """Slip model as text, "numerical" or "navier:<L>" with L in metres."""
-    if slip.kind == "numerical":
+    """Slip model as text, "numerical" at L = 0, else "navier:<L>" in metres."""
+    if slip.L == 0.0:
         return "numerical"
     return f"navier:{slip.L!r}"
 
@@ -290,10 +290,8 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
                             nx=nx, t_end=t_end)
         traj, diag = Simulator(setup).run()
     else:
-        # numerical slip has no continuum parameter; its mesh-converged
-        # limit is no slip, so the extended model runs with L = 0
-        L = case.slip.L if case.slip.kind == "navier" else 0.0
-        spec = ModelSpec.classical() if model == "classical" else ModelSpec.extended(L)
+        spec = (ModelSpec.classical() if model == "classical"
+                else ModelSpec.extended(case.slip.L))
         traj = integrate(spec, case.fluid, case.geom, t_end, label=case.label)
     return BenchResult(case=case, model=model, trajectory=traj, diagnostics=diag)
 

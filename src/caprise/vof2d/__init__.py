@@ -2,8 +2,9 @@
 
 Staggered MAC grid, explicit Euler with Chorin projection, PLIC volume
 advection with directional splitting, height-function curvature with a
-ghost-cell contact angle, CSF surface tension, numerical- or Navier-slip
-walls.
+ghost-cell contact angle, CSF surface tension, Navier-slip walls.
+Numerical slip is the Navier ghost at L = 0, the no-slip reflection,
+whose effective slip shrinks with the mesh.
 """
 
 from .geometry import Grid, SimState, apex_height, init_case

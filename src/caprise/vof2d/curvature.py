@@ -31,18 +31,6 @@ def _topmost_half_full(alpha: np.ndarray) -> list:
             - (alpha[:, ::-1] >= 0.5).argmax(axis=1)).tolist()
 
 
-def _interface_cell(col: np.ndarray, j: int) -> int:
-    # j from _topmost_half_full, kept once col[j] is known to be >= 1/2
-    if not col.item(j) >= 0.5:
-        raise StencilInvalid("column holds no interface cell")
-    return j
-
-
-def interface_cell(col: np.ndarray) -> int:
-    """Topmost cell with fraction >= 1/2, scanning a single column."""
-    return _interface_cell(col, _topmost_half_full(col[None, :])[0])
-
-
 def column_height(col: np.ndarray, j_center: int, dx: float,
                   half: int) -> float:
     """Liquid height from a fraction window around the interface cell.
@@ -62,8 +50,10 @@ def column_height(col: np.ndarray, j_center: int, dx: float,
     return (j_lo + float(col[j_lo:j_hi + 1].sum())) * dx
 
 
-def _height_with_widening(col: np.ndarray, j_top: int, dx: float) -> float:
-    jc = _interface_cell(col, j_top)
+def _height_with_widening(col: np.ndarray, jc: int, dx: float) -> float:
+    # jc from _topmost_half_full, the interface cell once col[jc] >= 1/2
+    if not col.item(jc) >= 0.5:
+        raise StencilInvalid("column holds no interface cell")
     try:
         return column_height(col, jc, dx, half=3)
     except StencilInvalid:

@@ -35,7 +35,12 @@ _DT_SAFETY = 0.9
 
 @dataclass(frozen=True)
 class CaseSetup2D:
-    """One half-gap simulation; its trajectory is sampled every t_end/500."""
+    """One half-gap simulation; its trajectory is sampled every t_end/500.
+
+    The wall is the Navier ghost of slip length slip.L; at L = 0 that is
+    numerical slip, the no-slip ghost, whose effective slip shrinks with
+    the mesh.
+    """
 
     fluid: FluidPair
     geom: Geometry
@@ -91,16 +96,14 @@ def _dt_from_speeds(u_max: float, v_max: float, fixed: float,
 
 
 def slip_ghost(v_wall_col: np.ndarray, dx: float, slip: SlipSpec):
-    """Ghost tangential velocity across a wall for the given slip model.
+    """Ghost tangential velocity across a wall of slip length slip.L.
 
     Linear interpolation between the first interior value at dx/2 and
     the ghost at -dx/2 puts the wall value at u_w = (v_int + v_ghost)/2;
     the Navier condition u_w = L * du/dn then gives the ghost formula.
     L = dx/2 zeroes the ghost; L -> inf recovers free slip; numerical
-    slip is the plain no-slip reflection.
+    slip, L = 0, is the no-slip reflection -v (the factor is exactly -1).
     """
-    if slip.kind == "numerical":
-        return -v_wall_col
     L = slip.L
     return v_wall_col * ((2.0 * L - dx) / (2.0 * L + dx))
 
@@ -256,9 +259,8 @@ class Simulator:
         div_star = ((u_star[1:, :] - u_star[:-1, :]) / dx
                     + (v_star[:, 1:] - v_star[:, :-1]) / dx)
 
-        p = poisson_solve(
-            st.grid, beta_x, beta_y, div_star / dt,
-            bottom="neumann" if self.setup.closed_bottom else "dirichlet")
+        p = poisson_solve(st.grid, beta_x, beta_y, div_star / dt,
+                          closed_bottom=self.setup.closed_bottom)
 
         dt_beta_y = dt * beta_y
         u_star[1:-1, :] -= dt * beta_x[1:-1, :] * (p[1:, :] - p[:-1, :]) / dx
@@ -426,13 +428,13 @@ class Simulator:
 
 
 def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
-                  bottom: str = "dirichlet"):
+                  closed_bottom: bool = False):
     """Solve div(beta grad p) = rhs on cell centres.
 
     beta_x (nx+1, ny) and beta_y (nx, ny+1) are face mobilities.  The
     x-boundaries are always Neumann (wall or symmetry plane) and the top
-    is Dirichlet (ghost p = -p, boundary value 0); the bottom is
-    "dirichlet" or "neumann".  With the cell index k = i + nx*j,
+    is Dirichlet (ghost p = -p, boundary value 0); the bottom is too,
+    unless closed_bottom makes it Neumann.  With the cell index k = i + nx*j,
     -div(beta grad) is a symmetric positive definite band matrix of
     half-bandwidth nx: one banded Cholesky solve.
     """
@@ -449,7 +451,7 @@ def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
     diag[:-1, :] -= east
     diag[:, 1:] -= north
     diag[:, :-1] -= north
-    if bottom == "dirichlet":
+    if not closed_bottom:
         diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dx ** 2
     diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dx ** 2
     ab = band.reshape((nx + 1, nx * ny), order="F")

@@ -102,9 +102,10 @@ class TestOde:
         assert main(["ode", "--model", "classical", "--omega", "1",
                      "--sigma", "0.04", "--slip-length", "0.001"]) == 2
 
-    def test_negative_slip_length(self):
+    def test_negative_slip_length(self, capsys):
         assert main(["ode", "--model", "extended", "--omega", "1",
                      "--sigma", "0.04", "--slip-length", "-1"]) == 2
+        assert "slip length" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_end", ["inf", "nan", "-1", "0"])
     def test_bad_horizon_exits_2(self, capsys, t_end):
@@ -233,6 +234,16 @@ class TestSim2d:
         with pytest.raises(SystemExit) as exc:
             main(["sim2d", "--omega", "1", "--sigma", "0.04",
                   "--cells-per-radius", "4", "--slip", "navier:inf",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert ("argument --slip: navier slip requires a finite L > 0"
+                in capsys.readouterr().err)
+
+    def test_zero_navier_length(self, tmp_path, capsys):
+        # L = 0 is spelt "numerical"; "navier:0" names no positive length
+        with pytest.raises(SystemExit) as exc:
+            main(["sim2d", "--omega", "1", "--sigma", "0.04",
+                  "--cells-per-radius", "4", "--slip", "navier:0",
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert ("argument --slip: navier slip requires a finite L > 0"

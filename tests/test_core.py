@@ -16,6 +16,7 @@ from caprise.core import (
     stationary_height,
 )
 from caprise.errors import NonWettingAngle
+from caprise.harness import format_slip, parse_slip
 from caprise.study import synth_params
 
 
@@ -59,14 +60,18 @@ def test_geometry_validation():
 
 
 def test_slip_spec():
-    nav = SlipSpec.navier(1e-3)
-    assert nav.L == 1e-3
-    with pytest.raises(ValueError):
-        SlipSpec.navier(0.0)
-    with pytest.raises(ValueError):
-        SlipSpec(kind="numerical", L=1e-3)
-    with pytest.raises(ValueError):
-        SlipSpec(kind="stick")
+    # a wall is one slip length; numerical slip is L = 0
+    assert SlipSpec() == SlipSpec.numerical() == parse_slip("numerical")
+    assert SlipSpec.navier(1e-3) == SlipSpec(1e-3)
+    assert SlipSpec.navier(1e-3).L == 1e-3
+    assert format_slip(SlipSpec(0.0)) == "numerical"
+    for L in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SlipSpec(L)
+    # navier names a positive length: "navier:0" is never written
+    for L in (0.0, math.inf):
+        with pytest.raises(ValueError, match="finite L > 0"):
+            SlipSpec.navier(L)
 
 
 def test_case_spec_validation():

@@ -13,8 +13,7 @@ from caprise.core import FluidPair, Geometry, SlipSpec
 from caprise.errors import (CourantViolation, MultiValuedColumn,
                             SolverDiverged, StencilInvalid)
 from caprise.vof2d.curvature import (column_height, contact_angle_ghost,
-                                     curvature_height_function,
-                                     interface_cell)
+                                     curvature_height_function)
 from caprise.study import synth_params, timestep_limits
 from caprise.vof2d import solver
 from caprise.vof2d.geometry import (ALPHA_EPS, Grid, SimState, apex_height,
@@ -29,12 +28,24 @@ GEOM = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01)
 
 class TestColumnHeights:
     def test_interface_cell_picks_topmost_half_full(self):
-        col = np.array([1.0, 1.0, 0.8, 0.5, 0.1, 0.0])
-        assert interface_cell(col) == 3
+        # the window centres on cell 11: the gas pocket below it counts as
+        # liquid, so the column reads 11.9 cells, as a plain one does; the
+        # lower half-full cell 5 has no bracketing window and would raise
+        pocket = [1.0] * 5 + [0.5, 0.0] + [1.0] * 4 + [0.7, 0.2] + [0.0] * 7
+        plain = [1.0] * 11 + [0.9] + [0.0] * 8
+        right = [1.0] * 10 + [0.5] + [0.0] * 9
+        k = curvature_height_function(np.array([pocket, right]), 0.25,
+                                      GEOM.theta_e)
+        k_plain = curvature_height_function(np.array([plain, right]), 0.25,
+                                            GEOM.theta_e)
+        assert k == pytest.approx(k_plain, rel=1e-12)
 
     def test_interface_cell_empty_column_raises(self):
-        with pytest.raises(StencilInvalid):
-            interface_cell(np.array([0.1, 0.2, 0.0]))
+        a = np.array([[1.0] * 10 + [0.5] + [0.0] * 9,
+                      [0.1, 0.2] + [0.0] * 18])
+        with pytest.raises(StencilInvalid,
+                           match="column holds no interface cell"):
+            curvature_height_function(a, 0.25, GEOM.theta_e)
 
     def test_column_height_sums_window(self):
         col = np.array([1.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0])
@@ -128,8 +139,11 @@ class TestCurvature:
 
 class TestSlipGhost:
     def test_numerical_is_reflection(self):
-        v = np.array([0.4, -0.2])
-        assert np.allclose(slip_ghost(v, 0.1, SlipSpec.numerical()), -v)
+        # L = 0 is the no-slip reflection bit for bit, signed zeros included
+        v = np.array([0.4, -0.2, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+        g = slip_ghost(v, 0.1, SlipSpec.numerical())
+        assert np.array_equal(g, -v)
+        assert np.array_equal(np.signbit(g), np.signbit(-v))
 
     def test_navier_half_cell_zeroes_ghost(self):
         v = np.array([0.4, -0.2])
@@ -146,7 +160,7 @@ class TestSlipGhost:
         assert g[0] == pytest.approx((0.4 - 0.1) / (0.4 + 0.1))
 
 
-def _dense_operator(grid, beta_x, beta_y, bottom):
+def _dense_operator(grid, beta_x, beta_y, closed_bottom):
     """div(beta grad) as a dense matrix, cell (i, j) in row i + nx*j; the
     top is Dirichlet."""
     nx, ny = grid.nx, grid.ny
@@ -162,7 +176,7 @@ def _dense_operator(grid, beta_x, beta_y, bottom):
                 neighbours.append((k + 1, beta_x[i + 1, j] / dx2))
             if j > 0:
                 neighbours.append((k - nx, beta_y[i, j] / dy2))
-            elif bottom == "dirichlet":
+            elif not closed_bottom:
                 neighbours.append((None, beta_y[i, 0] / dy2))
             if j < ny - 1:
                 neighbours.append((k + nx, beta_y[i, j + 1] / dy2))
@@ -180,12 +194,12 @@ def _dense_operator(grid, beta_x, beta_y, bottom):
 
 # the bottom condition; the top is always Dirichlet, and the ids name both
 BOTTOMS = pytest.mark.parametrize(
-    "bottom", ["dirichlet", "neumann"],
+    "closed_bottom", [False, True],
     ids=["dirichlet-dirichlet", "neumann-dirichlet"])
 
 
 class TestPoisson:
-    def _mms_error(self, nx, bottom):
+    def _mms_error(self, nx, closed_bottom):
         R = 1.0
         grid = Grid.half_gap(nx, R)
         H = grid.ny * grid.dx
@@ -193,7 +207,7 @@ class TestPoisson:
         y = (np.arange(grid.ny) + 0.5) * grid.dx
         X, Y = np.meshgrid(x, y, indexing="ij")
         # the y profile meets the bottom/top conditions at y = 0 and H
-        if bottom == "dirichlet":
+        if not closed_bottom:
             ky, profile = math.pi / H, np.sin
         else:
             ky, profile = 0.5 * math.pi / H, np.cos
@@ -201,23 +215,24 @@ class TestPoisson:
         lap = -((math.pi / R) ** 2 + ky ** 2) * p_exact
         beta_x = np.ones((grid.nx + 1, grid.ny))
         beta_y = np.ones((grid.nx, grid.ny + 1))
-        p = poisson_solve(grid, beta_x, beta_y, lap, bottom=bottom)
+        p = poisson_solve(grid, beta_x, beta_y, lap,
+                          closed_bottom=closed_bottom)
         return float(np.abs(p - p_exact).max())
 
-    def _assert_second_order(self, bottom):
-        e8 = self._mms_error(8, bottom)
-        e16 = self._mms_error(16, bottom)
+    def _assert_second_order(self, closed_bottom):
+        e8 = self._mms_error(8, closed_bottom)
+        e16 = self._mms_error(16, closed_bottom)
         assert e8 / e16 > 3.4
         assert e16 < 5e-3
 
     def test_dirichlet_second_order(self):
-        self._assert_second_order("dirichlet")
+        self._assert_second_order(False)
 
     def test_closed_bottom_second_order(self):
-        self._assert_second_order("neumann")
+        self._assert_second_order(True)
 
     @BOTTOMS
-    def test_matches_dense_solve(self, bottom):
+    def test_matches_dense_solve(self, closed_bottom):
         # mobilities spread over the liquid/gas density ratio of 1000
         rng = np.random.default_rng(7)
         grid = Grid.half_gap(6, 1.0)
@@ -225,9 +240,10 @@ class TestPoisson:
         beta_x = 10.0 ** rng.uniform(-3.0, 0.0, (nx + 1, ny))
         beta_y = 10.0 ** rng.uniform(-3.0, 0.0, (nx, ny + 1))
         rhs = rng.standard_normal((nx, ny))
-        p = poisson_solve(grid, beta_x, beta_y, rhs, bottom=bottom)
+        p = poisson_solve(grid, beta_x, beta_y, rhs,
+                          closed_bottom=closed_bottom)
 
-        A = _dense_operator(grid, beta_x, beta_y, bottom)
+        A = _dense_operator(grid, beta_x, beta_y, closed_bottom)
         ref = np.linalg.solve(A, rhs.flatten("F"))
         ref = ref.reshape((nx, ny), order="F")
         assert np.abs(p - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -241,7 +257,7 @@ class TestPoisson:
     @BOTTOMS
     @pytest.mark.parametrize("bad", ["nan-rhs", "nan-beta-x", "inf-beta-y",
                                      "zero-beta", "neg-beta-x"])
-    def test_bad_input_raises_solver_diverged(self, bad, bottom):
+    def test_bad_input_raises_solver_diverged(self, bad, closed_bottom):
         grid = Grid.half_gap(4, 1.0)
         beta_x = np.ones((5, 32))
         beta_y = np.ones((4, 33))
@@ -259,7 +275,8 @@ class TestPoisson:
             # one strongly negative face makes the matrix indefinite
             beta_x[2, 5] = -10.0
         with pytest.raises(SolverDiverged) as err:
-            poisson_solve(grid, beta_x, beta_y, rhs, bottom=bottom)
+            poisson_solve(grid, beta_x, beta_y, rhs,
+                          closed_bottom=closed_bottom)
         if bad in ("zero-beta", "neg-beta-x"):
             # the banded Cholesky factorization itself reports the failure
             assert "not positive definite" in str(err.value)
@@ -651,9 +668,8 @@ def _reference_project(sim, dt, u_star, v_star, rho_pad):
     div_star = ((u_star[1:, :] - u_star[:-1, :]) / dx
                 + (v_star[:, 1:] - v_star[:, :-1]) / dy)
 
-    p = poisson_solve(
-        st.grid, beta_x, beta_y, div_star / dt,
-        bottom="neumann" if sim.setup.closed_bottom else "dirichlet")
+    p = poisson_solve(st.grid, beta_x, beta_y, div_star / dt,
+                      closed_bottom=sim.setup.closed_bottom)
 
     u_new = u_star.copy()
     u_new[1:-1, :] -= dt * beta_x[1:-1, :] * (p[1:, :] - p[:-1, :]) / dx
@@ -862,7 +878,7 @@ def _reference_compute_dt(state, fluid):
 
 
 def _reference_poisson_solve(grid, beta_x, beta_y, rhs, *,
-                             bottom="dirichlet"):
+                             closed_bottom=False):
     from scipy.linalg.blas import dnrm2, dsbmv
     from scipy.linalg.lapack import dpbsv
 
@@ -874,7 +890,7 @@ def _reference_poisson_solve(grid, beta_x, beta_y, rhs, *,
     diag[:-1, :] += cx
     diag[:, 1:] += cy
     diag[:, :-1] += cy
-    if bottom == "dirichlet":
+    if not closed_bottom:
         diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dx ** 2
     diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dx ** 2
     b = -np.asarray(rhs, dtype=float)
@@ -1024,11 +1040,12 @@ def _assert_scans_match_reference(sim, dt):
     assert _bits(compute_dt(st, setup.fluid)) == \
         _bits(_reference_compute_dt(st, setup.fluid))
     beta_x, beta_y, rhs = _poisson_inputs(sim, dt)
-    for bottom in ("dirichlet", "neumann"):
+    for closed_bottom in (False, True):
         assert _same_bits(
-            poisson_solve(st.grid, beta_x, beta_y, rhs, bottom=bottom),
+            poisson_solve(st.grid, beta_x, beta_y, rhs,
+                          closed_bottom=closed_bottom),
             _reference_poisson_solve(st.grid, beta_x, beta_y, rhs,
-                                     bottom=bottom))
+                                     closed_bottom=closed_bottom))
 
 
 def _assert_advect_matches_reference(sim, dt):
@@ -1278,8 +1295,6 @@ class TestScanMessagesMatchReference:
     @pytest.mark.parametrize("case", sorted(_STENCIL_COLUMNS))
     def test_interface_cell_and_column_height(self, case):
         col = np.array(_STENCIL_COLUMNS[case])
-        assert _outcome(interface_cell, col) == \
-            _outcome(_reference_interface_cell, col)
         for jc in range(-1, col.size + 1):
             for half in (3, 4):
                 assert _outcome(column_height, col, jc, 0.25, half) == \
