@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 2 invalid arguments (including malformed input
 files and non-wetting parameter combinations), 3 numerical failure.
+The one check made here: `ode` refuses --slip-length for the classical model.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .core import CaseSpec, SlipSpec, dimensionless_numbers, height_correction, 
     jurin_height, stationary_height
 from .errors import CapriseError
 from .harness import (
-    MODELS,
+    REDUCED_MODELS,
     compare,
     omega_suite,
     parse_slip,
@@ -103,11 +104,9 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    if not args.cells >= 1:
-        raise ValueError("--cells must be >= 1")
     fluid, geom = synth_params(args.omega, args.sigma)
-    lim = timestep_limits(fluid, geom.R / args.cells)
     counts = step_counts(fluid, geom, args.cells)
+    lim = timestep_limits(fluid, geom.R / args.cells)
     n_steps = {kind: {"sigma": counts.n_sigma[i], "mu": counts.n_mu[i]}
                for i, kind in enumerate(SCALING_KINDS)}
     _print_json({
@@ -135,9 +134,6 @@ def _cmd_ode(args) -> int:
 
 def _cmd_scale(args) -> int:
     traj = read_trajectory_csv(args.input)
-    if "scaling" in traj.metadata:
-        raise ValueError(f"{args.input} is already in scaling "
-                         f"{traj.metadata['scaling']}; scale a dimensional CSV")
     fluid, geom = synth_params(args.omega, args.sigma)
     coeffs = coefficients(fluid, geom, "2d" if args.dim == 2 else "3d")
     scaled = nondimensionalize(traj, args.scaling, coeffs)
@@ -156,12 +152,8 @@ def _cmd_sim2d(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    models = list(args.models)
-    if args.with_pde is not None and "vof2d" not in models:
-        models.append("vof2d")
-    run_suite(omega_suite(), models=tuple(models),
-              scalings=tuple(args.scalings), out_dir=args.out_dir,
-              with_pde=args.with_pde)
+    run_suite(omega_suite(), models=args.models, scalings=args.scalings,
+              out_dir=args.out_dir, with_pde=args.with_pde)
     return 0
 
 
@@ -194,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_cost)
 
     sub = subs.add_parser("ode", help="integrate a reduced rise model")
-    sub.add_argument("--model", choices=("classical", "extended"), required=True)
+    sub.add_argument("--model", choices=REDUCED_MODELS, required=True)
     _case_args(sub)
     sub.add_argument("--slip-length", type=float, default=None,
                      help="Navier slip length [m], extended only, default 0 (no slip)")
@@ -227,12 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("bench", help="run the benchmark suite")
     sub.add_argument("--suite", choices=("omega-study",), required=True)
-    sub.add_argument("--models", nargs="+", choices=MODELS,
-                     default=["classical", "extended"])
+    sub.add_argument("--models", nargs="+", choices=REDUCED_MODELS,
+                     default=REDUCED_MODELS)
     sub.add_argument("--scalings", nargs="+",
                      choices=("none",) + SCALING_KINDS, default=["none"])
     sub.add_argument("--with-pde", type=int, default=None,
-                     help="cells per radius; enables vof2d runs")
+                     help="cells per radius; adds vof2d after the models")
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=_cmd_bench)
 

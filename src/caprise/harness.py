@@ -44,7 +44,8 @@ from .vof2d import CaseSetup2D, Simulator
 from .vof2d.geometry import MIN_NX
 from .vof2d.solver import RunDiagnostics
 
-MODELS = ("classical", "extended", "vof2d")
+REDUCED_MODELS = ("classical", "extended")
+MODELS = REDUCED_MODELS + ("vof2d",)
 
 # (omega, sigma) rows of the study; the remaining parameters follow from
 # the fixed-stationary-height synthesis in module study.
@@ -360,31 +361,34 @@ def _export_case(out: Path, case: CaseSpec, model: str, traj: Trajectory,
         write_scale_sidecar(target, scaled.metadata)
 
 
-def run_suite(selection, *, models: tuple[str, ...] = ("classical", "extended"),
+def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
               scalings: tuple[str, ...] = ("none",),
               out_dir: str | Path | None = None,
               with_pde: int | None = None) -> list[BenchResult]:
     """Run every (case, model) pair, export CSVs and one summary.json.
 
-    Pairs run to the auto horizon, one after another in input order.  A
-    case that fails numerically is recorded in the summary with an
-    ``error`` field and the suite continues.  Returns the successful
-    results.
+    models are reduced models; with_pde=N adds vof2d at N cells per
+    radius after them.  Pairs run to the auto horizon, one after another
+    in input order.  A failed run is recorded in the summary with an
+    ``error`` field and the suite continues.  Returns the successful runs.
     """
     selection = list(selection)
     labels = [c.label for c in selection]
     if len(set(labels)) != len(labels):
         raise ValueError("case labels must be unique within a suite")
     for m in models:
-        if m not in MODELS:
-            raise ValueError(f"unknown model {m!r}; choose from {MODELS}")
+        if m not in REDUCED_MODELS:
+            raise ValueError(f"unknown model {m!r}; choose from {REDUCED_MODELS}, "
+                             "and add vof2d with with_pde")
     allowed = ("none",) + SCALING_KINDS
     for k in scalings:
         if k not in allowed:
             raise ValueError(f"unknown scaling {k!r}; choose from {allowed}")
-    if "vof2d" in models and (with_pde is None or with_pde < MIN_NX):
-        raise ValueError(f"vof2d in the model list needs with_pde >= {MIN_NX} "
-                         f"(cells per radius), got {with_pde}")
+    if with_pde is not None:
+        if with_pde < MIN_NX:
+            raise ValueError(f"vof2d needs with_pde >= {MIN_NX} (cells per "
+                             f"radius), got {with_pde}")
+        models = tuple(models) + ("vof2d",)
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:

@@ -90,7 +90,9 @@ def units(kind: str, s: ScaleSet) -> ScaleUnits:
 
 
 def nondimensionalize(traj: Trajectory, kind: str, s: ScaleSet) -> Trajectory:
-    """Rescale a dimensional trajectory into scaling ``kind``."""
+    """Rescale a dimensional trajectory into scaling ``kind``; refuse a scaled one."""
+    if "scaling" in traj.metadata:
+        raise ValueError(f"trajectory is already in scaling {traj.metadata['scaling']}")
     u = units(kind, s)
     meta = dict(traj.metadata)
     meta.update(scaling=kind, t_rate=u.t_rate, h_rate=u.h_rate)

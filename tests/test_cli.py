@@ -50,6 +50,8 @@ class TestQueries:
     def test_cost_rejects_zero_cells(self, capsys):
         assert main(["cost", "--omega", "1", "--sigma", "0.04",
                      "--cells", "0"]) == 2
+        # step_counts refuses it, before any division by the cell count
+        assert "n_cells must be >= 1" in capsys.readouterr().err
 
 
 class TestOde:
@@ -278,6 +280,16 @@ class TestBench:
                      "--out-dir", str(out)]) == 2
         assert "with_pde >= 4" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    def test_vof2d_is_not_a_model_choice(self, tmp_path, capsys):
+        # --with-pde adds vof2d; --models takes the reduced models
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--suite", "omega-study", "--models", "vof2d",
+                  "--out-dir", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert ("argument --models: invalid choice: 'vof2d'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "b").exists()
 
     def test_unknown_suite(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

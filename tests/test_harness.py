@@ -413,13 +413,20 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite([suite[0], suite[0]])
 
-    def test_bad_model_and_scaling_rejected(self, suite):
+    def test_bad_model_and_scaling_rejected(self, suite, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_case",
+                            lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError):
             run_suite(suite[:1], models=("euler",))
         with pytest.raises(ValueError):
             run_suite(suite[:1], scalings=("IV",))
-        with pytest.raises(ValueError):
-            run_suite(suite[:1], models=("vof2d",))
+        # models lists the reduced models; with_pde adds vof2d
+        for with_pde in (None, 4):
+            with pytest.raises(ValueError, match="with_pde"):
+                run_suite(suite[:1], models=("classical", "vof2d"),
+                          with_pde=with_pde)
+        assert calls == []
 
     def test_coarse_pde_rejected_before_any_run(self, tmp_path, suite,
                                                 monkeypatch):
@@ -428,8 +435,7 @@ class TestRunSuite:
                             lambda *a, **k: calls.append(a))
         out = tmp_path / "coarse"
         with pytest.raises(ValueError, match="with_pde >= 4"):
-            run_suite(suite, models=("classical", "vof2d"), with_pde=2,
-                      out_dir=out)
+            run_suite(suite, models=("classical",), with_pde=2, out_dir=out)
         assert calls == []
         assert not (out / "summary.json").exists()
 
@@ -469,13 +475,16 @@ class TestRunSuite:
 
     def test_pde_runs_through_suite(self, tmp_path, suite):
         out = tmp_path / "pde"
-        results = run_suite([suite[2]], models=("vof2d",), with_pde=4,
+        results = run_suite([suite[2]], models=("classical",), with_pde=4,
                             out_dir=out)
-        assert len(results) == 1
-        res = results[0]
+        # with_pde adds vof2d after the reduced models, as bench writes it
+        assert [r.model for r in results] == ["classical", "vof2d"]
+        res = results[1]
         assert res.step_count > 10
         assert res.h_final > suite[2].geom.h0
-        entry = json.loads((out / "summary.json").read_text())[0]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [e["model"] for e in summary] == ["classical", "vof2d"]
+        entry = summary[1]
         assert entry["n_steps"] == res.step_count
         assert (out / "omega1_vof2d_none.csv").exists()
         # the run's diagnostics reach the summary

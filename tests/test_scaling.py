@@ -9,6 +9,8 @@ import pytest
 from caprise.core import FluidPair, Geometry, SlipSpec, dimensionless_numbers, \
     height_correction, jurin_height
 from caprise.errors import NonWettingAngle
+from caprise.harness import read_trajectory_csv, write_scale_sidecar, \
+    write_trajectory_csv
 from caprise.odemodels import ModelSpec, Trajectory, detect_peaks, \
     integrate, slip_groups, solve_rk45
 from caprise.scaling import (
@@ -175,6 +177,23 @@ def test_nondimensionalize_equilibrium_and_rates():
         assert (scaled.metadata["scaling"], scaled.metadata["t_rate"],
                 scaled.metadata["h_rate"]) == (kind, u.t_rate, u.h_rate)
     assert traj.metadata == {"h_inf": h_j}  # the input is left as it was
+
+
+def test_nondimensionalize_refuses_scaled_trajectory(tmp_path):
+    # its metadata records one set of rates, so a second scaling could
+    # not be undone from them
+    fluid, geom = synth_params(1.0, 0.04)
+    s = coefficients(fluid, geom)
+    t = np.linspace(0.0, 1.0, 11)
+    traj = Trajectory(t=t, h=np.full_like(t, 0.01), v=np.zeros_like(t))
+    scaled = nondimensionalize(traj, "II", s)
+    path = tmp_path / "rise_II.csv"
+    write_trajectory_csv(scaled, path)
+    write_scale_sidecar(path, scaled.metadata)
+    for again in (scaled, read_trajectory_csv(path)):
+        for kind in SCALING_KINDS:
+            with pytest.raises(ValueError, match="already in scaling II"):
+                nondimensionalize(again, kind, s)
 
 
 def test_nondimensionalize_time_value():
