@@ -17,7 +17,6 @@ from .core import CaseSpec, SlipSpec, dimensionless_numbers, height_correction, 
     jurin_height, stationary_height
 from .errors import CapriseError
 from .harness import (
-    REDUCED_MODELS,
     compare,
     omega_suite,
     parse_slip,
@@ -28,6 +27,7 @@ from .harness import (
     write_scale_sidecar,
     write_trajectory_csv,
 )
+from .odemodels import REDUCED_MODELS
 from .scaling import SCALING_KINDS, coefficients, nondimensionalize
 from .study import crossover_cells, step_counts, synth_params, timestep_limits
 from .vof2d.geometry import DOMAIN_RADII

@@ -30,6 +30,7 @@ from .core import (
 )
 from .errors import CapriseError, NoOverlap
 from .odemodels import (
+    REDUCED_MODELS,
     ModelSpec,
     Peak,
     Trajectory,
@@ -44,7 +45,6 @@ from .vof2d import CaseSetup2D, Simulator
 from .vof2d.geometry import MIN_NX
 from .vof2d.solver import RunDiagnostics
 
-REDUCED_MODELS = ("classical", "extended")
 MODELS = REDUCED_MODELS + ("vof2d",)
 
 # (omega, sigma) rows of the study; the remaining parameters follow from
@@ -292,7 +292,7 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
         traj, diag = Simulator(setup).run()
     else:
         spec = (ModelSpec.classical() if model == "classical"
-                else ModelSpec.extended(case.slip.L))
+                else ModelSpec(model, case.slip))
         traj = integrate(spec, case.fluid, case.geom, t_end, label=case.label)
     return BenchResult(case=case, model=model, trajectory=traj, diagnostics=diag)
 

@@ -2,9 +2,9 @@
 
 Two dimensional (SI-unit) models of the apex height h(t):
 
-* classical:  rho d/dt(h' h) = -3 mu h' h / R^2 - rho g h + sigma cos(theta_e)/R
-* extended:   same balance written for the effective column h + h_hat, with
-  Navier-slip viscous friction and a convective correction term.
+* extended:  rho d/dt(h' H) = -3 mu h' H/(R (R+3L)) - rho g H + sigma cos(theta_e)/R
+  + rho Q h'^2 for the column H = h + h_hat, slip length L, slip-profile factor Q;
+* classical: the same balance at L = 0 without its corrections (h_hat = 0, Q = 0).
 
 Each model is one RiseBalance coefficient row (model_balance), integrated
 by solve_rk45 as a first-order system in (h, v) with the product rule
@@ -19,8 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FluidPair, Geometry, height_correction, jurin_height, stationary_height
+from .core import FluidPair, Geometry, SlipSpec, height_correction, jurin_height
 from .errors import SingularHeight, StepSizeUnderflow
+
+REDUCED_MODELS = ("classical", "extended")
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12  # m
@@ -57,20 +59,16 @@ def _rms(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which rise model to evaluate."""
+    """Which rise model to evaluate, on which wall."""
 
-    kind: str                 # "classical" | "extended"
-    slip_length: float = 0.0  # Navier slip length [m], extended only
+    kind: str                   # one of REDUCED_MODELS
+    slip: SlipSpec = SlipSpec()  # the wall; the classical model has none
 
     def __post_init__(self) -> None:
-        if self.kind == "classical":
-            if self.slip_length != 0.0:
-                raise ValueError("classical model has no slip length")
-        elif self.kind == "extended":
-            if not 0.0 <= self.slip_length < math.inf:
-                raise ValueError("slip_length must be finite and >= 0")
-        else:
+        if self.kind not in REDUCED_MODELS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.kind == "classical" and self.slip != SlipSpec():
+            raise ValueError("classical model has no slip length")
 
     @classmethod
     def classical(cls) -> "ModelSpec":
@@ -78,7 +76,7 @@ class ModelSpec:
 
     @classmethod
     def extended(cls, slip_length: float = 0.0) -> "ModelSpec":
-        return cls(kind="extended", slip_length=slip_length)
+        return cls(kind="extended", slip=SlipSpec(slip_length))
 
 
 @dataclass(frozen=True)
@@ -165,15 +163,12 @@ def slip_groups(L: float, R: float) -> SlipGroups:
 def model_balance(model: ModelSpec, fluid: FluidPair, geom: Geometry) -> RiseBalance:
     """Coefficient row of ``model`` in SI units."""
     rho, mu, sig, g = fluid.rho_l, fluid.mu_l, fluid.sigma, fluid.g
-    R = geom.R
+    R, L = geom.R, model.slip.L
     drive = sig * math.cos(geom.theta_e) / (rho * R)  # wetting term over rho, m/s^2 * m
-    eps = 1e-14 * R
-
-    if model.kind == "classical":
-        return RiseBalance(drive, g, 3.0 * mu / (rho * R * R), -1.0, 0.0, eps)
-
-    L = model.slip_length
     fric = 3.0 * mu / (rho * R * (R + 3.0 * L))
+    eps = 1e-14 * R
+    if model.kind == "classical":  # L = 0 without the corrections: Q = 0, h_hat = 0
+        return RiseBalance(drive, g, fric, -1.0, 0.0, eps)
     return RiseBalance(drive, g, fric, slip_groups(L, R).q - 1.0,
                        height_correction(geom), eps)
 
@@ -362,15 +357,15 @@ def integrate(model: ModelSpec, fluid: FluidPair, geom: Geometry, t_end: float, 
 
     Samples every t_end/2000 at solve_rk45's default tolerances; for others
     call solve_rk45(model_balance(...), geom.h0, 0.0, t_end, ...).
-    metadata["h_inf"] is the model's own limit (classical: Jurin height).
+    metadata["h_inf"] is the row's own limit, the Jurin height less its
+    h_hat; metadata["label"] is a tag for the caller.
     """
     if model.kind == "classical" and geom.h0 <= 1e-9 * geom.R:
         # the classical equation is singular at h=0; refuse rather than regularize
         raise ValueError("classical model requires h0 > 1e-9*R")
-    h_inf = (jurin_height(fluid, geom) if model.kind == "classical"
-             else stationary_height(fluid, geom))
-    return solve_rk45(model_balance(model, fluid, geom), geom.h0, 0.0, t_end,
-                      metadata={"label": label, "h_inf": h_inf})
+    row = model_balance(model, fluid, geom)
+    h_inf = jurin_height(fluid, geom) - row.h_hat
+    return solve_rk45(row, geom.h0, 0.0, t_end, metadata={"label": label, "h_inf": h_inf})
 
 
 def detect_peaks(traj: Trajectory, *, eps_peak: float = 1e-4) -> tuple[Peak, ...]:

@@ -56,26 +56,22 @@ class ScaleUnits:
 def coefficients(fluid: FluidPair, geom: Geometry, dim: str = "2d") -> ScaleSet:
     """Scaling coefficients a, b, c for the planar (2d) or tube (3d) case.
 
-    2d: a = rho R/(sigma cos), b = 3 mu/(R sigma cos), c = rho g R/(sigma cos);
-    3d puts the factor 2 of the circular cross-section into a and c and uses
-    the Hagen-Poiseuille friction 4 mu.
+    a = rho R/(n sigma cos), b = f mu/(R sigma cos), c = rho g R/(n sigma cos):
+    plates have n = 1 and the friction factor f = 3; a tube has the factor
+    n = 2 of the circular cross-section and the Hagen-Poiseuille f = 4.
     """
     ct = math.cos(geom.theta_e)
     if ct <= 1e-14:  # see core.dimensionless_numbers
         raise NonWettingAngle("scaling coefficients need cos(theta_e) > 0")
-    rho, mu, sig, g, R = fluid.rho_l, fluid.mu_l, fluid.sigma, fluid.g, geom.R
-    sc = sig * ct
     if dim == "2d":
-        a = rho * R / sc
-        b = 3.0 * mu / (R * sc)
-        c = rho * g * R / sc
+        n, f = 1.0, 3.0
     elif dim == "3d":
-        a = rho * R / (2.0 * sc)
-        b = 4.0 * mu / (R * sc)
-        c = rho * g * R / (2.0 * sc)
+        n, f = 2.0, 4.0
     else:
         raise ValueError("dim must be '2d' or '3d'")
-    return ScaleSet(a=a, b=b, c=c)
+    rho, mu, sig, g, R = fluid.rho_l, fluid.mu_l, fluid.sigma, fluid.g, geom.R
+    sc = sig * ct
+    return ScaleSet(a=rho * R / (n * sc), b=f * mu / (R * sc), c=rho * g * R / (n * sc))
 
 
 def units(kind: str, s: ScaleSet) -> ScaleUnits:

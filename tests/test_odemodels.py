@@ -12,10 +12,10 @@ import pytest
 
 import caprise
 
-from caprise.core import FluidPair, Geometry, height_correction, jurin_height, \
-    stationary_height
+from caprise.core import FluidPair, Geometry, SlipSpec, height_correction, \
+    jurin_height, stationary_height
 from caprise.errors import SingularHeight, StepSizeUnderflow
-from caprise.harness import omega_suite
+from caprise.harness import OMEGA_SUITE, omega_suite
 from caprise.odemodels import (
     _DP_A,
     _DP_B,
@@ -53,12 +53,18 @@ def synthetic_traj(t, h, v=None, **meta):
 
 
 def test_model_spec_validation():
-    with pytest.raises(ValueError):
-        ModelSpec(kind="classical", slip_length=1e-3)
-    with pytest.raises(ValueError):
-        ModelSpec.extended(-1e-3)
-    with pytest.raises(ValueError):
-        ModelSpec(kind="lubrication")
+    # a model's wall is a SlipSpec, which owns the slip-length rule
+    assert ModelSpec.extended(1e-3) == ModelSpec("extended", SlipSpec(1e-3))
+    assert ModelSpec.classical() == ModelSpec("classical", SlipSpec())
+    with pytest.raises(ValueError, match="classical model has no slip length"):
+        ModelSpec("classical", SlipSpec(1e-3))
+    for L in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="slip length L must be finite and >= 0"):
+            ModelSpec.extended(L)
+    with pytest.raises(ValueError, match="unknown model kind"):
+        ModelSpec("lubrication")
+    with pytest.raises(ValueError, match="unknown model kind"):
+        ModelSpec("vof2d", SlipSpec(1e-3))
 
 
 def test_rhs_classical_equilibrium():
@@ -136,10 +142,11 @@ def test_trajectory_validation():
     assert len(tr) == 2
 
 
-@pytest.mark.parametrize("omega, sigma", [(0.1, 0.2), (1.0, 0.04), (100.0, 0.001)])
+@pytest.mark.parametrize("omega, sigma", OMEGA_SUITE)
 def test_integrate_records_its_own_limit(omega, sigma):
     # the classical model settles on the Jurin height, the extended one on
     # the corrected stationary height: the same bits as the core functions
+    # on every suite row
     fluid, geom = synth_params(omega, sigma)
     cls = integrate(ModelSpec.classical(), fluid, geom, 1e-3)
     ext = integrate(ModelSpec.extended(geom.R / 5), fluid, geom, 1e-3)

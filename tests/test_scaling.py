@@ -82,13 +82,22 @@ def test_omega_matches_core_random():
 
 
 def test_coefficients_3d_formulas():
-    s2 = coefficients(FLUID_OM1_TAB, GEOM_STD, "2d")
-    s3 = coefficients(FLUID_OM1_TAB, GEOM_STD, "3d")
-    assert s3.a == pytest.approx(s2.a / 2, rel=1e-12)
-    assert s3.b == pytest.approx(s2.b * 4.0 / 3.0, rel=1e-12)
-    assert s3.c == pytest.approx(s2.c / 2, rel=1e-12)
+    # each coefficient has the bits of its closed form, plates and tube
+    rng = random.Random(5)
+    for fluid, geom in [(FLUID_OM1_TAB, GEOM_STD)] + [random_fluid_geom(rng)
+                                                      for _ in range(200)]:
+        rho, mu, g, R = fluid.rho_l, fluid.mu_l, fluid.g, geom.R
+        sc = fluid.sigma * math.cos(geom.theta_e)
+        s2 = coefficients(fluid, geom, "2d")
+        s3 = coefficients(fluid, geom, "3d")
+        assert (s2.a, s2.b, s2.c) == (rho * R / sc, 3.0 * mu / (R * sc), rho * g * R / sc)
+        assert (s3.a, s3.b, s3.c) == (rho * R / (2.0 * sc), 4.0 * mu / (R * sc),
+                                      rho * g * R / (2.0 * sc))
+    with pytest.raises(ValueError, match="dim must be '2d' or '3d'"):
+        coefficients(FLUID_OM1_TAB, GEOM_STD, "1d")
     # omega_3d = sqrt(128 sigma cos mu^2/(rho^3 g^2 R^5)) by substitution
     f, g = FLUID_OM1_TAB, GEOM_STD
+    s3 = coefficients(f, g, "3d")
     want = math.sqrt(128.0 * f.sigma * math.cos(g.theta_e) * f.mu_l**2
                      / (f.rho_l**3 * f.g**2 * g.R**5))
     assert s3.omega == pytest.approx(want, rel=1e-12)
