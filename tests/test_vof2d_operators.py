@@ -281,16 +281,6 @@ class TestPoisson:
             # the banded Cholesky factorization itself reports the failure
             assert "not positive definite" in str(err.value)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_nan_residual_raises_solver_diverged(self):
-        # an infinite Dirichlet face mobility yields a finite p whose
-        # residual is NaN; the residual check must not let that through
-        grid = Grid.half_gap(4, 1.0)
-        beta_y = np.ones((4, 33))
-        beta_y[1, 0] = np.inf
-        with pytest.raises(SolverDiverged, match="residual"):
-            poisson_solve(grid, np.ones((5, 32)), beta_y, np.ones((4, 32)))
-
 
 def _single_phase_setup(closed_bottom):
     fluid = FluidPair(rho_l=100.0, rho_g=100.0, mu_l=1e-3, mu_g=1e-3,
@@ -740,6 +730,49 @@ class TestStepMatchesReference:
             _assert_step_matches_reference(sim, dt)
             n += 1
         assert n == 2
+
+
+def _momentum_outputs(sim, dt):
+    """u_star, v_star, rho_x and rho_y, which _momentum hands to _project,
+    from the current fields."""
+    st = sim.state
+    sim.apply_boundaries()
+    return sim._momentum(dt, sim._pad_alpha(st.alpha), sim._u_full(),
+                         sim._v_full(), sim.curvatures())
+
+
+class TestProjectionResidual:
+    """_project checks the divergence it leaves, which is dt times the
+    pressure solve's residual, against _POISSON_TOL."""
+
+    @pytest.mark.parametrize("scale, refused", [(1e-6, True), (1e-9, False)],
+                             ids=["1e-6", "1e-9"])
+    def test_inaccurate_pressure_is_refused(self, monkeypatch, scale,
+                                            refused):
+        # p scaled by 1 + scale leaves about scale times the divergence
+        sim, dt = next(_recorded_rise(100, 100))
+        fields = _momentum_outputs(sim, dt)
+        exact = solver.poisson_solve
+        monkeypatch.setattr(solver, "poisson_solve",
+                            lambda *a, **k: exact(*a, **k) * (1.0 + scale))
+        if refused:
+            with pytest.raises(SolverDiverged, match="residual"):
+                sim._project(dt, *fields)
+        else:
+            sim._project(dt, *fields)
+            assert sim.diag.div_reduction_max <= solver._POISSON_TOL
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_residual_raises_solver_diverged(self):
+        # a zero density on a Dirichlet bottom face is an infinite
+        # mobility: the solve yields a finite p, the corrected face a NaN
+        # divergence, and the residual check must not let that through
+        sim, dt = next(_recorded_rise(100, 100))
+        u_star, v_star, rho_x, rho_y = _momentum_outputs(sim, dt)
+        rho_y[1, 0] = 0.0
+        with pytest.raises(SolverDiverged, match="residual"):
+            sim._project(dt, u_star, v_star, rho_x, rho_y)
 
 
 class TestTracerHook:
