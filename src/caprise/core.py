@@ -16,6 +16,10 @@ from .errors import NonWettingAngle
 # theta_e -> pi/2; switch to the series limit inside this window.
 _THETA_SERIES_WINDOW = 1e-6  # rad
 
+# The longest slip length [m].  The extended model's slip groups overflow
+# above 2.0e153 (15 L^2) and the 2D wall ghost above 9.0e307 (2L + dx).
+SLIP_LENGTH_MAX = 1e150
+
 
 @dataclass(frozen=True)
 class FluidPair:
@@ -67,6 +71,9 @@ class SlipSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.L < math.inf:
             raise ValueError("slip length L must be finite and >= 0")
+        if self.L > SLIP_LENGTH_MAX:
+            raise ValueError(
+                f"slip length L must be at most {SLIP_LENGTH_MAX:g} m")
 
     @classmethod
     def numerical(cls) -> "SlipSpec":

@@ -19,7 +19,7 @@ solver's domain height, 8R, belongs to its grid (vof2d.geometry).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import scaling
 from .core import FluidPair, Geometry, dimensionless_numbers
@@ -61,17 +61,28 @@ class StepCounts:
 
 
 def synth_params(omega: float, sigma: float) -> tuple[FluidPair, Geometry]:
-    """Reconstruct a study row (fluids and geometry) from omega and sigma."""
+    """Reconstruct a study row (fluids and geometry) from omega and sigma;
+    refuse one whose density, gravity or dimensionless groups are not
+    finite and positive."""
     if not (omega > 0.0 and sigma > 0.0):
         raise ValueError("omega and sigma must be positive")
     ct = math.cos(STUDY_THETA)
-    rho_l = 144.0 * STUDY_MU_L**2 / (omega**2 * STUDY_R * sigma * ct)
-    g = sigma * ct / (4.0 * STUDY_R**2 * rho_l)
-    fluid = FluidPair(rho_l=rho_l, rho_g=rho_l / STUDY_DENSITY_RATIO,
-                      mu_l=STUDY_MU_L, mu_g=STUDY_MU_L / STUDY_VISCOSITY_RATIO,
-                      sigma=sigma, g=g)
     geom = Geometry(R=STUDY_R, theta_e=STUDY_THETA,
                     h0=STUDY_H0_FACTOR * STUDY_R)
+    try:
+        rho_l = 144.0 * STUDY_MU_L**2 / (omega**2 * STUDY_R * sigma * ct)
+        g = sigma * ct / (4.0 * STUDY_R**2 * rho_l)
+        fluid = FluidPair(rho_l=rho_l, rho_g=rho_l / STUDY_DENSITY_RATIO,
+                          mu_l=STUDY_MU_L, sigma=sigma, g=g,
+                          mu_g=STUDY_MU_L / STUDY_VISCOSITY_RATIO)
+        nums = astuple(dimensionless_numbers(fluid, geom))
+        finite = all(0.0 < x < math.inf for x in (rho_l, g, *nums))
+    except ArithmeticError:  # a division by zero or an overflow
+        finite = False
+    if not finite:
+        raise ValueError(f"omega {omega:g} and sigma {sigma:g} give a "
+                         "density, gravity or dimensionless group that is "
+                         "not finite and positive")
     return fluid, geom
 
 

@@ -183,6 +183,8 @@ class Simulator:
             alpha, self.state.grid.dx, self.setup.geom.theta_e)
 
     def _momentum(self, dt: float, A_pad, u_full, v_full, kappa):
+        """u_star, v_star and the face mobilities beta_x, beta_y = 1/rho;
+        a closed bottom face has v_star and beta_y zero."""
         st = self.state
         fl = self.setup.fluid
         dx = st.grid.dx
@@ -190,7 +192,7 @@ class Simulator:
 
         rho_pad = fl.rho_g + (fl.rho_l - fl.rho_g) * A_pad
         mu_pad = fl.mu_g + (fl.mu_l - fl.mu_g) * A_pad
-        # face densities, shared with the projection
+        # face densities; their inverses are the projection's mobilities
         rho_x = 0.5 * (rho_pad[:-1, 1:-1] + rho_pad[1:, 1:-1])
         rho_y = 0.5 * (rho_pad[1:-1, :-1] + rho_pad[1:-1, 1:])
 
@@ -244,12 +246,18 @@ class Simulator:
 
         g_acc = -fl.g if self.setup.gravity_on else 0.0
         v_star = vc + dt * ((visc_v + f_v) / rho_y - adv_v + g_acc)
+        beta_x, beta_y = 1.0 / rho_x, 1.0 / rho_y
         if self.setup.closed_bottom:
+            # no flow through a closed face: zero mobility makes p Neumann
             v_star[:, 0] = 0.0
-        return u_star, v_star, rho_x, rho_y
+            beta_y[:, 0] = 0.0
+        return u_star, v_star, beta_x, beta_y
 
-    def _project(self, dt: float, u_star, v_star, rho_x, rho_y):
+    def _project(self, dt: float, u_star, v_star, beta_x, beta_y):
         """Correct u_star and v_star in place to a divergence-free field.
+
+        The u walls stay pinned; every v face is corrected, across the
+        ghost pressure -p at the y-ends, and one of zero mobility keeps its v.
 
         The corrected divergence is dt times the pressure solve's residual,
         checked here: a max |div| above _POISSON_TOL times the one before
@@ -259,23 +267,14 @@ class Simulator:
         st = self.state
         dx = st.grid.dx
 
-        beta_x = 1.0 / rho_x
-        beta_y = 1.0 / rho_y
-
         div_star = ((u_star[1:, :] - u_star[:-1, :]) / dx
                     + (v_star[:, 1:] - v_star[:, :-1]) / dx)
 
-        p = poisson_solve(st.grid, beta_x, beta_y, div_star / dt,
-                          closed_bottom=self.setup.closed_bottom)
+        p = poisson_solve(st.grid, beta_x, beta_y, div_star / dt)
 
-        dt_beta_y = dt * beta_y
         u_star[1:-1, :] -= dt * beta_x[1:-1, :] * (p[1:, :] - p[:-1, :]) / dx
-        v_star[:, 1:-1] -= dt_beta_y[:, 1:-1] * (p[:, 1:] - p[:, :-1]) / dx
-        # a closed bottom face keeps the zero _momentum gave it
-        if not self.setup.closed_bottom:
-            # ghost pressure -p across an open boundary face
-            v_star[:, 0] -= dt_beta_y[:, 0] * 2.0 * p[:, 0] / dx
-        v_star[:, -1] += dt_beta_y[:, -1] * 2.0 * p[:, -1] / dx
+        p_y = np.concatenate((-p[:, :1], p, -p[:, -1:]), axis=1)
+        v_star -= dt * beta_y * (p_y[:, 1:] - p_y[:, :-1]) / dx
 
         div_new = ((u_star[1:, :] - u_star[:-1, :]) / dx
                    + (v_star[:, 1:] - v_star[:, :-1]) / dx)
@@ -397,9 +396,9 @@ class Simulator:
         u_full = self._u_full()
         v_full = self._v_full()
         kappa = self.curvatures()
-        u_star, v_star, rho_x, rho_y = self._momentum(dt, A_pad, u_full,
-                                                      v_full, kappa)
-        st.u, st.v, st.p = self._project(dt, u_star, v_star, rho_x, rho_y)
+        u_star, v_star, beta_x, beta_y = self._momentum(dt, A_pad, u_full,
+                                                        v_full, kappa)
+        st.u, st.v, st.p = self._project(dt, u_star, v_star, beta_x, beta_y)
         self.advect_alpha(dt)
         st.t += dt
         self.diag.n_steps += 1
@@ -436,17 +435,17 @@ class Simulator:
         return traj, self.diag
 
 
-def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
-                  closed_bottom: bool = False):
+def poisson_solve(grid: Grid, beta_x, beta_y, rhs):
     """Solve div(beta grad p) = rhs on cell centres.
 
     beta_x (nx+1, ny) and beta_y (nx, ny+1) are face mobilities.  The
-    x-boundaries are always Neumann (wall or symmetry plane) and the top
-    is Dirichlet (ghost p = -p, boundary value 0); the bottom is too,
-    unless closed_bottom makes it Neumann.  With the cell index k = i + nx*j,
-    -div(beta grad) is a symmetric positive definite band matrix of
-    half-bandwidth nx: one banded Cholesky solve.  Simulator._project checks
-    its residual, so every completed run has div_reduction_max <= 1e-8.
+    x-boundaries are Neumann (wall or symmetry plane).  Beyond both y-ends
+    the ghost pressure is -p, coupled through that end face's mobility:
+    the boundary value is 0 (Dirichlet), and a face of zero mobility is
+    closed (Neumann).  With the cell index k = i + nx*j, -div(beta grad)
+    is a symmetric positive definite band matrix of half-bandwidth nx:
+    one banded Cholesky solve.  Simulator._project checks its residual,
+    so every completed run has div_reduction_max <= 1e-8.
     """
     from scipy.linalg.lapack import dpbsv  # import caprise skips scipy.linalg
     nx, ny = grid.nx, grid.ny
@@ -461,8 +460,7 @@ def poisson_solve(grid: Grid, beta_x, beta_y, rhs, *,
     diag[:-1, :] -= east
     diag[:, 1:] -= north
     diag[:, :-1] -= north
-    if not closed_bottom:
-        diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dx ** 2
+    diag[:, 0] += 2.0 * beta_y[:, 0] / grid.dx ** 2
     diag[:, -1] += 2.0 * beta_y[:, -1] / grid.dx ** 2
     ab = band.reshape((nx + 1, nx * ny), order="F")
     bf = np.negative(rhs, order="F", dtype=float).ravel(order="F")

@@ -47,6 +47,33 @@ class TestQueries:
         assert all(set(v) == {"sigma", "mu"} for v in out["n_steps"].values())
         assert out["dt_sigma_solver"] > 0.0
 
+    # rows whose density, gravity or dimensionless numbers overflow or
+    # vanish in floats: synth_params refuses them
+    @pytest.mark.parametrize("omega, sigma", [
+        ("1e-200", "0.04"), ("1e-100", "0.04"), ("1e75", "0.04"),
+        ("1e155", "0.04"), ("inf", "0.04"), ("1", "inf")])
+    @pytest.mark.parametrize("cmd", [["steady"], ["params"],
+                                     ["cost", "--cells", "8"]],
+                             ids=["steady", "params", "cost"])
+    def test_out_of_range_row_exits_2(self, capsys, cmd, omega, sigma):
+        assert main(cmd + ["--omega", omega, "--sigma", sigma]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", [
+        ["ode", "--model", "classical"],
+        ["sim2d", "--cells-per-radius", "4", "--slip", "numerical"]],
+        ids=["ode", "sim2d"])
+    def test_out_of_range_row_is_refused_before_a_run(self, tmp_path, capsys,
+                                                      cmd):
+        # both ran past 20 s before the row was checked
+        out = tmp_path / "x.csv"
+        assert main(cmd + ["--omega", "1e-100", "--sigma", "0.04",
+                           "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_cost_rejects_zero_cells(self, capsys):
         assert main(["cost", "--omega", "1", "--sigma", "0.04",
                      "--cells", "0"]) == 2
@@ -119,6 +146,13 @@ class TestOde:
         assert main(["ode", "--model", "extended", "--omega", "1",
                      "--sigma", "0.04", "--slip-length", "inf"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_huge_slip_length(self, capsys):
+        # (R + 3L)^2 overflowed at 1e154
+        assert main(["ode", "--model", "extended", "--omega", "1",
+                     "--sigma", "0.04", "--slip-length", "1e154"]) == 2
+        assert ("error: slip length L must be at most 1e+150 m"
+                in capsys.readouterr().err)
 
     def test_bad_t_end(self):
         with pytest.raises(SystemExit) as exc:
@@ -239,6 +273,16 @@ class TestSim2d:
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert ("argument --slip: navier slip requires a finite L > 0"
+                in capsys.readouterr().err)
+
+    def test_huge_slip_length(self, tmp_path, capsys):
+        # the wall ghost's factor was inf/inf at 1e308
+        with pytest.raises(SystemExit) as exc:
+            main(["sim2d", "--omega", "1", "--sigma", "0.04",
+                  "--cells-per-radius", "4", "--slip", "navier:1e308",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert ("argument --slip: slip length L must be at most 1e+150 m"
                 in capsys.readouterr().err)
 
     def test_zero_navier_length(self, tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from caprise.core import (
+    SLIP_LENGTH_MAX,
     CaseSpec,
     FluidPair,
     Geometry,
@@ -17,7 +19,9 @@ from caprise.core import (
 )
 from caprise.errors import NonWettingAngle
 from caprise.harness import format_slip, parse_slip
+from caprise.odemodels import slip_groups
 from caprise.study import synth_params
+from caprise.vof2d.solver import slip_ghost
 
 
 def make_fluid(**kw):
@@ -72,6 +76,21 @@ def test_slip_spec():
     for L in (0.0, math.inf):
         with pytest.raises(ValueError, match="finite L > 0"):
             SlipSpec.navier(L)
+
+
+def test_slip_length_bound_keeps_both_wall_formulas_finite():
+    # the longest slip length: the extended model's groups and the 2D wall
+    # ghost stay finite there, and one ulp more is refused
+    R = 0.005
+    groups = slip_groups(SlipSpec.navier(SLIP_LENGTH_MAX).L, R)
+    assert 0.0 < groups.k < 1e-150 and groups.q == pytest.approx(1.0)
+    for nx in (4, 32):
+        ghost = slip_ghost(np.ones(2), R / nx, SlipSpec(SLIP_LENGTH_MAX))
+        assert np.all(ghost == 1.0)  # free slip
+    too_long = math.nextafter(SLIP_LENGTH_MAX, math.inf)
+    for make in (SlipSpec, SlipSpec.navier):
+        with pytest.raises(ValueError, match="at most 1e\\+150 m"):
+            make(too_long)
 
 
 def test_case_spec_validation():

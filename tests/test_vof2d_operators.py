@@ -192,10 +192,18 @@ def _dense_operator(grid, beta_x, beta_y, closed_bottom):
     return A
 
 
-# the bottom condition; the top is always Dirichlet, and the ids name both
+# the bottom condition; the top is always Dirichlet, and the ids name both.
+# poisson_solve closes a face of zero mobility: a closed bottom is a zeroed
+# beta_y[:, 0]
 BOTTOMS = pytest.mark.parametrize(
     "closed_bottom", [False, True],
     ids=["dirichlet-dirichlet", "neumann-dirichlet"])
+
+
+def _close_bottom(beta_y, closed_bottom):
+    if closed_bottom:
+        beta_y[:, 0] = 0.0
+    return beta_y
 
 
 class TestPoisson:
@@ -214,9 +222,8 @@ class TestPoisson:
         p_exact = np.cos(math.pi * X / R) * profile(ky * Y)
         lap = -((math.pi / R) ** 2 + ky ** 2) * p_exact
         beta_x = np.ones((grid.nx + 1, grid.ny))
-        beta_y = np.ones((grid.nx, grid.ny + 1))
-        p = poisson_solve(grid, beta_x, beta_y, lap,
-                          closed_bottom=closed_bottom)
+        beta_y = _close_bottom(np.ones((grid.nx, grid.ny + 1)), closed_bottom)
+        p = poisson_solve(grid, beta_x, beta_y, lap)
         return float(np.abs(p - p_exact).max())
 
     def _assert_second_order(self, closed_bottom):
@@ -240,13 +247,30 @@ class TestPoisson:
         beta_x = 10.0 ** rng.uniform(-3.0, 0.0, (nx + 1, ny))
         beta_y = 10.0 ** rng.uniform(-3.0, 0.0, (nx, ny + 1))
         rhs = rng.standard_normal((nx, ny))
-        p = poisson_solve(grid, beta_x, beta_y, rhs,
-                          closed_bottom=closed_bottom)
+        p = poisson_solve(grid, beta_x, _close_bottom(beta_y.copy(),
+                                                      closed_bottom), rhs)
 
         A = _dense_operator(grid, beta_x, beta_y, closed_bottom)
         ref = np.linalg.solve(A, rhs.flatten("F"))
         ref = ref.reshape((nx, ny), order="F")
         assert np.abs(p - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_zero_mobility_bottom_is_the_closed_bottom(self):
+        # a zeroed bottom row, spread like the liquid/gas mobilities, gives
+        # the closed bottom's operator and, bit for bit, its pressure
+        rng = np.random.default_rng(11)
+        grid = Grid.half_gap(6, 1.0)
+        nx, ny = grid.nx, grid.ny
+        beta_x = 10.0 ** rng.uniform(-3.0, 0.0, (nx + 1, ny))
+        beta_y = 10.0 ** rng.uniform(-3.0, 0.0, (nx, ny + 1))
+        rhs = rng.standard_normal((nx, ny))
+        zeroed = _close_bottom(beta_y.copy(), True)
+        assert np.array_equal(_dense_operator(grid, beta_x, zeroed, False),
+                              _dense_operator(grid, beta_x, beta_y, True))
+        assert _same_bits(
+            poisson_solve(grid, beta_x, zeroed, rhs),
+            _reference_poisson_solve(grid, beta_x, beta_y, rhs,
+                                     closed_bottom=True))
 
     def test_zero_rhs_gives_zero_field(self):
         grid = Grid.half_gap(4, 1.0)
@@ -260,7 +284,7 @@ class TestPoisson:
     def test_bad_input_raises_solver_diverged(self, bad, closed_bottom):
         grid = Grid.half_gap(4, 1.0)
         beta_x = np.ones((5, 32))
-        beta_y = np.ones((4, 33))
+        beta_y = _close_bottom(np.ones((4, 33)), closed_bottom)
         rhs = np.ones((4, 32))
         if bad == "nan-rhs":
             rhs[2, 5] = np.nan
@@ -275,8 +299,7 @@ class TestPoisson:
             # one strongly negative face makes the matrix indefinite
             beta_x[2, 5] = -10.0
         with pytest.raises(SolverDiverged) as err:
-            poisson_solve(grid, beta_x, beta_y, rhs,
-                          closed_bottom=closed_bottom)
+            poisson_solve(grid, beta_x, beta_y, rhs)
         if bad in ("zero-beta", "neg-beta-x"):
             # the banded Cholesky factorization itself reports the failure
             assert "not positive definite" in str(err.value)
@@ -316,6 +339,23 @@ class TestSinglePhaseMomentum:
         # vertical pressure gradient balances gravity
         dpdy = (st.p[:, 1:] - st.p[:, :-1]) / st.grid.dx
         assert np.allclose(dpdy, -fluid.rho_l * fluid.g, rtol=1e-9)
+
+    @pytest.mark.parametrize("closed_bottom", [False, True],
+                             ids=["open", "closed"])
+    def test_closed_bottom_face_has_zero_velocity_and_mobility(
+            self, closed_bottom):
+        sim, fluid = _single_phase_setup(closed_bottom)
+        dt = compute_dt(sim.state, fluid)
+        _, v_star, beta_x, beta_y = _momentum_outputs(sim, dt)
+        assert np.all(beta_x == 1.0 / fluid.rho_l)
+        assert np.all(beta_y[:, 1:] == 1.0 / fluid.rho_l)
+        if closed_bottom:
+            assert np.all(beta_y[:, 0] == 0.0)
+            assert np.all(v_star[:, 0] == 0.0)
+        else:
+            # the open bottom face falls with the column
+            assert np.all(beta_y[:, 0] == 1.0 / fluid.rho_l)
+            assert np.all(v_star[:, 0] == pytest.approx(-fluid.g * dt))
 
 
 class TestAdvection:
@@ -658,8 +698,8 @@ def _reference_project(sim, dt, u_star, v_star, rho_pad):
     div_star = ((u_star[1:, :] - u_star[:-1, :]) / dx
                 + (v_star[:, 1:] - v_star[:, :-1]) / dy)
 
-    p = poisson_solve(st.grid, beta_x, beta_y, div_star / dt,
-                      closed_bottom=sim.setup.closed_bottom)
+    p = _reference_poisson_solve(st.grid, beta_x, beta_y, div_star / dt,
+                                 closed_bottom=sim.setup.closed_bottom)
 
     u_new = u_star.copy()
     u_new[1:-1, :] -= dt * beta_x[1:-1, :] * (p[1:, :] - p[:-1, :]) / dx
@@ -690,7 +730,7 @@ def _assert_step_matches_reference(sim, dt):
     fields = (sim._pad_alpha(st.alpha), sim._u_full(), sim._v_full(),
               sim.curvatures())
     ref_u_star, ref_v_star, rho_pad = _reference_momentum(sim, dt, *fields)
-    u_star, v_star, rho_x, rho_y = sim._momentum(dt, *fields)
+    u_star, v_star, beta_x, beta_y = sim._momentum(dt, *fields)
     assert _same_bits(u_star, ref_u_star)
     assert _same_bits(v_star, ref_v_star)
 
@@ -699,7 +739,7 @@ def _assert_step_matches_reference(sim, dt):
     diag = sim.diag
     sim.diag = RunDiagnostics()
     try:
-        u, v, p = sim._project(dt, u_star, v_star, rho_x, rho_y)
+        u, v, p = sim._project(dt, u_star, v_star, beta_x, beta_y)
         assert _same_bits(p, ref_p)
         assert _same_bits(u, ref_u)
         assert _same_bits(v, ref_v)
@@ -733,8 +773,8 @@ class TestStepMatchesReference:
 
 
 def _momentum_outputs(sim, dt):
-    """u_star, v_star, rho_x and rho_y, which _momentum hands to _project,
-    from the current fields."""
+    """u_star, v_star, beta_x and beta_y, which _momentum hands to
+    _project, from the current fields."""
     st = sim.state
     sim.apply_boundaries()
     return sim._momentum(dt, sim._pad_alpha(st.alpha), sim._u_full(),
@@ -765,14 +805,14 @@ class TestProjectionResidual:
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_residual_raises_solver_diverged(self):
-        # a zero density on a Dirichlet bottom face is an infinite
-        # mobility: the solve yields a finite p, the corrected face a NaN
-        # divergence, and the residual check must not let that through
+        # an infinite mobility on a Dirichlet bottom face: the solve yields
+        # a finite p, the corrected face a NaN divergence, and the residual
+        # check must not let that through
         sim, dt = next(_recorded_rise(100, 100))
-        u_star, v_star, rho_x, rho_y = _momentum_outputs(sim, dt)
-        rho_y[1, 0] = 0.0
+        u_star, v_star, beta_x, beta_y = _momentum_outputs(sim, dt)
+        beta_y[1, 0] = np.inf
         with pytest.raises(SolverDiverged, match="residual"):
-            sim._project(dt, u_star, v_star, rho_x, rho_y)
+            sim._project(dt, u_star, v_star, beta_x, beta_y)
 
 
 class TestTracerHook:
@@ -1056,12 +1096,12 @@ def _poisson_inputs(sim, dt):
     poisson_solve from the current fields."""
     st = sim.state
     sim.apply_boundaries()
-    u_star, v_star, rho_x, rho_y = sim._momentum(
+    u_star, v_star, beta_x, beta_y = sim._momentum(
         dt, sim._pad_alpha(st.alpha), sim._u_full(), sim._v_full(),
         sim.curvatures())
     div_star = ((u_star[1:, :] - u_star[:-1, :]) / st.grid.dx
                 + (v_star[:, 1:] - v_star[:, :-1]) / st.grid.dx)
-    return 1.0 / rho_x, 1.0 / rho_y, div_star / dt
+    return beta_x, beta_y, div_star / dt
 
 
 def _assert_scans_match_reference(sim, dt):
@@ -1075,8 +1115,8 @@ def _assert_scans_match_reference(sim, dt):
     beta_x, beta_y, rhs = _poisson_inputs(sim, dt)
     for closed_bottom in (False, True):
         assert _same_bits(
-            poisson_solve(st.grid, beta_x, beta_y, rhs,
-                          closed_bottom=closed_bottom),
+            poisson_solve(st.grid, beta_x,
+                          _close_bottom(beta_y.copy(), closed_bottom), rhs),
             _reference_poisson_solve(st.grid, beta_x, beta_y, rhs,
                                      closed_bottom=closed_bottom))
 
