@@ -368,14 +368,16 @@ def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
     """Run every (case, model) pair, export CSVs and one summary.json.
 
     models are reduced models; with_pde=N adds vof2d at N cells per
-    radius after them.  Pairs run to the auto horizon, one after another
-    in input order.  A failed run is recorded in the summary with an
+    radius after them.  Case labels, models and scalings must each be
+    unique.  Pairs run to the auto horizon, one after another in input
+    order.  A failed run is recorded in the summary with an
     ``error`` field and the suite continues.  Returns the successful runs.
     """
-    selection = list(selection)
-    labels = [c.label for c in selection]
-    if len(set(labels)) != len(labels):
-        raise ValueError("case labels must be unique within a suite")
+    selection, models, scalings = list(selection), tuple(models), tuple(scalings)
+    for what, names in (("case labels", [c.label for c in selection]),
+                        ("models", models), ("scalings", scalings)):
+        if len(set(names)) != len(names):
+            raise ValueError(f"{what} must be unique within a suite, got {names}")
     for m in models:
         if m not in REDUCED_MODELS:
             raise ValueError(f"unknown model {m!r}; choose from {REDUCED_MODELS}, "
@@ -388,7 +390,7 @@ def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
         if with_pde < MIN_NX:
             raise ValueError(f"vof2d needs with_pde >= {MIN_NX} (cells per "
                              f"radius), got {with_pde}")
-        models = tuple(models) + ("vof2d",)
+        models += ("vof2d",)
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -407,7 +409,7 @@ def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
         results.append(res)
         entries.append(entry)
         if out is not None:
-            _export_case(out, case, m, res.trajectory, tuple(scalings))
+            _export_case(out, case, m, res.trajectory, scalings)
     if out is not None:
         with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(entries, fh, indent=2, sort_keys=True)

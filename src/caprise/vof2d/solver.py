@@ -67,32 +67,22 @@ class RunDiagnostics:
     alpha_overshoot_max: float = 0.0
 
 
-def _fixed_dt_limit(fluid: FluidPair, dx: float) -> float:
-    """The surface-tension and viscous limits: constant through a run."""
-    lim = timestep_limits(fluid, dx)
-    return min(lim.dt_sigma_solver, lim.dt_mu)
-
-
 def compute_dt(state: SimState, fluid: FluidPair) -> float:
     """0.9 times the least of the surface-tension, viscous and CFL limits.
 
-    A NaN or infinite velocity raises CourantViolation.
+    Simulator.run takes every step from this, on the fields the step
+    starts from. A NaN or infinite velocity raises CourantViolation.
     """
     dx = state.grid.dx
-    return _dt_from_speeds(float(np.abs(state.u).max()),
-                           float(np.abs(state.v).max()),
-                           _fixed_dt_limit(fluid, dx), dx)
-
-
-def _dt_from_speeds(u_max: float, v_max: float, fixed: float,
-                    dx: float) -> float:
-    """compute_dt from the largest |u| and |v| and the fixed limit."""
+    u_max = float(np.abs(state.u).max())
+    v_max = float(np.abs(state.v).max())
     if not (u_max < math.inf and v_max < math.inf):  # NaN fails too
         raise CourantViolation(
             f"velocity not finite: max |u| {u_max}, max |v| {v_max}")
-    u_max = max(u_max, v_max)
-    dt_u = dx / u_max if u_max > 0.0 else math.inf
-    return _DT_SAFETY * min(fixed, dt_u)
+    speed = max(u_max, v_max)
+    dt_u = dx / speed if speed > 0.0 else math.inf
+    lim = timestep_limits(fluid, dx)
+    return _DT_SAFETY * min(lim.dt_sigma_solver, lim.dt_mu, dt_u)
 
 
 def slip_ghost(v_wall_col: np.ndarray, dx: float, slip: SlipSpec):
@@ -303,12 +293,10 @@ class Simulator:
         st = self.state
         dx = st.grid.dx
         cell = dx * dx
-        u, v = st.u, st.v
 
-        # the fields this step leaves: run() takes the next dt from them
-        self._speeds = (float(np.abs(u).max()), float(np.abs(v).max()))
-        cfl_x = self._speeds[0] * dt / dx
-        cfl_y = self._speeds[1] * dt / dx
+        u_max, v_max = float(np.abs(st.u).max()), float(np.abs(st.v).max())
+        cfl_x = u_max * dt / dx
+        cfl_y = v_max * dt / dx
         self.diag.cfl_max = max(self.diag.cfl_max, cfl_x, cfl_y)
         if not (cfl_x <= 1.0 + 1e-12 and cfl_y <= 1.0 + 1e-12):  # NaN fails too
             raise CourantViolation(
@@ -408,19 +396,17 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def run(self) -> tuple[Trajectory, RunDiagnostics]:
+        """Step to setup.t_end; each step is compute_dt of the fields it
+        starts from, the last one cut to land on t_end."""
         setup = self.setup
         t_end = setup.t_end
         times = [self.state.t]
         apex = [apex_height(self.state)]
-        dx = self.state.grid.dx
-        fixed = _fixed_dt_limit(setup.fluid, dx)
-        dt = compute_dt(self.state, setup.fluid)
         while self.state.t < t_end * (1.0 - 1e-12):
-            self.step(min(dt, t_end - self.state.t))
+            self.step(min(compute_dt(self.state, setup.fluid),
+                          t_end - self.state.t))
             times.append(self.state.t)
             apex.append(apex_height(self.state))
-            # u and v are as advect_alpha scanned them: no second scan
-            dt = _dt_from_speeds(*self._speeds, fixed, dx)
 
         vol_end = self.state.liquid_area()
         denom = max(self._vol_start, self.state.grid.dx * self.state.grid.dx)

@@ -325,6 +325,16 @@ class TestBench:
         assert "with_pde >= 4" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_repeated_model_or_scaling_exits_2(self, tmp_path, capsys):
+        for flag, values in (("--models", ["extended", "extended"]),
+                             ("--scalings", ["none", "none"])):
+            out = tmp_path / flag.lstrip("-")
+            assert main(["bench", "--suite", "omega-study", flag, *values,
+                         "--out-dir", str(out)]) == 2
+            assert (f"{flag.lstrip('-')} must be unique"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
     def test_vof2d_is_not_a_model_choice(self, tmp_path, capsys):
         # --with-pde adds vof2d; --models takes the reduced models
         with pytest.raises(SystemExit) as exc:

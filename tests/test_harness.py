@@ -421,6 +421,11 @@ class TestRunSuite:
             run_suite(suite[:1], models=("euler",))
         with pytest.raises(ValueError):
             run_suite(suite[:1], scalings=("IV",))
+        # one summary entry per (case, model) pair, one CSV per scaling
+        with pytest.raises(ValueError, match="models must be unique"):
+            run_suite(suite, models=("extended", "extended"))
+        with pytest.raises(ValueError, match="scalings must be unique"):
+            run_suite(suite, scalings=("none", "I", "none"))
         # models lists the reduced models; with_pde adds vof2d
         for with_pde in (None, 4):
             with pytest.raises(ValueError, match="with_pde"):
