@@ -129,7 +129,11 @@ def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
 
     Both are resampled by linear interpolation onto the union of their
     time grids restricted to the overlap; the norms are normalized by b.
+    Both must be in one scaling; one without a "scaling" is dimensional.
     """
+    ka, kb = (tr.metadata.get("scaling", "none") for tr in (a, b))
+    if ka != kb:
+        raise ValueError(f"cannot compare scaling {ka} with scaling {kb}")
     lo = max(float(a.t[0]), float(b.t[0]))
     hi = min(float(a.t[-1]), float(b.t[-1]))
     if not hi > lo:

@@ -122,7 +122,7 @@ class Simulator:
     # boundary handling
 
     def apply_boundaries(self) -> None:
-        """Pin the hard velocity constraints on the boundary faces."""
+        """Pin the wall u and closed bottom v faces; no step unpins them."""
         st = self.state
         st.u[0, :] = 0.0
         st.u[-1, :] = 0.0
@@ -172,13 +172,15 @@ class Simulator:
         return curvature_height_function(
             alpha, self.state.grid.dx, self.setup.geom.theta_e)
 
-    def _momentum(self, dt: float, A_pad, u_full, v_full, kappa):
-        """u_star, v_star and the face mobilities beta_x, beta_y = 1/rho;
-        a closed bottom face has v_star and beta_y zero."""
+    def _momentum(self, dt: float):
+        """u_star, v_star and the mobilities beta_x, beta_y = 1/rho from the
+        fields; wall u is copied, a closed bottom's v_star and beta_y zero."""
         st = self.state
         fl = self.setup.fluid
         dx = st.grid.dx
         u, v, alpha = st.u, st.v, st.alpha
+        A_pad, kappa = self._pad_alpha(alpha), self.curvatures()
+        u_full, v_full = self._u_full(), self._v_full()
 
         rho_pad = fl.rho_g + (fl.rho_l - fl.rho_g) * A_pad
         mu_pad = fl.mu_g + (fl.mu_l - fl.mu_g) * A_pad
@@ -219,13 +221,12 @@ class Simulator:
         u_star[1:-1, :] += dt * ((visc_u + f_u) / rho_x[1:-1, :] - adv_u)
 
         # --- v faces, all rows (boundary faces are prognostic)
-        vc = v
         ubar = 0.25 * (u_full[:-1, :-1] + u_full[1:, :-1]
                        + u_full[:-1, 1:] + u_full[1:, 1:])
         dv = v_full[1:-1, 1:] - v_full[1:-1, :-1]
         dvdy = dv / dx
         adv_v = (ubar * np.where(ubar > 0.0, dvdx_n[:-1], dvdx_n[1:])
-                 + vc * np.where(vc > 0.0, dvdy[:, :-1], dvdy[:, 1:]))
+                 + v * np.where(v > 0.0, dvdy[:, :-1], dvdy[:, 1:]))
 
         # tyy on cells -1..ny so boundary faces see a ghost cell
         tyy = mu2 * dv / dx
@@ -235,7 +236,7 @@ class Simulator:
         f_v = -fl.sigma * kappa[:, None] * (A_pad[1:-1, 1:] - A_pad[1:-1, :-1]) / dx
 
         g_acc = -fl.g if self.setup.gravity_on else 0.0
-        v_star = vc + dt * ((visc_v + f_v) / rho_y - adv_v + g_acc)
+        v_star = v + dt * ((visc_v + f_v) / rho_y - adv_v + g_acc)
         beta_x, beta_y = 1.0 / rho_x, 1.0 / rho_y
         if self.setup.closed_bottom:
             # no flow through a closed face: zero mobility makes p Neumann
@@ -378,15 +379,9 @@ class Simulator:
         return float(F[_along(axis, 0)].sum() - F[_along(axis, -1)].sum())
 
     def step(self, dt: float) -> None:
+        """Momentum, projection, then advection; the pins hold throughout."""
         st = self.state
-        self.apply_boundaries()
-        A_pad = self._pad_alpha(st.alpha)
-        u_full = self._u_full()
-        v_full = self._v_full()
-        kappa = self.curvatures()
-        u_star, v_star, beta_x, beta_y = self._momentum(dt, A_pad, u_full,
-                                                        v_full, kappa)
-        st.u, st.v, st.p = self._project(dt, u_star, v_star, beta_x, beta_y)
+        st.u, st.v, st.p = self._project(dt, *self._momentum(dt))
         self.advect_alpha(dt)
         st.t += dt
         self.diag.n_steps += 1

@@ -387,6 +387,26 @@ class TestCompareCmd:
                                          "--b", str(a)]))
         assert out["first_peak_time_ratio"] is None
 
+    def test_mixed_scalings_exit_2(self, tmp_path, capsys):
+        dim = tmp_path / "dim.csv"
+        run_ok(capsys, ["ode", "--model", "classical", "--omega", "1",
+                        "--sigma", "0.04", "--t-end", "0.1", "--out", str(dim)])
+        scaled = {}
+        for kind in ("I", "III"):
+            scaled[kind] = tmp_path / f"dim_{kind}.csv"
+            run_ok(capsys, ["scale", "--input", str(dim), "--scaling", kind,
+                            "--omega", "1", "--sigma", "0.04",
+                            "--out", str(scaled[kind])])
+        for a, b, names in ((scaled["III"], dim, "III with scaling none"),
+                            (scaled["III"], scaled["I"], "III with scaling I")):
+            assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"cannot compare scaling {names}" in captured.err
+        out = json.loads(run_ok(capsys, ["compare", "--a", str(scaled["III"]),
+                                         "--b", str(scaled["III"])]))
+        assert out["l2_rel"] == 0.0
+
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         t = np.linspace(0.0, 1.0, 5)

@@ -149,6 +149,20 @@ class TestCompare:
         with pytest.raises(NoOverlap):
             compare(a, b)
 
+    @pytest.mark.parametrize("ka, kb", [("III", None), ("III", "I"),
+                                        (None, "II")])
+    def test_mixed_scalings_refused(self, osc_pair, ka, kb):
+        # the same numbers in two scalings are two different trajectories
+        a = osc_pair[1].trajectory
+        tr = [Trajectory(t=a.t, h=a.h, v=a.v,
+                         metadata={} if k is None else {"scaling": k})
+              for k in (ka, kb)]
+        names = [k or "none" for k in (ka, kb)]
+        with pytest.raises(ValueError, match="cannot compare scaling "
+                           f"{names[0]} with scaling {names[1]}"):
+            compare(*tr)
+        assert compare(tr[0], tr[0]).l2_rel == 0.0
+
     def test_first_overshoot_ratio_near_half(self, osc_pair):
         cls, ext = osc_pair
         m = compare(cls.trajectory, ext.trajectory)

@@ -187,11 +187,7 @@ def _channel_flow(nx, slip):
     st = sim.state
     while st.t < t_end * (1.0 - 1e-12):
         dt = min(compute_dt(st, FLUID), t_end - st.t)
-        sim.apply_boundaries()
-        u_star, v_star, beta_x, beta_y = sim._momentum(
-            dt, sim._pad_alpha(st.alpha), sim._u_full(), sim._v_full(),
-            sim.curvatures())
-        st.u, st.v, st.p = sim._project(dt, u_star, v_star, beta_x, beta_y)
+        st.u, st.v, st.p = sim._project(dt, *sim._momentum(dt))
         st.t += dt
     return st
 

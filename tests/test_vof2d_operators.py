@@ -346,7 +346,7 @@ class TestSinglePhaseMomentum:
             self, closed_bottom):
         sim, fluid = _single_phase_setup(closed_bottom)
         dt = compute_dt(sim.state, fluid)
-        _, v_star, beta_x, beta_y = _momentum_outputs(sim, dt)
+        _, v_star, beta_x, beta_y = sim._momentum(dt)
         assert np.all(beta_x == 1.0 / fluid.rho_l)
         assert np.all(beta_y[:, 1:] == 1.0 / fluid.rho_l)
         if closed_bottom:
@@ -725,12 +725,10 @@ def _same_bits(a, b):
 def _assert_step_matches_reference(sim, dt):
     """_momentum and _project from the current fields must equal the
     reference bit for bit, and so must the divergence diagnostics."""
-    st = sim.state
-    sim.apply_boundaries()
-    fields = (sim._pad_alpha(st.alpha), sim._u_full(), sim._v_full(),
+    fields = (sim._pad_alpha(sim.state.alpha), sim._u_full(), sim._v_full(),
               sim.curvatures())
     ref_u_star, ref_v_star, rho_pad = _reference_momentum(sim, dt, *fields)
-    u_star, v_star, beta_x, beta_y = sim._momentum(dt, *fields)
+    u_star, v_star, beta_x, beta_y = sim._momentum(dt)
     assert _same_bits(u_star, ref_u_star)
     assert _same_bits(v_star, ref_v_star)
 
@@ -772,13 +770,50 @@ class TestStepMatchesReference:
         assert n == 2
 
 
-def _momentum_outputs(sim, dt):
-    """u_star, v_star, beta_x and beta_y, which _momentum hands to
-    _project, from the current fields."""
-    st = sim.state
-    sim.apply_boundaries()
-    return sim._momentum(dt, sim._pad_alpha(st.alpha), sim._u_full(),
-                         sim._v_full(), sim.curvatures())
+def _pinned_faces(st, closed_bottom):
+    faces = [st.u[0], st.u[-1]] + ([st.v[:, 0]] if closed_bottom else [])
+    return all(_same_bits(f, np.zeros_like(f)) for f in faces)
+
+
+class TestBoundaryPins:
+    """A step does not re-pin: __init__ pins the state it is given, and
+    momentum and projection leave the wall u faces and a closed bottom's
+    v faces at +0.0."""
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"closed_bottom": True, "gravity_on": False}],
+        ids=["open_navier", "closed_bottom_no_gravity"])
+    def test_every_step_keeps_the_pins(self, options):
+        fluid, geom = synth_params(1.0, 0.04)
+        setup = CaseSetup2D(fluid=fluid, geom=geom, nx=8, t_end=1.0,
+                            slip=SlipSpec.navier(geom.R / 5), **options)
+        sim = Simulator(setup)
+        st, closed = sim.state, setup.closed_bottom
+        # seen where advect_alpha, which pins again, takes the fields over
+        projected = []
+        advect = sim.advect_alpha
+
+        def checked_advect(dt):
+            projected.append(_pinned_faces(st, closed))
+            advect(dt)
+
+        sim.advect_alpha = checked_advect
+        for _ in range(300):
+            sim.step(compute_dt(st, fluid))
+            assert _pinned_faces(st, closed)
+        assert len(projected) == 300 and all(projected)
+
+    def test_init_pins_the_state_it_is_given(self):
+        fluid, geom = synth_params(1.0, 0.04)
+        state = init_case(geom, 8)
+        state.u[:] = 0.05
+        state.v[:] = -0.02
+        sim = Simulator(CaseSetup2D(fluid=fluid, geom=geom, nx=8, t_end=1.0,
+                                    slip=SlipSpec.numerical(),
+                                    closed_bottom=True), state=state)
+        assert sim.state is state and _pinned_faces(state, True)
+        assert np.all(state.u[1:-1] == 0.05)
+        assert np.all(state.v[:, 1:] == -0.02)
 
 
 class TestProjectionResidual:
@@ -791,7 +826,7 @@ class TestProjectionResidual:
                                             refused):
         # p scaled by 1 + scale leaves about scale times the divergence
         sim, dt = next(_recorded_rise(100, 100))
-        fields = _momentum_outputs(sim, dt)
+        fields = sim._momentum(dt)
         exact = solver.poisson_solve
         monkeypatch.setattr(solver, "poisson_solve",
                             lambda *a, **k: exact(*a, **k) * (1.0 + scale))
@@ -809,7 +844,7 @@ class TestProjectionResidual:
         # a finite p, the corrected face a NaN divergence, and the residual
         # check must not let that through
         sim, dt = next(_recorded_rise(100, 100))
-        u_star, v_star, beta_x, beta_y = _momentum_outputs(sim, dt)
+        u_star, v_star, beta_x, beta_y = sim._momentum(dt)
         beta_y[1, 0] = np.inf
         with pytest.raises(SolverDiverged, match="residual"):
             sim._project(dt, u_star, v_star, beta_x, beta_y)
@@ -1094,13 +1129,10 @@ def _bits(x):
 def _poisson_inputs(sim, dt):
     """beta_x, beta_y and the right-hand side that _project hands to
     poisson_solve from the current fields."""
-    st = sim.state
-    sim.apply_boundaries()
-    u_star, v_star, beta_x, beta_y = sim._momentum(
-        dt, sim._pad_alpha(st.alpha), sim._u_full(), sim._v_full(),
-        sim.curvatures())
-    div_star = ((u_star[1:, :] - u_star[:-1, :]) / st.grid.dx
-                + (v_star[:, 1:] - v_star[:, :-1]) / st.grid.dx)
+    dx = sim.state.grid.dx
+    u_star, v_star, beta_x, beta_y = sim._momentum(dt)
+    div_star = ((u_star[1:, :] - u_star[:-1, :]) / dx
+                + (v_star[:, 1:] - v_star[:, :-1]) / dx)
     return beta_x, beta_y, div_star / dt
 
 
