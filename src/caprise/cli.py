@@ -24,7 +24,6 @@ from .harness import (
     run_case,
     run_suite,
     trajectory_csv_text,
-    write_scale_sidecar,
     write_trajectory_csv,
 )
 from .odemodels import REDUCED_MODELS
@@ -138,7 +137,6 @@ def _cmd_scale(args) -> int:
     coeffs = coefficients(fluid, geom, "2d" if args.dim == 2 else "3d")
     scaled = nondimensionalize(traj, args.scaling, coeffs)
     write_trajectory_csv(scaled, args.out)
-    write_scale_sidecar(args.out, scaled.metadata)
     return 0
 
 

@@ -4,8 +4,8 @@ metrics, and suite execution with CSV / summary JSON export.
 File contracts are bit-exact so reruns can be diffed:
   * trajectory CSV: UTF-8, LF endings, header ``t,h,hdot``, then three
     values per line at 17 significant digits, no trailing separator;
-  * scaled exports get a ``<name>.scale.json`` sidecar recording the
-    scaling kind and the t/h rates;
+  * every CSV file gets a ``<name>.scale.json`` sidecar recording the
+    scaling kind (``none``: rates 1.0), the t/h rates and h_inf if known;
   * one ``summary.json`` per suite, a list with one entry per (case,
     model) pair in input order.  Failed cases appear as entries with an
     ``error`` field instead of results.
@@ -181,14 +181,30 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Write the CSV contract bytes: UTF-8, LF endings."""
+    """Write the CSV contract bytes (UTF-8, LF endings) and its sidecar."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(trajectory_csv_text(traj))
+    write_scale_sidecar(path, traj.metadata)
+
+
+def write_scale_sidecar(csv_path: str | Path, metadata: dict) -> Path:
+    """Record the scaling kind, rates and h_inf, when known, next to a
+    CSV; metadata without a scaling is dimensional: none, rates 1.0."""
+    sidecar = {"scaling": metadata.get("scaling", "none"),
+               "t_rate": metadata.get("t_rate", 1.0),
+               "h_rate": metadata.get("h_rate", 1.0)}
+    if "h_inf" in metadata:
+        sidecar["h_inf"] = metadata["h_inf"]
+    target = Path(csv_path).with_suffix(".scale.json")
+    with open(target, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return target
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
-    """Read a trajectory CSV; a ``.scale.json`` sidecar, when present,
-    is checked and merged into the metadata."""
+    """Read a trajectory CSV; its ``.scale.json`` sidecar, when present
+    (not for stdout captures), is checked and merged into the metadata."""
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\r\n")
@@ -205,12 +221,15 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     if sidecar.exists():
         # integers parse as floats, so an oversized one is inf
         side = json.loads(sidecar.read_text(encoding="utf-8"), parse_int=float)
-        if not (isinstance(side, dict) and side.get("scaling") in SCALING_KINDS):
+        kinds = ("none",) + SCALING_KINDS
+        if not (isinstance(side, dict) and side.get("scaling") in kinds):
             raise ValueError(f"scale sidecar must be a JSON object with scaling "
-                             f"in {SCALING_KINDS}")
+                             f"in {kinds}")
         for key in ("t_rate", "h_rate"):
             if not (type(side.get(key)) is float and 0.0 < side[key] < math.inf):
                 raise ValueError(f"scale sidecar {key} must be finite and positive")
+            if side["scaling"] == "none" and side[key] != 1.0:
+                raise ValueError(f"scale sidecar {key} must be 1.0 in scaling none")
         h_inf = side.get("h_inf", 0.0)
         if not (type(h_inf) is float and math.isfinite(h_inf)):
             raise ValueError("scale sidecar h_inf must be finite")
@@ -340,29 +359,12 @@ def _failure_entry(case: CaseSpec, model: str, exc: Exception) -> dict:
     }
 
 
-def write_scale_sidecar(csv_path: str | Path, metadata: dict) -> Path:
-    """Record the scaling kind and rates next to a scaled CSV export."""
-    sidecar = {"scaling": metadata["scaling"], "t_rate": metadata["t_rate"],
-               "h_rate": metadata["h_rate"]}
-    if "h_inf" in metadata:
-        sidecar["h_inf"] = metadata["h_inf"]
-    target = Path(csv_path).with_suffix(".scale.json")
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return target
-
-
 def _export_case(out: Path, case: CaseSpec, model: str, traj: Trajectory,
                  scalings: tuple[str, ...]) -> None:
     for kind in scalings:
-        target = out / f"{case.label}_{model}_{kind}.csv"
-        if kind == "none":
-            write_trajectory_csv(traj, target)
-            continue
-        scaled = nondimensionalize(traj, kind, coefficients(case.fluid, case.geom))
-        write_trajectory_csv(scaled, target)
-        write_scale_sidecar(target, scaled.metadata)
+        scaled = traj if kind == "none" else nondimensionalize(
+            traj, kind, coefficients(case.fluid, case.geom))
+        write_trajectory_csv(scaled, out / f"{case.label}_{model}_{kind}.csv")
 
 
 def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,

@@ -86,8 +86,8 @@ def units(kind: str, s: ScaleSet) -> ScaleUnits:
 
 
 def nondimensionalize(traj: Trajectory, kind: str, s: ScaleSet) -> Trajectory:
-    """Rescale a dimensional trajectory into scaling ``kind``; refuse a scaled one."""
-    if "scaling" in traj.metadata:
+    """Rescale a trajectory in scaling none into ``kind``; refuse a scaled one."""
+    if traj.metadata.get("scaling", "none") != "none":
         raise ValueError(f"trajectory is already in scaling {traj.metadata['scaling']}")
     u = units(kind, s)
     meta = dict(traj.metadata)

@@ -109,7 +109,12 @@ class Simulator:
     def __init__(self, setup: CaseSetup2D, state: SimState | None = None):
         self.setup = setup
         # refuses a bad horizon before any step
-        self._t_out = output_times(setup.t_end, setup.t_end / 500.0)
+        dt_out = setup.t_end / 500.0
+        self._t_out = output_times(setup.t_end, dt_out)
+        # run's np.gradient multiplies pairs of output spacings
+        if dt_out * dt_out < np.finfo(float).tiny:
+            raise ValueError(f"t_end {setup.t_end:g} s is too short for the 2D "
+                             "output grid: its spacing t_end/500, squared, underflows")
         if state is None:
             state = init_case(setup.geom, setup.nx)
         self.state = state

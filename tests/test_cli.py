@@ -2,17 +2,18 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from caprise.cli import main
-from caprise.core import SlipSpec
+from caprise.core import CaseSpec, SlipSpec, stationary_height
 from caprise.errors import StepSizeUnderflow
-from caprise.harness import (read_trajectory_csv, trajectory_csv_text,
-                             write_trajectory_csv)
+from caprise.harness import (compare, read_trajectory_csv, run_case,
+                             trajectory_csv_text, write_trajectory_csv)
 from caprise.odemodels import ModelSpec, Trajectory, integrate
-from caprise.scaling import auto_t_end
+from caprise.scaling import auto_t_end, coefficients, units
 from caprise.study import synth_params
 from caprise.vof2d import CaseSetup2D, Simulator
 
@@ -20,6 +21,16 @@ from caprise.vof2d import CaseSetup2D, Simulator
 def run_ok(capsys, argv):
     assert main(argv) == 0
     return capsys.readouterr().out
+
+
+def _in_memory_overshoot_ratio(omega, sigma, slip_length):
+    """compare() of the classical and extended run_case trajectories of
+    the study row, as `caprise ode` builds its case."""
+    fluid, geom = synth_params(omega, sigma)
+    case = CaseSpec(label=f"omega{omega:g}", fluid=fluid, geom=geom,
+                    slip=SlipSpec(slip_length), omega_nominal=omega)
+    cls, ext = (run_case(case, m).trajectory for m in ("classical", "extended"))
+    return compare(cls, ext).first_peak_overshoot_ratio
 
 
 class TestQueries:
@@ -181,7 +192,12 @@ class TestScale:
         # h* = h / h_Jurin, so the start height 2R maps to 0.5
         assert scaled.h[0] == pytest.approx(0.5, rel=1e-12)
         assert scaled.metadata["scaling"] == "II"
-        assert (tmp_path / "dim_II.scale.json").exists()
+        # the input's sidecar carries h_inf, so the output's carries h_inf*
+        fluid, geom = synth_params(1.0, 0.04)
+        h_rate = units("II", coefficients(fluid, geom)).h_rate
+        side = json.loads((tmp_path / "dim_II.scale.json").read_text())
+        assert side["h_inf"] == stationary_height(fluid, geom) * h_rate
+        assert side["h_rate"] == h_rate
 
     def test_dim3_changes_rates(self, tmp_path, capsys):
         src = tmp_path / "dim.csv"
@@ -228,6 +244,23 @@ class TestSim2d:
         traj = read_trajectory_csv(out)
         assert traj.t[-1] == 0.005
         assert np.all(traj.h > 0.0)
+        assert traj.metadata == {"scaling": "none", "t_rate": 1.0, "h_rate": 1.0,
+                                 "h_inf": stationary_height(*synth_params(1.0, 0.04))}
+
+    def test_underflowing_output_spacing_exits_2(self, tmp_path, capsys):
+        # np.gradient of the apex multiplies pairs of output spacings; at
+        # 1e-160 s they underflowed to zero and numpy warned
+        out = tmp_path / "x.csv"
+        argv = ["sim2d", "--omega", "1", "--sigma", "0.04",
+                "--cells-per-radius", "4", "--slip", "numerical", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--t-end", "1e-160"]) == 2
+            assert ("error: t_end 1e-160 s is too short for the 2D output grid"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+            run_ok(capsys, argv + ["--t-end", "1e-150"])
+        assert read_trajectory_csv(out).t[-1] == 1e-150
 
     def test_prints_diagnostics(self, tmp_path, capsys):
         out = tmp_path / "pde.csv"
@@ -362,8 +395,22 @@ class TestCompareCmd:
                                          "--b", str(b)]))
         assert out["l2_rel"] > 0.0
         assert out["peak_count_a"] >= 4
-        # bare CSVs carry no stationary heights, so no overshoot ratio
-        assert out["first_peak_overshoot_ratio"] is None
+        # the files' sidecars carry each model's h_inf, so the read-backs
+        # give the in-memory runs' overshoot ratio
+        assert out["first_peak_overshoot_ratio"] == \
+            _in_memory_overshoot_ratio(0.1, 0.2, 0.0)
+
+    def test_ode_files_give_in_memory_overshoot_ratio(self, tmp_path, capsys):
+        a, b = tmp_path / "classical.csv", tmp_path / "extended.csv"
+        for path, extra in ((a, ["--model", "classical"]),
+                            (b, ["--model", "extended", "--slip-length", "1e-3"])):
+            run_ok(capsys, ["ode", "--omega", "1", "--sigma", "0.04",
+                            "--out", str(path)] + extra)
+        out = json.loads(run_ok(capsys, ["compare", "--a", str(a),
+                                         "--b", str(b)]))
+        ratio = _in_memory_overshoot_ratio(1.0, 0.04, 1e-3)
+        assert ratio is not None
+        assert out["first_peak_overshoot_ratio"] == ratio
 
     def test_self_compare_is_zero(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -303,6 +303,7 @@ class TestCsvContract:
         ('{"scaling": "II", "t_rate": true, "h_rate": 3.0}', "t_rate"),
         ('{"scaling": "II", "t_rate": 0.0, "h_rate": 3.0}', "t_rate"),
         ('{"scaling": "II", "t_rate": NaN, "h_rate": 3.0}', "t_rate"),
+        ('{"scaling": "none", "t_rate": 2.0, "h_rate": 1.0}', "t_rate"),
         ('{"scaling": "II", "t_rate": 2.0, "h_rate": -3.0}', "h_rate"),
         ('{"scaling": "II", "t_rate": 2.0, "h_rate": Infinity}', "h_rate"),
         ('{"scaling": "II", "t_rate": 2.0, "h_rate": 3.0, "h_inf": "x"}', "h_inf"),
@@ -311,8 +312,8 @@ class TestCsvContract:
          "h_inf"),
         ('{"scaling": "II"', "Expecting"),
     ], ids=["list", "no-scaling", "scaling-IV", "no-t_rate", "t_rate-text",
-            "t_rate-bool", "t_rate-0", "t_rate-nan", "h_rate<0", "h_rate-inf",
-            "h_inf-text", "h_inf-nan", "h_inf-huge-int", "not-json"])
+            "t_rate-bool", "t_rate-0", "t_rate-nan", "none-t_rate-2", "h_rate<0",
+            "h_rate-inf", "h_inf-text", "h_inf-nan", "h_inf-huge-int", "not-json"])
     def test_malformed_sidecar_refused(self, tmp_path, sidecar, match):
         path = tmp_path / "traj.csv"
         path.write_text("t,h,hdot\n0,1,0\n1,1,0\n")
@@ -394,6 +395,15 @@ class TestRunSuite:
         assert [e["label"] for e in summary] == [c.label for c in suite]
         assert all("error" not in e for e in summary)
         assert {e["slip"] for e in summary} == {"navier:0.001"}
+
+    def test_dimensional_export_has_sidecar(self, tmp_path, suite):
+        results = run_suite(suite[2:3], scalings=("none",), out_dir=tmp_path)
+        for res in results:
+            side = tmp_path / f"{res.case.label}_{res.model}_none.scale.json"
+            assert json.loads(side.read_text()) == {
+                "scaling": "none", "t_rate": 1.0, "h_rate": 1.0,
+                "h_inf": res.trajectory.metadata["h_inf"]}
+        assert [r.model for r in results] == ["classical", "extended"]
 
     def test_suite_reruns_byte_identical(self, tmp_path, suite):
         sel = suite[:2]

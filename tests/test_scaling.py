@@ -9,8 +9,7 @@ import pytest
 from caprise.core import FluidPair, Geometry, SlipSpec, dimensionless_numbers, \
     height_correction, jurin_height
 from caprise.errors import NonWettingAngle
-from caprise.harness import read_trajectory_csv, write_scale_sidecar, \
-    write_trajectory_csv
+from caprise.harness import read_trajectory_csv, write_trajectory_csv
 from caprise.odemodels import ModelSpec, Trajectory, detect_peaks, \
     integrate, slip_groups, solve_rk45
 from caprise.scaling import (
@@ -198,7 +197,6 @@ def test_nondimensionalize_refuses_scaled_trajectory(tmp_path):
     scaled = nondimensionalize(traj, "II", s)
     path = tmp_path / "rise_II.csv"
     write_trajectory_csv(scaled, path)
-    write_scale_sidecar(path, scaled.metadata)
     for again in (scaled, read_trajectory_csv(path)):
         for kind in SCALING_KINDS:
             with pytest.raises(ValueError, match="already in scaling II"):
