@@ -63,8 +63,9 @@ class Geometry:
 
 @dataclass(frozen=True)
 class SlipSpec:
-    """Wall slip length L [m] of a Navier condition. L = 0 is numerical
-    slip: the no-slip ghost, whose effective slip shrinks with the mesh."""
+    """Wall slip length L [m] of a Navier condition.  SlipSpec() is L = 0,
+    numerical slip: the no-slip ghost, whose effective slip shrinks with
+    the mesh.  navier(L) spells a Navier wall and refuses L = 0."""
 
     L: float = 0.0
 
@@ -74,10 +75,6 @@ class SlipSpec:
         if self.L > SLIP_LENGTH_MAX:
             raise ValueError(
                 f"slip length L must be at most {SLIP_LENGTH_MAX:g} m")
-
-    @classmethod
-    def numerical(cls) -> "SlipSpec":
-        return cls()
 
     @classmethod
     def navier(cls, L: float) -> "SlipSpec":

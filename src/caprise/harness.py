@@ -56,7 +56,7 @@ OMEGA_SUITE = ((0.1, 0.2), (0.5, 0.1), (1.0, 0.04), (10.0, 0.01), (100.0, 0.001)
 SLIP_VARIANTS = {
     "navier-r5": lambda R: SlipSpec.navier(R / 5.0),
     "navier-r50": lambda R: SlipSpec.navier(R / 50.0),
-    "numerical": lambda R: SlipSpec.numerical(),
+    "numerical": lambda R: SlipSpec(),
 }
 DEFAULT_SLIP = "navier-r5"
 
@@ -85,7 +85,7 @@ def format_slip(slip: SlipSpec) -> str:
 def parse_slip(text: str) -> SlipSpec:
     """Inverse of :func:`format_slip`."""
     if text == "numerical":
-        return SlipSpec.numerical()
+        return SlipSpec()
     if text.startswith("navier:"):
         try:
             L = float(text[len("navier:"):])
@@ -314,8 +314,7 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
                             nx=nx, t_end=t_end)
         traj, diag = Simulator(setup).run()
     else:
-        spec = (ModelSpec.classical() if model == "classical"
-                else ModelSpec(model, case.slip))
+        spec = ModelSpec(model, SlipSpec() if model == "classical" else case.slip)
         traj = integrate(spec, case.fluid, case.geom, t_end, label=case.label)
     return BenchResult(case=case, model=model, trajectory=traj, diagnostics=diag)
 
@@ -359,25 +358,18 @@ def _failure_entry(case: CaseSpec, model: str, exc: Exception) -> dict:
     }
 
 
-def _export_case(out: Path, case: CaseSpec, model: str, traj: Trajectory,
-                 scalings: tuple[str, ...]) -> None:
-    for kind in scalings:
-        scaled = traj if kind == "none" else nondimensionalize(
-            traj, kind, coefficients(case.fluid, case.geom))
-        write_trajectory_csv(scaled, out / f"{case.label}_{model}_{kind}.csv")
-
-
 def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
               scalings: tuple[str, ...] = ("none",),
-              out_dir: str | Path | None = None,
+              out_dir: str | Path,
               with_pde: int | None = None) -> list[BenchResult]:
     """Run every (case, model) pair, export CSVs and one summary.json.
 
     models are reduced models; with_pde=N adds vof2d at N cells per
     radius after them.  Case labels, models and scalings must each be
-    unique.  Pairs run to the auto horizon, one after another in input
-    order.  A failed run is recorded in the summary with an
-    ``error`` field and the suite continues.  Returns the successful runs.
+    unique; a refused suite writes nothing.  Pairs run to the auto
+    horizon in input order, each writing one CSV per scaling to out_dir.
+    A failed run is recorded in the summary with an ``error`` field and
+    the suite continues.  Returns the successful runs.
     """
     selection, models, scalings = list(selection), tuple(models), tuple(scalings)
     for what, names in (("case labels", [c.label for c in selection]),
@@ -398,26 +390,24 @@ def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
                              f"radius), got {with_pde}")
         models += ("vof2d",)
 
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-
-    jobs = [(case, m) for case in selection for m in models]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     results: list[BenchResult] = []
     entries: list[dict] = []
-    for case, m in jobs:
-        try:
-            res = run_case(case, m, nx=with_pde)
-            entry = _summary_entry(res)
-        except (CapriseError, ValueError) as exc:
-            entries.append(_failure_entry(case, m, exc))
-            continue
-        results.append(res)
-        entries.append(entry)
-        if out is not None:
-            _export_case(out, case, m, res.trajectory, scalings)
-    if out is not None:
-        with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(entries, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    for case in selection:
+        for m in models:
+            try:
+                res = run_case(case, m, nx=with_pde)
+                entries.append(_summary_entry(res))
+            except (CapriseError, ValueError) as exc:
+                entries.append(_failure_entry(case, m, exc))
+                continue
+            results.append(res)
+            for kind in scalings:
+                traj = res.trajectory if kind == "none" else nondimensionalize(
+                    res.trajectory, kind, coefficients(case.fluid, case.geom))
+                write_trajectory_csv(traj, out / f"{case.label}_{m}_{kind}.csv")
+    with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(entries, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return results

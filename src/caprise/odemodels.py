@@ -70,14 +70,6 @@ class ModelSpec:
         if self.kind == "classical" and self.slip != SlipSpec():
             raise ValueError("classical model has no slip length")
 
-    @classmethod
-    def classical(cls) -> "ModelSpec":
-        return cls(kind="classical")
-
-    @classmethod
-    def extended(cls, slip_length: float = 0.0) -> "ModelSpec":
-        return cls(kind="extended", slip=SlipSpec(slip_length))
-
 
 @dataclass(frozen=True)
 class SlipGroups:

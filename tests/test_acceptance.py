@@ -112,7 +112,7 @@ def _pde_setup(name, nx):
     """The omega = 1 rise to the auto horizon, Navier R/5 or numerical slip."""
     fluid, geom = synth_params(1.0, 0.04)
     slip = (SlipSpec.navier(geom.R / 5.0) if name == "navier"
-            else SlipSpec.numerical())
+            else SlipSpec())
     return CaseSetup2D(fluid=fluid, geom=geom, slip=slip, nx=nx,
                        t_end=auto_t_end(fluid, geom))
 
@@ -219,7 +219,7 @@ def test_criterion_04_scaling_consistency():
         fluid, geom = synth_params(omega, PARAM_ROWS[omega][0])
         L = geom.R / 5.0
         t_end = auto_t_end(fluid, geom)
-        traj = integrate(ModelSpec.extended(L), fluid, geom, t_end)
+        traj = integrate(ModelSpec("extended", SlipSpec(L)), fluid, geom, t_end)
         s = coefficients(fluid, geom)
         groups = slip_groups(L, geom.R)
         hh = height_correction(geom)
@@ -248,9 +248,9 @@ def test_criterion_05_extended_reduces_to_classical():
     """L=0, no correction, no convective term collapses onto classical."""
     fluid, geom = synth_params(1.0, 0.04)
     t_end = auto_t_end(fluid, geom)
-    base = integrate(ModelSpec.classical(), fluid, geom, t_end)
+    base = integrate(ModelSpec("classical"), fluid, geom, t_end)
     # L = 0, no convective term (D = -1), no meniscus correction (h_hat = 0)
-    row = model_balance(ModelSpec.extended(0.0), fluid, geom)._replace(D=-1.0, h_hat=0.0)
+    row = model_balance(ModelSpec("extended"), fluid, geom)._replace(D=-1.0, h_hat=0.0)
     reduced = solve_rk45(row, geom.h0, 0.0, t_end)
     tol = 10.0 * (DEFAULT_RTOL * np.abs(base.h) + DEFAULT_ATOL)
     gap = np.abs(reduced.h - base.h)

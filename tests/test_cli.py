@@ -118,12 +118,12 @@ class TestOde:
         assert read_trajectory_csv(out).h[0] == 0.012
 
     @pytest.mark.parametrize("argv,model,h0", [
-        (["--model", "extended"], ModelSpec.extended(0.0), None),
+        (["--model", "extended"], ModelSpec("extended"), None),
         (["--model", "extended", "--slip-length", "0"],
-         ModelSpec.extended(0.0), None),
+         ModelSpec("extended"), None),
         (["--model", "extended", "--slip-length", "1e-3"],
-         ModelSpec.extended(1e-3), None),
-        (["--model", "classical", "--h0", "0.012"], ModelSpec.classical(), 0.012),
+         ModelSpec("extended", SlipSpec(1e-3)), None),
+        (["--model", "classical", "--h0", "0.012"], ModelSpec("classical"), 0.012),
     ], ids=["extended-no-slip-length", "extended-slip-length-0",
             "extended-slip-length-1e-3", "classical-h0"])
     def test_bytes_match_integrate(self, capsys, argv, model, h0):

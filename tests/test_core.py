@@ -65,7 +65,7 @@ def test_geometry_validation():
 
 def test_slip_spec():
     # a wall is one slip length; numerical slip is L = 0
-    assert SlipSpec() == SlipSpec.numerical() == parse_slip("numerical")
+    assert SlipSpec() == SlipSpec(0.0) == parse_slip("numerical")
     assert SlipSpec.navier(1e-3) == SlipSpec(1e-3)
     assert SlipSpec.navier(1e-3).L == 1e-3
     assert format_slip(SlipSpec(0.0)) == "numerical"
@@ -96,10 +96,10 @@ def test_slip_length_bound_keeps_both_wall_formulas_finite():
 def test_case_spec_validation():
     fluid, geom = synth_params(1.0, 0.04)
     with pytest.raises(ValueError):
-        CaseSpec(label="", fluid=fluid, geom=geom, slip=SlipSpec.numerical(),
+        CaseSpec(label="", fluid=fluid, geom=geom, slip=SlipSpec(),
                  omega_nominal=1.0)
     with pytest.raises(ValueError):
-        CaseSpec(label="x", fluid=fluid, geom=geom, slip=SlipSpec.numerical(),
+        CaseSpec(label="x", fluid=fluid, geom=geom, slip=SlipSpec(),
                  omega_nominal=0.0)
 
 

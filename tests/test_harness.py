@@ -83,12 +83,12 @@ class TestOmegaSuite:
     def test_slip_variants(self):
         assert omega_suite()[0].slip == SlipSpec.navier(0.001)
         assert omega_suite("navier-r50")[0].slip == SlipSpec.navier(1e-4)
-        assert omega_suite("numerical")[0].slip == SlipSpec.numerical()
+        assert omega_suite("numerical")[0].slip == SlipSpec()
         with pytest.raises(ValueError):
             omega_suite("free-slip")
 
     def test_slip_string_roundtrip(self):
-        for slip in (SlipSpec.numerical(), SlipSpec.navier(0.001),
+        for slip in (SlipSpec(), SlipSpec.navier(0.001),
                      SlipSpec.navier(0.005 / 3.0)):
             assert parse_slip(format_slip(slip)) == slip
         for bad in ("slippy", "navier:x", "navier:-1", "navier:0"):
@@ -131,7 +131,7 @@ class TestCompare:
         # linear-interpolation error, which shrinks as dt_out^2
         case = suite[2]
         t_end = auto_t_end(case.fluid, case.geom)
-        row = model_balance(ModelSpec.extended(case.slip.L), case.fluid,
+        row = model_balance(ModelSpec("extended", case.slip), case.fluid,
                             case.geom)
         errs = []
         for n in (2000, 4000):
@@ -405,6 +405,25 @@ class TestRunSuite:
                 "h_inf": res.trajectory.metadata["h_inf"]}
         assert [r.model for r in results] == ["classical", "extended"]
 
+    def test_summary_follows_input_order(self, tmp_path, suite):
+        # one entry per (case, model) pair in input order, whatever the
+        # order; each file holds the bytes of the default-order run
+        rev, std = tmp_path / "reversed", tmp_path / "default"
+        results = run_suite([suite[1], suite[0]], models=("extended", "classical"),
+                            scalings=("III", "none"), out_dir=rev)
+        run_suite(suite[:2], scalings=("none", "III"), out_dir=std)
+        pairs = [(c.label, m) for c in (suite[1], suite[0])
+                 for m in ("extended", "classical")]
+        assert [(r.case.label, r.model) for r in results] == pairs
+        summary = json.loads((rev / "summary.json").read_text())
+        assert [(e["label"], e["model"]) for e in summary] == pairs
+        names = sorted(p.name for p in std.iterdir())
+        assert names == sorted(p.name for p in rev.iterdir())
+        assert len(names) == 1 + 4 * 2 * 2
+        for name in names:
+            if name != "summary.json":
+                assert (rev / name).read_bytes() == (std / name).read_bytes()
+
     def test_suite_reruns_byte_identical(self, tmp_path, suite):
         sel = suite[:2]
         dirs = (tmp_path / "r1", tmp_path / "r2")
@@ -433,28 +452,37 @@ class TestRunSuite:
         assert json.loads((out / "summary.json").read_text()) == []
         assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
-    def test_duplicate_labels_rejected(self, suite):
-        with pytest.raises(ValueError):
-            run_suite([suite[0], suite[0]])
+    @staticmethod
+    def _assert_refused(parent, selection, match=None, **kw):
+        # a refused suite writes nothing, not even its out_dir
+        parent.mkdir()
+        with pytest.raises(ValueError, match=match):
+            run_suite(selection, out_dir=parent / "out", **kw)
+        assert list(parent.iterdir()) == []
 
-    def test_bad_model_and_scaling_rejected(self, suite, monkeypatch):
+    def test_duplicate_labels_rejected(self, tmp_path, suite):
+        self._assert_refused(tmp_path / "labels", [suite[0], suite[0]],
+                             match="case labels must be unique")
+
+    def test_bad_model_and_scaling_rejected(self, tmp_path, suite, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_case",
                             lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError):
-            run_suite(suite[:1], models=("euler",))
-        with pytest.raises(ValueError):
-            run_suite(suite[:1], scalings=("IV",))
+        self._assert_refused(tmp_path / "euler", suite[:1], models=("euler",))
+        self._assert_refused(tmp_path / "IV", suite[:1], scalings=("IV",))
         # one summary entry per (case, model) pair, one CSV per scaling
-        with pytest.raises(ValueError, match="models must be unique"):
-            run_suite(suite, models=("extended", "extended"))
-        with pytest.raises(ValueError, match="scalings must be unique"):
-            run_suite(suite, scalings=("none", "I", "none"))
+        self._assert_refused(tmp_path / "models", suite,
+                             match="models must be unique",
+                             models=("extended", "extended"))
+        self._assert_refused(tmp_path / "scalings", suite,
+                             match="scalings must be unique",
+                             scalings=("none", "I", "none"))
         # models lists the reduced models; with_pde adds vof2d
         for with_pde in (None, 4):
-            with pytest.raises(ValueError, match="with_pde"):
-                run_suite(suite[:1], models=("classical", "vof2d"),
-                          with_pde=with_pde)
+            self._assert_refused(tmp_path / f"vof2d-{with_pde}", suite[:1],
+                                 match="with_pde",
+                                 models=("classical", "vof2d"),
+                                 with_pde=with_pde)
         assert calls == []
 
     def test_coarse_pde_rejected_before_any_run(self, tmp_path, suite,
@@ -462,11 +490,9 @@ class TestRunSuite:
         calls = []
         monkeypatch.setattr(harness, "run_case",
                             lambda *a, **k: calls.append(a))
-        out = tmp_path / "coarse"
-        with pytest.raises(ValueError, match="with_pde >= 4"):
-            run_suite(suite, models=("classical",), with_pde=2, out_dir=out)
+        self._assert_refused(tmp_path / "coarse", suite, match="with_pde >= 4",
+                             models=("classical",), with_pde=2)
         assert calls == []
-        assert not (out / "summary.json").exists()
 
     def test_failures_recorded_without_aborting(self, tmp_path, suite):
         # h0 = 0 is a valid geometry but the classical model refuses it

@@ -54,13 +54,13 @@ def synthetic_traj(t, h, v=None, **meta):
 
 def test_model_spec_validation():
     # a model's wall is a SlipSpec, which owns the slip-length rule
-    assert ModelSpec.extended(1e-3) == ModelSpec("extended", SlipSpec(1e-3))
-    assert ModelSpec.classical() == ModelSpec("classical", SlipSpec())
+    assert ModelSpec("extended", SlipSpec(1e-3)).slip.L == 1e-3
+    assert ModelSpec("classical") == ModelSpec("classical", SlipSpec())
     with pytest.raises(ValueError, match="classical model has no slip length"):
         ModelSpec("classical", SlipSpec(1e-3))
     for L in (-1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="slip length L must be finite and >= 0"):
-            ModelSpec.extended(L)
+            ModelSpec("extended", SlipSpec(L))
     with pytest.raises(ValueError, match="unknown model kind"):
         ModelSpec("lubrication")
     with pytest.raises(ValueError, match="unknown model kind"):
@@ -70,7 +70,7 @@ def test_model_spec_validation():
 def test_rhs_classical_equilibrium():
     fluid, geom = synth_params(1.0, 0.04)
     h_j = jurin_height(fluid, geom)
-    dh, dv = model_balance(ModelSpec.classical(), fluid, geom)(h_j, 0.0)
+    dh, dv = model_balance(ModelSpec("classical"), fluid, geom)(h_j, 0.0)
     assert dh == 0.0
     assert abs(dv) <= 1e-12
 
@@ -78,19 +78,21 @@ def test_rhs_classical_equilibrium():
 def test_rhs_extended_equilibrium():
     fluid, geom = synth_params(1.0, 0.04)
     h_inf = stationary_height(fluid, geom)
-    dh, dv = model_balance(ModelSpec.extended(0.001), fluid, geom)(h_inf, 0.0)
+    row = model_balance(ModelSpec("extended", SlipSpec(0.001)), fluid, geom)
+    dh, dv = row(h_inf, 0.0)
     assert dh == 0.0
     assert abs(dv) <= 1e-12
 
 
 def test_rhs_classical_frozen_value():
-    _, dv = model_balance(ModelSpec.classical(), FLUID_OM1_TAB, GEOM_STD)(0.01, 0.0)
+    _, dv = model_balance(ModelSpec("classical"), FLUID_OM1_TAB, GEOM_STD)(0.01, 0.0)
     assert dv == pytest.approx(4.167188002738278, rel=1e-12)
     assert dv == pytest.approx(4.16719, abs=1e-5)
 
 
 def test_rhs_extended_frozen_value():
-    _, dv = model_balance(ModelSpec.extended(0.001), FLUID_OM1_TAB, GEOM_STD)(0.01, 0.0)
+    _, dv = model_balance(ModelSpec("extended", SlipSpec(0.001)), FLUID_OM1_TAB,
+                          GEOM_STD)(0.01, 0.0)
     assert dv == pytest.approx(3.521509958493016, rel=1e-12)
     # reference sketch value computed with 6-digit intermediates
     assert dv == pytest.approx(3.52148, abs=1e-4)
@@ -107,7 +109,7 @@ def test_rhs_residual_of_momentum_form():
     for _ in range(100):
         h = rng.uniform(1e-4, 0.03)
         v = rng.uniform(-0.5, 0.5)
-        _, dv = model_balance(ModelSpec.classical(), fluid, geom)(h, v)
+        _, dv = model_balance(ModelSpec("classical"), fluid, geom)(h, v)
         res = rho * (dv * h + v * v) - (-3.0 * mu * v * h / R**2 - rho * g * h
                                         + sig * ct / R)
         assert abs(res) <= 1e-9 * rho * abs(dv * h + v * v) + 1e-12
@@ -115,7 +117,7 @@ def test_rhs_residual_of_momentum_form():
         L = rng.uniform(0.0, 0.005)
         hh = height_correction(geom)
         H = h + hh
-        _, dv = model_balance(ModelSpec.extended(L), fluid, geom)(h, v)
+        _, dv = model_balance(ModelSpec("extended", SlipSpec(L)), fluid, geom)(h, v)
         q = 3.0 * (15 * L * L + 10 * L * R + 2 * R * R) / (5.0 * (R + 3 * L) ** 2)
         res = rho * (dv * H + v * v) - (-3.0 * mu * v * H / (R * (R + 3 * L))
                                         - rho * g * H + sig * ct / R
@@ -126,10 +128,10 @@ def test_rhs_residual_of_momentum_form():
 def test_rhs_singular_height():
     fluid, geom = synth_params(1.0, 0.04)
     with pytest.raises(SingularHeight):
-        model_balance(ModelSpec.classical(), fluid, geom)(1e-20, 0.0)
+        model_balance(ModelSpec("classical"), fluid, geom)(1e-20, 0.0)
     with pytest.raises(SingularHeight):
         # the extended column is h + h_hat, singular at h = -h_hat
-        model_balance(ModelSpec.extended(0.0), fluid, geom)(-height_correction(geom), 0.0)
+        model_balance(ModelSpec("extended"), fluid, geom)(-height_correction(geom), 0.0)
 
 
 def test_trajectory_validation():
@@ -148,8 +150,8 @@ def test_integrate_records_its_own_limit(omega, sigma):
     # the corrected stationary height: the same bits as the core functions
     # on every suite row
     fluid, geom = synth_params(omega, sigma)
-    cls = integrate(ModelSpec.classical(), fluid, geom, 1e-3)
-    ext = integrate(ModelSpec.extended(geom.R / 5), fluid, geom, 1e-3)
+    cls = integrate(ModelSpec("classical"), fluid, geom, 1e-3)
+    ext = integrate(ModelSpec("extended", SlipSpec(geom.R / 5)), fluid, geom, 1e-3)
     assert cls.metadata["h_inf"].hex() == jurin_height(fluid, geom).hex()
     assert ext.metadata["h_inf"].hex() == stationary_height(fluid, geom).hex()
 
@@ -159,14 +161,15 @@ def test_integrate_argument_checks():
     fluid, geom = synth_params(1.0, 0.04)
     # classical model refuses a (near-)dry start
     with pytest.raises(ValueError):
-        integrate(ModelSpec.classical(), fluid, replace(geom, h0=1e-13), t_end=1.0)
+        integrate(ModelSpec("classical"), fluid, replace(geom, h0=1e-13), t_end=1.0)
     # extended model accepts h0 = 0
-    integrate(ModelSpec.extended(0.001), fluid, replace(geom, h0=0.0), t_end=1e-3)
+    integrate(ModelSpec("extended", SlipSpec(0.001)), fluid, replace(geom, h0=0.0),
+              t_end=1e-3)
 
 
 def _integrate_dimensional(t_end, **kw):
     fluid, geom = synth_params(1.0, 0.04)
-    model, geom = ModelSpec.extended(0.001), replace(geom, h0=0.01)
+    model, geom = ModelSpec("extended", SlipSpec(0.001)), replace(geom, h0=0.01)
     if not kw:
         return integrate(model, fluid, geom, t_end)
     # integrate has solve_rk45's defaults; other tolerances and grids go
@@ -214,8 +217,8 @@ def test_solve_rk45_matches_scipy_rk45(omega, model):
         tr = solve_rk45(f, h0, 0.0, t_end)
     else:
         case = next(c for c in omega_suite() if c.omega_nominal == omega)
-        spec = (ModelSpec.classical() if model == "classical"
-                else ModelSpec.extended(case.slip.L))
+        spec = (ModelSpec("classical") if model == "classical"
+                else ModelSpec("extended", case.slip))
         f = model_balance(spec, case.fluid, case.geom)
         h0, t_end = case.geom.h0, auto_t_end(case.fluid, case.geom)
         tr = integrate(spec, case.fluid, case.geom, t_end)
@@ -355,8 +358,8 @@ def _reference_solve_rk45(f, h0, v0, t_end, rtol, atol, dt_out, metadata):
 
 def _suite_rhs(omega, model):
     case = next(c for c in omega_suite() if c.omega_nominal == omega)
-    spec = (ModelSpec.classical() if model == "classical"
-            else ModelSpec.extended(case.slip.L))
+    spec = (ModelSpec("classical") if model == "classical"
+            else ModelSpec("extended", case.slip))
     return (model_balance(spec, case.fluid, case.geom), case.geom.h0,
             auto_t_end(case.fluid, case.geom))
 
@@ -419,7 +422,7 @@ def test_import_leaves_out_scipy_integrate():
 
 def test_integrate_sampling_grid():
     fluid, geom = synth_params(1.0, 0.04)
-    tr = integrate(ModelSpec.extended(0.001), fluid, replace(geom, h0=0.01),
+    tr = integrate(ModelSpec("extended", SlipSpec(0.001)), fluid, replace(geom, h0=0.01),
                    t_end=0.5)
     assert len(tr) == 2001
     assert tr.t[0] == 0.0
@@ -430,20 +433,20 @@ def test_integrate_sampling_grid():
 def test_integrate_holds_equilibrium():
     fluid, geom = synth_params(1.0, 0.04)
     h_j = jurin_height(fluid, geom)
-    tr = integrate(ModelSpec.classical(), fluid, replace(geom, h0=h_j), t_end=1.0)
+    tr = integrate(ModelSpec("classical"), fluid, replace(geom, h0=h_j), t_end=1.0)
     assert np.max(np.abs(tr.h - h_j)) <= 1e-8 * h_j
 
 
 def _reduced_extended(fluid, geom):
     """The extended row with no slip, no convective term and no meniscus
     correction: D = -1 drops Q from the v^2 term, h_hat = 0 the correction."""
-    return model_balance(ModelSpec.extended(0.0), fluid, geom)._replace(D=-1.0, h_hat=0.0)
+    return model_balance(ModelSpec("extended"), fluid, geom)._replace(D=-1.0, h_hat=0.0)
 
 
 @pytest.mark.parametrize("omega", [0.1, 0.5, 1.0, 10.0, 100.0])
 def test_reduced_extended_row_is_classical_row(omega):
     case = next(c for c in omega_suite() if c.omega_nominal == omega)
-    classical = model_balance(ModelSpec.classical(), case.fluid, case.geom)
+    classical = model_balance(ModelSpec("classical"), case.fluid, case.geom)
     assert _reduced_extended(case.fluid, case.geom) == classical
 
 
@@ -451,7 +454,7 @@ def test_extended_reduces_to_classical():
     fluid, geom = synth_params(1.0, 0.04)
     t_end = auto_t_end(fluid, geom)
     tr_red = solve_rk45(_reduced_extended(fluid, geom), 0.01, 0.0, t_end)
-    tr_cls = integrate(ModelSpec.classical(), fluid, replace(geom, h0=0.01), t_end)
+    tr_cls = integrate(ModelSpec("classical"), fluid, replace(geom, h0=0.01), t_end)
     scale = np.max(np.abs(tr_cls.h))
     assert np.max(np.abs(tr_red.h - tr_cls.h)) <= 10 * 1e-10 * scale
 
@@ -461,7 +464,7 @@ def test_integrate_tolerance_convergence(omega, sigma):
     fluid, geom = synth_params(omega, sigma)
     t_end = auto_t_end(fluid, geom)
     geom = replace(geom, h0=0.01)
-    model = ModelSpec.extended(0.001)
+    model = ModelSpec("extended", SlipSpec(0.001))
     row = model_balance(model, fluid, geom)
     h_a = solve_rk45(row, geom.h0, 0.0, t_end, rtol=1e-8).h[-1]
     h_b = solve_rk45(row, geom.h0, 0.0, t_end, rtol=5e-9).h[-1]
@@ -473,9 +476,10 @@ def test_initial_rise_and_damping():
     # successive maxima of the damped oscillation must not grow
     fluid, geom = synth_params(0.1, 0.2)
     geom = replace(geom, h0=0.01)
-    _, dv0 = model_balance(ModelSpec.extended(0.001), fluid, geom)(geom.h0, 0.0)
+    model = ModelSpec("extended", SlipSpec(0.001))
+    _, dv0 = model_balance(model, fluid, geom)(geom.h0, 0.0)
     assert dv0 > 0.0
-    tr = integrate(ModelSpec.extended(0.001), fluid, geom, auto_t_end(fluid, geom))
+    tr = integrate(model, fluid, geom, auto_t_end(fluid, geom))
     peaks = detect_peaks(tr)
     maxima = [p for p in peaks if p.is_max]
     assert len(maxima) >= 2

@@ -148,8 +148,9 @@ def test_slip_groups_frozen():
 
 
 @pytest.mark.parametrize("make", [
-    SlipSpec.navier, ModelSpec.extended, lambda L: slip_groups(L, 0.005),
-], ids=["SlipSpec.navier", "ModelSpec.extended", "slip_groups"])
+    SlipSpec.navier, lambda L: ModelSpec("extended", SlipSpec(L)),
+    lambda L: slip_groups(L, 0.005),
+], ids=["SlipSpec.navier", "ModelSpec", "slip_groups"])
 @pytest.mark.parametrize("L", [math.inf, math.nan], ids=["inf", "nan"])
 def test_non_finite_slip_length_refused(make, L):
     # an infinite slip length later ends in a NaN step or pressure field
@@ -337,7 +338,7 @@ def test_consistency_theorem_omega_one(kind):
     fluid, geom = synth_params(1.0, 0.04)
     L = geom.R / 5.0
     t_end = auto_t_end(fluid, geom)
-    traj = integrate(ModelSpec.extended(L), fluid, geom, t_end)
+    traj = integrate(ModelSpec("extended", SlipSpec(L)), fluid, geom, t_end)
     s = coefficients(fluid, geom)
     scaled_ref = nondimensionalize(traj, kind, s)
     u = units(kind, s)

@@ -1,6 +1,7 @@
 """Coupled-solver behaviour: statics, conservation, channel flow, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ class TestChannelFlow:
     velocity of Navier-slip Poiseuille flow between the plates is
     -rho g R (R + 3L) / (3 mu), the friction law of the extended model."""
 
-    @pytest.mark.parametrize("slip", [SLIP, SlipSpec.numerical()],
+    @pytest.mark.parametrize("slip", [SLIP, SlipSpec()],
                              ids=["navier_r5", "numerical"])
     def test_mean_velocity_converges_to_closed_form(self, slip):
         # measured relative errors: 1.95e-2 and 4.88e-3 (Navier R/5),
@@ -214,6 +215,95 @@ class TestChannelFlow:
             assert not st.p.any()
         assert math.log2(errs[0] / errs[1]) >= 1.8
         assert errs[1] < 1e-2
+
+
+def _prosperetti_amplitude(t, nu, k, rho_l, rho_g, sigma):
+    """a(t)/a0 of a standing capillary wave of wavenumber k between two
+    unbounded fluids of one kinematic viscosity nu, released from rest:
+    the initial-value solution of Prosperetti (1981, Phys. Fluids 24)."""
+    from scipy.special import erfc
+    beta = rho_l * rho_g / (rho_l + rho_g) ** 2
+    w02 = sigma * k**3 / (rho_l + rho_g)
+    nk2 = nu * k * k
+    z = np.roots([1.0, -4.0 * beta * math.sqrt(nk2),
+                  2.0 * (1.0 - 6.0 * beta) * nk2,
+                  4.0 * (1.0 - 3.0 * beta) * nk2**1.5,
+                  (1.0 - 4.0 * beta) * nk2**2 + w02])
+    t = np.asarray(t, dtype=float)
+    a = (4.0 * (1.0 - 4.0 * beta) * nk2**2
+         / (8.0 * (1.0 - 4.0 * beta) * nk2**2 + w02) * erfc(np.sqrt(nk2 * t)))
+    for i in range(4):
+        zi = z[i]
+        Z = np.prod([z[j] - zi for j in range(4) if j != i])
+        a = a + (zi / Z * w02 / (zi * zi - nk2) * np.exp((zi * zi - nk2) * t)
+                 * erfc(zi * np.sqrt(t))).real
+    return a
+
+
+def _capillary_wave(omega, sigma, nx, periods=3.0):
+    """The closed, gravity-free half gap with a flat 90 degree wall of
+    free slip, released from rest with the interface 4R + a0 cos(pi x/R),
+    a0 = 0.01 R; the rms of a/a0 - a_P/a0 over every step.  a is column
+    0's liquid height less the mean level; the cell-mean factor of the
+    cosine cancels in a/a0."""
+    fluid, geom = synth_params(omega, sigma)
+    geom = replace(geom, theta_e=0.5 * math.pi)
+    R, k = geom.R, math.pi / geom.R
+    grid = Grid.half_gap(nx, R)
+    dx, samples = grid.dx, 400
+    xs = (np.arange(nx * samples) + 0.5) * (dx / samples)
+    eta = (4.0 * R + 0.01 * R * np.cos(k * xs)).reshape(nx, samples)
+    y = np.arange(grid.ny) * dx
+    alpha = np.clip((eta[:, :, None] - y) / dx, 0.0, 1.0).mean(axis=1)
+    setup = CaseSetup2D(fluid=fluid, geom=geom, slip=SlipSpec(1e150), nx=nx,
+                        t_end=1.0, closed_bottom=True, gravity_on=False)
+    sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
+    st = sim.state
+
+    def amplitude():
+        h = st.alpha.sum(axis=1) * dx
+        return h[0] - h.mean()
+
+    a0 = amplitude()
+    t_end = periods * 2.0 * math.pi / math.sqrt(
+        fluid.sigma * k**3 / (fluid.rho_l + fluid.rho_g))
+    ts, amps = [0.0], [1.0]
+    while st.t < t_end * (1.0 - 1e-12):
+        sim.step(min(compute_dt(st, fluid), t_end - st.t))
+        ts.append(st.t)
+        amps.append(amplitude() / a0)
+    exact = _prosperetti_amplitude(ts, fluid.mu_l / fluid.rho_l, k,
+                                   fluid.rho_l, fluid.rho_g, fluid.sigma)
+    return math.sqrt(float(np.mean((np.array(amps) - exact) ** 2)))
+
+
+class TestCapillaryWave:
+    """How fast surface tension restores a displaced interface, against
+    Prosperetti's exact standing wave (Popinet 2009's VOF test)."""
+
+    def test_oracle_starts_at_one_and_has_lamb_weak_damping_limit(self):
+        k, rho_l, rho_g, sigma = 1.0, 1000.0, 1.0, 1.0
+        w0 = math.sqrt(sigma * k**3 / (rho_l + rho_g))
+        t = np.linspace(0.0, 6.0 * math.pi / w0, 2001)
+        # nu k^2 / omega0 = 1e-4: a cosine damped at 2 nu k^2 (Lamb),
+        # measured within 5.2e-4
+        nu = 1e-4 * w0 / k**2
+        a = _prosperetti_amplitude(t, nu, k, rho_l, rho_g, sigma)
+        assert a[0] == pytest.approx(1.0, abs=1e-12)
+        lamb = np.cos(w0 * t) * np.exp(-2.0 * nu * k * k * t)
+        assert np.abs(a - lamb).max() < 1e-3
+
+    @pytest.mark.parametrize("omega,sigma,bounds", [
+        # nu k^2/omega0 0.014; measured 7.20e-2 and 1.88e-2 (151 and 427 steps)
+        (0.1, 0.2, (8e-2, 2.2e-2)),
+        # nu k^2/omega0 0.138; measured 1.51e-2 and 5.16e-3 (151 and 449 steps)
+        (1.0, 0.04, (1.7e-2, 6e-3)),
+    ], ids=["omega0.1", "omega1"])
+    def test_rms_error_falls_with_mesh(self, omega, sigma, bounds):
+        errs = [_capillary_wave(omega, sigma, nx) for nx in (8, 16)]
+        assert errs[0] < bounds[0]
+        assert errs[1] < bounds[1]
+        assert errs[1] < 0.5 * errs[0]
 
 
 class TestDeterminism:

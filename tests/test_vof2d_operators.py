@@ -141,7 +141,7 @@ class TestSlipGhost:
     def test_numerical_is_reflection(self):
         # L = 0 is the no-slip reflection bit for bit, signed zeros included
         v = np.array([0.4, -0.2, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
-        g = slip_ghost(v, 0.1, SlipSpec.numerical())
+        g = slip_ghost(v, 0.1, SlipSpec())
         assert np.array_equal(g, -v)
         assert np.array_equal(np.signbit(g), np.signbit(-v))
 
@@ -368,7 +368,7 @@ class TestAdvection:
                           sigma=1.0, g=1.0)
         setup = CaseSetup2D(fluid=fluid, geom=Geometry(
             R=1.0, theta_e=math.pi / 4, h0=2.0),
-            slip=SlipSpec.numerical(), nx=8, t_end=1.0)
+            slip=SlipSpec(), nx=8, t_end=1.0)
         return Simulator(setup, state=state)
 
     @pytest.mark.parametrize("U, V", [(0.05, -0.3), (-0.05, -0.3),
@@ -543,7 +543,7 @@ class TestSweepMatchesReference:
                           sigma=1.0, g=1.0)
         setup = CaseSetup2D(fluid=fluid, geom=Geometry(
             R=1.0, theta_e=math.pi / 4, h0=2.0),
-            slip=SlipSpec.numerical(), nx=8, t_end=1.0)
+            slip=SlipSpec(), nx=8, t_end=1.0)
         sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
         sim.state.u[:, :] = U
         sim.state.v[:, :] = V
@@ -603,7 +603,7 @@ def _reference_slice_sweep(sim, dt, c_flag, axis):
 def test_sweep_leaves_a_nan_fraction_as_the_reference_does():
     # a NaN donor is neither full nor mixed: no PLIC call, no flux
     fluid, geom = synth_params(1.0, 0.04)
-    setup = CaseSetup2D(fluid=fluid, geom=geom, slip=SlipSpec.numerical(),
+    setup = CaseSetup2D(fluid=fluid, geom=geom, slip=SlipSpec(),
                         nx=8, t_end=1.0)
     sim = Simulator(setup)
     st = sim.state
@@ -757,7 +757,7 @@ class TestStepMatchesReference:
 
     @pytest.mark.parametrize(
         "options",
-        [{"slip": SlipSpec.numerical()},
+        [{"slip": SlipSpec()},
          {"closed_bottom": True, "gravity_on": False}, {"nx": 4},
          {"nx": 16}],
         ids=["numerical_slip", "closed_bottom_no_gravity",
@@ -809,7 +809,7 @@ class TestBoundaryPins:
         state.u[:] = 0.05
         state.v[:] = -0.02
         sim = Simulator(CaseSetup2D(fluid=fluid, geom=geom, nx=8, t_end=1.0,
-                                    slip=SlipSpec.numerical(),
+                                    slip=SlipSpec(),
                                     closed_bottom=True), state=state)
         assert sim.state is state and _pinned_faces(state, True)
         assert np.all(state.u[1:-1] == 0.05)
@@ -1186,7 +1186,7 @@ class TestScansMatchReference:
 
     @pytest.mark.parametrize(
         "options",
-        [{"slip": SlipSpec.numerical()},
+        [{"slip": SlipSpec()},
          {"closed_bottom": True, "gravity_on": False}, {"nx": 4},
          {"nx": 16}],
         ids=["numerical_slip", "closed_bottom_no_gravity",
@@ -1216,7 +1216,7 @@ class TestScansMatchReference:
 
     @pytest.mark.parametrize(
         "options",
-        [{}, {"slip": SlipSpec.numerical(), "nx": 4, "t_end": 0.1},
+        [{}, {"slip": SlipSpec(), "nx": 4, "t_end": 0.1},
          {"closed_bottom": True, "gravity_on": False}],
         ids=["navier_nx8", "numerical_nx4", "closed_bottom_no_gravity"])
     def test_run_steps_at_compute_dt(self, options):
@@ -1250,7 +1250,7 @@ class TestScansMatchReference:
         # run() looks compute_dt up on the module, as a tracer wraps it
         fluid, geom = synth_params(1.0, 0.04)
         setup = CaseSetup2D(fluid=fluid, geom=geom, t_end=0.02, nx=4,
-                            slip=SlipSpec.numerical())
+                            slip=SlipSpec())
         calls = []
 
         def counting(state, fluid):
@@ -1273,7 +1273,7 @@ class TestScansMatchReference:
                           sigma=1.0, g=1.0)
         setup = CaseSetup2D(fluid=fluid, geom=Geometry(
             R=1.0, theta_e=math.pi / 4, h0=2.0),
-            slip=SlipSpec.numerical(), nx=8, t_end=1.0)
+            slip=SlipSpec(), nx=8, t_end=1.0)
         sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
         rng = np.random.default_rng(3)
         sim.state.u[:, :] = rng.uniform(-0.3, 0.3, sim.state.u.shape)
