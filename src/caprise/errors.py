@@ -31,6 +31,11 @@ class StepSizeUnderflow(CapriseError):
     """Adaptive integrator could not meet the tolerance with a finite step."""
 
 
+class WorkBoundExceeded(CapriseError):
+    """Adaptive integrator spent more right-hand-side evaluations than its
+    bound before reaching the horizon."""
+
+
 class CourantViolation(CapriseError):
     """Advection CFL number exceeded 1 despite the time step controller."""
 

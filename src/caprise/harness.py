@@ -41,8 +41,7 @@ from .odemodels import (
 )
 from .scaling import SCALING_KINDS, auto_t_end, coefficients, nondimensionalize
 from .study import synth_params
-from .vof2d import CaseSetup2D, Simulator
-from .vof2d.geometry import MIN_NX
+from .vof2d import CaseSetup2D, Grid, Simulator
 from .vof2d.solver import RunDiagnostics
 
 MODELS = REDUCED_MODELS + ("vof2d",)
@@ -365,11 +364,12 @@ def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
     """Run every (case, model) pair, export CSVs and one summary.json.
 
     models are reduced models; with_pde=N adds vof2d at N cells per
-    radius after them.  Case labels, models and scalings must each be
-    unique; a refused suite writes nothing.  Pairs run to the auto
-    horizon in input order, each writing one CSV per scaling to out_dir.
-    A failed run is recorded in the summary with an ``error`` field and
-    the suite continues.  Returns the successful runs.
+    radius after them, and each case's vof2d Grid must accept N.  Case
+    labels, models and scalings must each be unique; a refused suite
+    writes nothing.  Pairs run to the auto horizon in input order, each
+    writing one CSV per scaling to out_dir.  A failed run is recorded in
+    the summary with an ``error`` field and the suite continues.  Returns
+    the successful runs.
     """
     selection, models, scalings = list(selection), tuple(models), tuple(scalings)
     for what, names in (("case labels", [c.label for c in selection]),
@@ -385,9 +385,11 @@ def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
         if k not in allowed:
             raise ValueError(f"unknown scaling {k!r}; choose from {allowed}")
     if with_pde is not None:
-        if with_pde < MIN_NX:
-            raise ValueError(f"vof2d needs with_pde >= {MIN_NX} (cells per "
-                             f"radius), got {with_pde}")
+        for case in selection:  # the grid owns the mesh rule
+            try:
+                Grid(with_pde, case.geom.R)
+            except ValueError as exc:
+                raise ValueError(f"vof2d with_pde: {exc}") from None
         models += ("vof2d",)
 
     out = Path(out_dir)

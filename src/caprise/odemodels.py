@@ -20,12 +20,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FluidPair, Geometry, SlipSpec, height_correction, jurin_height
-from .errors import SingularHeight, StepSizeUnderflow
+from .errors import SingularHeight, StepSizeUnderflow, WorkBoundExceeded
 
 REDUCED_MODELS = ("classical", "extended")
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12  # m
+
+# right-hand-side evaluations that one solve_rk45 call may spend before it
+# starts another step: about 45 s at 0.45 us an evaluation, 400 times the
+# study suite's costliest row (omega 100 classical, 241,316)
+MAX_RHS_EVALS = 10**8
 
 # Dormand & Prince (1980) 5(4) pair: stage matrix, 5th-order weights, error
 # row, and Shampine's (1986) quartic dense-output matrix.  The literals are
@@ -199,8 +204,10 @@ def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, *,
     step control and dense output, so it takes the same steps up to
     rounding.  A step that would fall below ten float spacings of t (also
     a NaN step, or a first step estimate that is not positive) raises
-    StepSizeUnderflow.  The step control is written as
-    comparisons in place of max, min, abs and _rms calls, and each keeps
+    StepSizeUnderflow.  A run that has spent more than MAX_RHS_EVALS
+    evaluations when it starts a step raises WorkBoundExceeded, naming
+    the evaluations spent and the t reached.  The step control is written
+    as comparisons in place of max, min, abs and _rms calls, and each keeps
     the builtin's result, NaN included.  The six stages of a step evaluate
     the balance row in place, with the arithmetic of RiseBalance.__call__:
     a stage's dh is its v argument, and its h argument only enters
@@ -252,11 +259,16 @@ def solve_rk45(balance: RiseBalance, h0: float, v0: float, t_end: float, *,
         dt_first = (0.01 / max(d1, d2)) ** 0.2
     dt = min(100.0 * dt, dt_first, t_end)
     nfev = 2
+    max_nfev = MAX_RHS_EVALS
 
     # in the step control, `b if b > a else a` is max(a, b) and
     # `b if b < a else a` is min(a, b): a NaN step still fails dt >= min_step
     sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
     while t < t_end:
+        if nfev > max_nfev:
+            raise WorkBoundExceeded(
+                f"{nfev} right-hand-side evaluations exceed the bound "
+                f"{max_nfev} at t = {t!r} of {t_end!r}")
         min_step = 10.0 * (nextafter(t, inf) - t)
         dt = min_step if min_step > dt else dt
         # abs(); `0.0 - x` rather than `-x` so that -0.0 maps to 0.0

@@ -8,7 +8,7 @@ grid's, not the case's: a Geometry states only the channel and its fill.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,29 +31,30 @@ _FLAT_COS = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform staggered MAC grid with square cells of side dx."""
+    """Staggered MAC grid on the half gap: nx square cells across [0, R]
+    and DOMAIN_RADII * nx up.  nx must be an integer >= MIN_NX; ny and dx
+    are derived once, as plain attributes."""
 
     nx: int
-    ny: int
-    dx: float
+    R: float
+    ny: int = field(init=False)
+    dx: float = field(init=False)
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid needs at least one cell per direction")
+        if not isinstance(self.nx, (int, np.integer)) or self.nx < MIN_NX:
+            raise ValueError(f"the half gap needs an integer nx >= {MIN_NX} "
+                             f"cells, got {self.nx!r}")
+        object.__setattr__(self, "nx", int(self.nx))
+        object.__setattr__(self, "ny", DOMAIN_RADII * self.nx)
+        object.__setattr__(self, "dx", self.R / self.nx)
         if not self.dx > 0.0:  # NaN fails too
             raise ValueError("cell size must be positive")
-
-    @classmethod
-    def half_gap(cls, nx: int, R: float) -> "Grid":
-        """nx cells across the half gap [0, R], domain height 8 R."""
-        if nx < MIN_NX:
-            raise ValueError(f"need at least {MIN_NX} cells across the half gap")
-        return cls(nx=nx, ny=DOMAIN_RADII * nx, dx=R / nx)
 
 
 @dataclass
 class SimState:
-    """Mutable fields on the staggered grid.
+    """Mutable fields on the staggered grid, at rest when built: alpha is
+    copied as float, u, v and p are zero, and t is 0.
 
     alpha and p live at cell centres (nx, ny); u at vertical faces
     (nx+1, ny); v at horizontal faces (nx, ny+1).
@@ -61,22 +62,19 @@ class SimState:
 
     grid: Grid
     alpha: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    t: float = 0.0
+    u: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
+    p: np.ndarray = field(init=False)
+    t: float = field(default=0.0, init=False)
 
-    @classmethod
-    def quiescent(cls, grid: Grid, alpha: np.ndarray) -> "SimState":
-        if alpha.shape != (grid.nx, grid.ny):
+    def __post_init__(self):
+        g = self.grid
+        if self.alpha.shape != (g.nx, g.ny):
             raise ValueError("alpha shape does not match grid")
-        return cls(
-            grid=grid,
-            alpha=np.array(alpha, dtype=float),
-            u=np.zeros((grid.nx + 1, grid.ny)),
-            v=np.zeros((grid.nx, grid.ny + 1)),
-            p=np.zeros((grid.nx, grid.ny)),
-        )
+        self.alpha = np.array(self.alpha, dtype=float)
+        self.u = np.zeros((g.nx + 1, g.ny))
+        self.v = np.zeros((g.nx, g.ny + 1))
+        self.p = np.zeros((g.nx, g.ny))
 
     def liquid_area(self) -> float:
         return float(self.alpha.sum()) * self.grid.dx * self.grid.dx
@@ -162,9 +160,9 @@ def arc_total_area(geom: Geometry) -> float:
 
 
 def init_case(geom: Geometry, nx: int) -> SimState:
-    """Quiescent state with the exact arc fractions on a fresh grid."""
-    grid = Grid.half_gap(nx, geom.R)
-    return SimState.quiescent(grid, arc_column_fractions(geom, grid))
+    """State at rest with the exact arc fractions on a fresh half-gap grid."""
+    grid = Grid(nx, geom.R)
+    return SimState(grid, arc_column_fractions(geom, grid))
 
 
 def apex_height(state: SimState) -> float:

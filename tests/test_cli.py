@@ -178,6 +178,14 @@ class TestOde:
         assert main(["ode", "--model", "classical", "--omega", "1",
                      "--sigma", "0.04"]) == 3
 
+    def test_work_bound_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr("caprise.odemodels.MAX_RHS_EVALS", 10_000)
+        assert main(["ode", "--model", "classical", "--omega", "100",
+                     "--sigma", "0.001"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 100")
+        assert "right-hand-side evaluations exceed the bound 10000 at t = " in err
+
 
 class TestScale:
     def test_rescales_and_writes_sidecar(self, tmp_path, capsys):
@@ -355,7 +363,8 @@ class TestBench:
         assert main(["bench", "--suite", "omega-study", "--models",
                      "classical", "--with-pde", "2",
                      "--out-dir", str(out)]) == 2
-        assert "with_pde >= 4" in capsys.readouterr().err
+        assert ("vof2d with_pde: the half gap needs an integer nx >= 4"
+                in capsys.readouterr().err)
         assert not (out / "summary.json").exists()
 
     def test_repeated_model_or_scaling_exits_2(self, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,8 @@ class TestRunCase:
     def test_vof2d_needs_resolution(self, suite):
         with pytest.raises(ValueError):
             run_case(suite[2], "vof2d")
+        with pytest.raises(ValueError, match="integer nx >= 4"):
+            run_case(suite[2], "vof2d", nx=8.5)
         with pytest.raises(ValueError):
             run_case(suite[2], "sph")
 
@@ -490,9 +493,25 @@ class TestRunSuite:
         calls = []
         monkeypatch.setattr(harness, "run_case",
                             lambda *a, **k: calls.append(a))
-        self._assert_refused(tmp_path / "coarse", suite, match="with_pde >= 4",
-                             models=("classical",), with_pde=2)
+        for with_pde in (2, 8.5, 8.0):
+            self._assert_refused(tmp_path / f"coarse-{with_pde}", suite,
+                                 match=r"with_pde: .*integer nx >= 4",
+                                 models=("classical",), with_pde=with_pde)
         assert calls == []
+
+    def test_work_bound_recorded(self, tmp_path, suite, monkeypatch):
+        # omega 100 classical spends 241,316 evaluations, omega 1 1,328
+        monkeypatch.setattr(odemodels, "MAX_RHS_EVALS", 10_000)
+        out = tmp_path / "bound"
+        results = run_suite([suite[4], suite[2]], models=("classical",),
+                            out_dir=out)
+        assert [r.case.label for r in results] == ["omega1"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert re.match(r"WorkBoundExceeded: 100\d\d right-hand-side "
+                        r"evaluations exceed the bound 10000 at t = 0\.\d+ of ",
+                        summary[0]["error"])
+        assert "error" not in summary[1]
+        assert not (out / "omega100_classical_none.csv").exists()
 
     def test_failures_recorded_without_aborting(self, tmp_path, suite):
         # h0 = 0 is a valid geometry but the classical model refuses it

@@ -14,7 +14,7 @@ import caprise
 
 from caprise.core import FluidPair, Geometry, SlipSpec, height_correction, \
     jurin_height, stationary_height
-from caprise.errors import SingularHeight, StepSizeUnderflow
+from caprise.errors import SingularHeight, StepSizeUnderflow, WorkBoundExceeded
 from caprise.harness import OMEGA_SUITE, omega_suite
 from caprise.odemodels import (
     _DP_A,
@@ -246,6 +246,23 @@ def test_solve_rk45_overflowing_first_derivative_raises_step_size_underflow():
     balance = RiseBalance(1.5e308, 1e308, 0.0, -1.0, 0.0, 1e-3)
     with pytest.raises(StepSizeUnderflow, match=r"^step size 0\.0 .* at t = 0\.0$"):
         solve_rk45(balance, 1.0, 0.0, 1.0)
+
+
+def test_solve_rk45_work_bound(monkeypatch):
+    # the bound is checked before each step: a run that never exceeds it
+    # keeps its bits, and one that does names its count and time
+    fluid, geom = synth_params(1.0, 0.04)
+    row = model_balance(ModelSpec("classical"), fluid, geom)
+    free = solve_rk45(row, geom.h0, 0.0, 0.5)
+    monkeypatch.setattr("caprise.odemodels.MAX_RHS_EVALS", free.metadata["nfev"])
+    bounded = solve_rk45(row, geom.h0, 0.0, 0.5)
+    assert bounded.h.tobytes() == free.h.tobytes()
+    assert bounded.metadata == free.metadata
+    monkeypatch.setattr("caprise.odemodels.MAX_RHS_EVALS", 100)
+    with pytest.raises(WorkBoundExceeded,
+                       match=r"^10\d right-hand-side evaluations exceed the "
+                             r"bound 100 at t = 0\.\d+ of 0\.5$"):
+        solve_rk45(row, geom.h0, 0.0, 0.5)
 
 
 def test_solve_rk45_overflow_after_rise_raises_singular_height():

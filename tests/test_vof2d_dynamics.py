@@ -180,10 +180,10 @@ def _channel_flow(nx, slip):
     stepped by momentum and projection only to t = 1.5 s (about seven
     diffusion times R^2/nu); returns the final state."""
     t_end = 1.5
-    grid = Grid.half_gap(nx, GEOM.R)
+    grid = Grid(nx, GEOM.R)
     setup = CaseSetup2D(fluid=FLUID, geom=GEOM, slip=slip, nx=nx,
                         t_end=t_end)
-    sim = _LiquidTopGhost(setup, state=SimState.quiescent(
+    sim = _LiquidTopGhost(setup, state=SimState(
         grid, np.ones((grid.nx, grid.ny))))
     st = sim.state
     while st.t < t_end * (1.0 - 1e-12):
@@ -249,7 +249,7 @@ def _capillary_wave(omega, sigma, nx, periods=3.0):
     fluid, geom = synth_params(omega, sigma)
     geom = replace(geom, theta_e=0.5 * math.pi)
     R, k = geom.R, math.pi / geom.R
-    grid = Grid.half_gap(nx, R)
+    grid = Grid(nx, R)
     dx, samples = grid.dx, 400
     xs = (np.arange(nx * samples) + 0.5) * (dx / samples)
     eta = (4.0 * R + 0.01 * R * np.cos(k * xs)).reshape(nx, samples)
@@ -257,7 +257,7 @@ def _capillary_wave(omega, sigma, nx, periods=3.0):
     alpha = np.clip((eta[:, :, None] - y) / dx, 0.0, 1.0).mean(axis=1)
     setup = CaseSetup2D(fluid=fluid, geom=geom, slip=SlipSpec(1e150), nx=nx,
                         t_end=1.0, closed_bottom=True, gravity_on=False)
-    sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
+    sim = Simulator(setup, state=SimState(grid, alpha))
     st = sim.state
 
     def amplitude():

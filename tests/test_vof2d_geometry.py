@@ -149,13 +149,49 @@ class TestReconstruction:
 
 class TestGrid:
     def test_half_gap_shape(self):
-        g = Grid.half_gap(8, 0.005)
+        g = Grid(8, 0.005)
         assert (g.nx, g.ny) == (8, 64)
         assert g.dx == pytest.approx(0.005 / 8)
 
     def test_too_coarse_rejected(self):
-        with pytest.raises(ValueError):
-            Grid.half_gap(3, 0.005)
+        with pytest.raises(ValueError, match=r"integer nx >= 4 cells, got 3$"):
+            Grid(3, 0.005)
+
+    @pytest.mark.parametrize("nx", [8.5, 8.0])
+    def test_cell_count_must_be_an_integer(self, nx):
+        with pytest.raises(ValueError, match=rf"integer nx >= 4 cells, got {nx}$"):
+            Grid(nx, 0.005)
+
+    @pytest.mark.parametrize("R", [math.nan, 0.0])
+    def test_cell_size_must_be_positive(self, R):
+        with pytest.raises(ValueError, match="cell size must be positive"):
+            Grid(8, R)
+
+    def test_numpy_integer_gives_the_same_grid(self):
+        g = Grid(np.int64(8), 0.005)
+        assert g == Grid(8, 0.005)
+        assert type(g.nx) is int and type(g.dx) is float
+        assert g.dx.hex() == Grid(8, 0.005).dx.hex() == (0.005 / 8).hex()
+
+
+class TestSimState:
+    def test_wrong_alpha_shape_rejected(self):
+        grid = Grid(4, 0.005)
+        with pytest.raises(ValueError, match="alpha shape"):
+            SimState(grid, np.zeros((grid.ny, grid.nx)))
+
+    def test_starts_at_rest_with_its_own_alpha(self):
+        grid = Grid(4, 0.005)
+        alpha = np.ones((grid.nx, grid.ny), dtype=np.float32)
+        state = SimState(grid, alpha)
+        assert state.t == 0.0
+        for name, shape in (("u", (5, 32)), ("v", (4, 33)), ("p", (4, 32))):
+            arr = getattr(state, name)
+            assert arr.shape == shape and not arr.any()
+        assert state.alpha.dtype == float
+        assert not np.shares_memory(state.alpha, alpha)
+        alpha64 = np.ones((grid.nx, grid.ny))
+        assert not np.shares_memory(SimState(grid, alpha64).alpha, alpha64)
 
 
 class TestArcInit:
@@ -164,14 +200,14 @@ class TestArcInit:
             for deg in (30.0, 60.0, 90.0):
                 geom = Geometry(R=0.005, theta_e=math.radians(deg),
                                 h0=0.01)
-                grid = Grid.half_gap(nx, geom.R)
+                grid = Grid(nx, geom.R)
                 a = arc_column_fractions(geom, grid)
                 total = a.sum() * grid.dx * grid.dx
                 assert total == pytest.approx(arc_total_area(geom),
                                               rel=1e-12)
 
     def test_cell_fractions_match_quadrature(self):
-        grid = Grid.half_gap(8, GEOM.R)
+        grid = Grid(8, GEOM.R)
         a = arc_column_fractions(GEOM, grid)
         r = GEOM.R / math.cos(GEOM.theta_e)
         yc = GEOM.h0 + r
@@ -198,16 +234,16 @@ class TestArcInit:
                 assert a[i, j] == pytest.approx(val / cell, abs=1e-10)
 
     def test_columns_single_valued_and_rising_to_wall(self):
-        grid = Grid.half_gap(16, GEOM.R)
+        grid = Grid(16, GEOM.R)
         a = arc_column_fractions(GEOM, grid)
         heights = a.sum(axis=1) * grid.dx
         assert np.all(np.diff(heights) > 0.0)
-        state = SimState.quiescent(grid, a)
+        state = SimState(grid, a)
         apex_height(state)  # raises if any apex-column structure is bad
 
     def test_flat_interface_at_ninety_degrees(self):
         geom = Geometry(R=0.005, theta_e=math.pi / 2, h0=0.01)
-        grid = Grid.half_gap(8, geom.R)
+        grid = Grid(8, geom.R)
         a = arc_column_fractions(geom, grid)
         # h0 = 16 dx exactly: 16 full rows, empty above
         assert np.all(a[:, :16] == 1.0)
@@ -216,7 +252,7 @@ class TestArcInit:
     def test_arc_exceeding_domain_raises(self):
         geom = Geometry(R=0.005, theta_e=math.radians(30.0),
                         h0=0.0375)
-        grid = Grid.half_gap(8, geom.R)
+        grid = Grid(8, geom.R)
         with pytest.raises(ArcExceedsDomain):
             arc_column_fractions(geom, grid)
 
@@ -237,10 +273,10 @@ class TestArcInit:
 
 class TestApexHeight:
     def _state_with_column(self, col):
-        grid = Grid.half_gap(4, 0.005)
+        grid = Grid(4, 0.005)
         a = np.zeros((grid.nx, grid.ny))
         a[:, :len(col)] = np.asarray(col)[None, :]
-        return SimState.quiescent(grid, a)
+        return SimState(grid, a)
 
     def test_simple_column(self):
         state = self._state_with_column([1.0, 1.0, 0.5])

@@ -77,7 +77,7 @@ class TestCurvature:
     def test_flat_interface_is_zero_without_walls(self):
         # at 90 degrees the wall ghost adds no offset: the wall acts as a
         # mirror, as the symmetry plane does
-        grid = Grid.half_gap(8, GEOM.R)
+        grid = Grid(8, GEOM.R)
         a = np.zeros((grid.nx, grid.ny))
         a[:, :20] = 1.0
         a[:, 20] = 0.4
@@ -85,7 +85,7 @@ class TestCurvature:
         assert np.all(k == 0.0)
 
     def test_wall_ghost_bends_last_column(self):
-        grid = Grid.half_gap(8, GEOM.R)
+        grid = Grid(8, GEOM.R)
         a = np.zeros((grid.nx, grid.ny))
         a[:, :20] = 1.0
         a[:, 20] = 0.4
@@ -117,7 +117,7 @@ class TestCurvature:
         k_exact = math.cos(GEOM.theta_e) / GEOM.R
         errs = {}
         for nx in (8, 16, 32, 64):
-            grid = Grid.half_gap(nx, GEOM.R)
+            grid = Grid(nx, GEOM.R)
             a = arc_column_fractions(GEOM, grid)
             k = curvature_height_function(a, grid.dx, GEOM.theta_e)
             errs[nx] = float(np.abs(k[:-1] - k_exact).max()) / k_exact
@@ -130,7 +130,7 @@ class TestCurvature:
         k_exact = math.cos(GEOM.theta_e) / GEOM.R
         errs = {}
         for nx in (16, 32, 64):
-            grid = Grid.half_gap(nx, GEOM.R)
+            grid = Grid(nx, GEOM.R)
             a = arc_column_fractions(GEOM, grid)
             k = curvature_height_function(a, grid.dx, GEOM.theta_e)
             errs[nx] = abs(float(k[-1]) - k_exact) / k_exact
@@ -209,7 +209,7 @@ def _close_bottom(beta_y, closed_bottom):
 class TestPoisson:
     def _mms_error(self, nx, closed_bottom):
         R = 1.0
-        grid = Grid.half_gap(nx, R)
+        grid = Grid(nx, R)
         H = grid.ny * grid.dx
         x = (np.arange(grid.nx) + 0.5) * grid.dx
         y = (np.arange(grid.ny) + 0.5) * grid.dx
@@ -242,7 +242,7 @@ class TestPoisson:
     def test_matches_dense_solve(self, closed_bottom):
         # mobilities spread over the liquid/gas density ratio of 1000
         rng = np.random.default_rng(7)
-        grid = Grid.half_gap(6, 1.0)
+        grid = Grid(6, 1.0)
         nx, ny = grid.nx, grid.ny
         beta_x = 10.0 ** rng.uniform(-3.0, 0.0, (nx + 1, ny))
         beta_y = 10.0 ** rng.uniform(-3.0, 0.0, (nx, ny + 1))
@@ -259,7 +259,7 @@ class TestPoisson:
         # a zeroed bottom row, spread like the liquid/gas mobilities, gives
         # the closed bottom's operator and, bit for bit, its pressure
         rng = np.random.default_rng(11)
-        grid = Grid.half_gap(6, 1.0)
+        grid = Grid(6, 1.0)
         nx, ny = grid.nx, grid.ny
         beta_x = 10.0 ** rng.uniform(-3.0, 0.0, (nx + 1, ny))
         beta_y = 10.0 ** rng.uniform(-3.0, 0.0, (nx, ny + 1))
@@ -273,7 +273,7 @@ class TestPoisson:
                                      closed_bottom=True))
 
     def test_zero_rhs_gives_zero_field(self):
-        grid = Grid.half_gap(4, 1.0)
+        grid = Grid(4, 1.0)
         p = poisson_solve(grid, np.ones((5, 32)), np.ones((4, 33)),
                           np.zeros((4, 32)))
         assert np.all(p == 0.0)
@@ -282,7 +282,7 @@ class TestPoisson:
     @pytest.mark.parametrize("bad", ["nan-rhs", "nan-beta-x", "inf-beta-y",
                                      "zero-beta", "neg-beta-x"])
     def test_bad_input_raises_solver_diverged(self, bad, closed_bottom):
-        grid = Grid.half_gap(4, 1.0)
+        grid = Grid(4, 1.0)
         beta_x = np.ones((5, 32))
         beta_y = _close_bottom(np.ones((4, 33)), closed_bottom)
         rhs = np.ones((4, 32))
@@ -308,8 +308,8 @@ class TestPoisson:
 def _single_phase_setup(closed_bottom):
     fluid = FluidPair(rho_l=100.0, rho_g=100.0, mu_l=1e-3, mu_g=1e-3,
                       sigma=0.01, g=9.81)
-    grid = Grid.half_gap(8, GEOM.R)
-    state = SimState.quiescent(grid, np.ones((grid.nx, grid.ny)))
+    grid = Grid(8, GEOM.R)
+    state = SimState(grid, np.ones((grid.nx, grid.ny)))
     setup = CaseSetup2D(fluid=fluid, geom=GEOM, slip=SlipSpec.navier(1e6),
                         nx=8, t_end=1.0, closed_bottom=closed_bottom)
     return Simulator(setup, state=state), fluid
@@ -360,10 +360,10 @@ class TestSinglePhaseMomentum:
 
 class TestAdvection:
     def _blob_sim(self):
-        grid = Grid.half_gap(8, 1.0)
+        grid = Grid(8, 1.0)
         alpha = np.zeros((grid.nx, grid.ny))
         alpha[2:6, 28:32] = 1.0
-        state = SimState.quiescent(grid, alpha)
+        state = SimState(grid, alpha)
         fluid = FluidPair(rho_l=1.0, rho_g=0.5, mu_l=1e-3, mu_g=1e-4,
                           sigma=1.0, g=1.0)
         setup = CaseSetup2D(fluid=fluid, geom=Geometry(
@@ -413,7 +413,7 @@ class TestAdvection:
     def test_wall_faces_carry_no_flux(self):
         # a mixed symmetry column and wall column under a uniform u that
         # was not pinned on the x boundaries
-        grid = Grid.half_gap(8, 1.0)
+        grid = Grid(8, 1.0)
         ii = np.arange(grid.nx)[:, None]
         jj = np.arange(grid.ny)[None, :]
         alpha = np.clip(2.6 - 0.35 * ii - 0.8 * jj, 0.0, 1.0)
@@ -531,7 +531,7 @@ class TestSweepMatchesReference:
                                       (0.05, 0.3), (-0.05, 0.3)],
                              ids=["+x-y", "-x-y", "+x+y", "-x+y"])
     def test_blob_on_the_boundaries(self, U, V):
-        grid = Grid.half_gap(8, 1.0)
+        grid = Grid(8, 1.0)
         ii = np.arange(grid.nx)[:, None]
         jj = np.arange(grid.ny)[None, :]
         # a tilted layer: mixed cells in the symmetry column, the wall
@@ -544,7 +544,7 @@ class TestSweepMatchesReference:
         setup = CaseSetup2D(fluid=fluid, geom=Geometry(
             R=1.0, theta_e=math.pi / 4, h0=2.0),
             slip=SlipSpec(), nx=8, t_end=1.0)
-        sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
+        sim = Simulator(setup, state=SimState(grid, alpha))
         sim.state.u[:, :] = U
         sim.state.v[:, :] = V
         sim.apply_boundaries()
@@ -1265,7 +1265,7 @@ class TestScansMatchReference:
     def test_advect_with_overshoot_clips_as_before(self):
         # a tilted layer moved at half the CFL limit overshoots [0, 1],
         # so the clip runs and its area is booked
-        grid = Grid.half_gap(8, 1.0)
+        grid = Grid(8, 1.0)
         ii = np.arange(grid.nx)[:, None]
         jj = np.arange(grid.ny)[None, :]
         alpha = np.clip(12.6 - 0.35 * ii - 0.8 * jj, 0.0, 1.0)
@@ -1274,7 +1274,7 @@ class TestScansMatchReference:
         setup = CaseSetup2D(fluid=fluid, geom=Geometry(
             R=1.0, theta_e=math.pi / 4, h0=2.0),
             slip=SlipSpec(), nx=8, t_end=1.0)
-        sim = Simulator(setup, state=SimState.quiescent(grid, alpha))
+        sim = Simulator(setup, state=SimState(grid, alpha))
         rng = np.random.default_rng(3)
         sim.state.u[:, :] = rng.uniform(-0.3, 0.3, sim.state.u.shape)
         sim.state.v[:, :] = rng.uniform(-0.3, 0.3, sim.state.v.shape)
@@ -1436,11 +1436,12 @@ class TestScanMessagesMatchReference:
 
     @pytest.mark.parametrize("case", sorted(_COLUMN_SCAN_CASES))
     def test_apex_height(self, case):
-        grid = Grid(nx=4, ny=20, dx=0.25)
+        # 32 rows of 0.25: gas above the 20-cell columns
+        grid = Grid(4, 1.0)
         a = np.zeros((grid.nx, grid.ny))
-        a[:] = _COLUMN_SCAN_CASES["band"]
-        a[0] = _COLUMN_SCAN_CASES[case]
-        state = SimState.quiescent(grid, a)
+        a[:, :20] = _COLUMN_SCAN_CASES["band"]
+        a[0, :20] = _COLUMN_SCAN_CASES[case]
+        state = SimState(grid, a)
         assert _outcome(apex_height, state) == \
             _outcome(_reference_apex_height, state)
 
