@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
-from .core import CaseSpec, SlipSpec, dimensionless_numbers, height_correction, \
-    jurin_height, stationary_height
+from .core import CaseSpec, SlipSpec, dimensionless_numbers
 from .errors import CapriseError
 from .harness import (
+    _steady_heights,
+    _study_params,
     compare,
     omega_suite,
     parse_slip,
@@ -73,10 +73,7 @@ def _case(args, slip: SlipSpec, h0: float | None = None) -> CaseSpec:
 
 
 def _cmd_steady(args) -> int:
-    fluid, geom = synth_params(args.omega, args.sigma)
-    _print_json({"h_jurin": jurin_height(fluid, geom),
-                 "h_hat": height_correction(geom),
-                 "h_inf": stationary_height(fluid, geom)})
+    _print_json(_steady_heights(*synth_params(args.omega, args.sigma)))
     return 0
 
 
@@ -84,15 +81,10 @@ def _cmd_params(args) -> int:
     fluid, geom = synth_params(args.omega, args.sigma)
     nums = dimensionless_numbers(fluid, geom)
     _print_json({
+        **_study_params(fluid, geom),
         "omega": nums.omega,
-        "sigma": fluid.sigma,
-        "rho": fluid.rho_l,
         "rho_g": fluid.rho_g,
-        "mu": fluid.mu_l,
         "mu_g": fluid.mu_g,
-        "g": fluid.g,
-        "R": geom.R,
-        "theta_deg": round(math.degrees(geom.theta_e), 12),
         "h0": geom.h0,
         "h_domain": DOMAIN_RADII * geom.R,
         "eo": nums.eo,

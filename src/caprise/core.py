@@ -145,6 +145,14 @@ def stationary_height(fluid: FluidPair, geom: Geometry) -> float:
     return jurin_height(fluid, geom) - height_correction(geom)
 
 
+def _wetting_cos(geom: Geometry) -> float:
+    c = math.cos(geom.theta_e)
+    # cos(pi/2) only reaches ~6e-17 in floats; treat that as zero
+    if c <= 1e-14:
+        raise NonWettingAngle("the wetting groups need cos(theta_e) > 0")
+    return c
+
+
 def dimensionless_numbers(fluid: FluidPair, geom: Geometry) -> DimensionlessNumbers:
     """Eotvos, Ohnesorge, oscillation number and capillary length.
 
@@ -154,10 +162,7 @@ def dimensionless_numbers(fluid: FluidPair, geom: Geometry) -> DimensionlessNumb
 
     discriminates monotone (large omega) from oscillatory rise.
     """
-    c = math.cos(geom.theta_e)
-    # cos(pi/2) only reaches ~6e-17 in floats; treat that as zero
-    if c <= 1e-14:
-        raise NonWettingAngle("omega undefined for cos(theta_e) <= 0")
+    c = _wetting_cos(geom)
     eo = (fluid.rho_l - fluid.rho_g) * fluid.g * geom.R**2 / fluid.sigma
     oh = fluid.mu_l / math.sqrt(fluid.sigma * fluid.rho_l * geom.R)
     omega = math.sqrt(

@@ -23,6 +23,8 @@ import numpy as np
 
 from .core import (
     CaseSpec,
+    FluidPair,
+    Geometry,
     SlipSpec,
     height_correction,
     jurin_height,
@@ -318,20 +320,30 @@ def run_case(case: CaseSpec, model: str, *, t_end: float | None = None,
     return BenchResult(case=case, model=model, trajectory=traj, diagnostics=diag)
 
 
+def _steady_heights(fluid: FluidPair, geom: Geometry) -> dict:
+    return {"h_jurin": jurin_height(fluid, geom),
+            "h_hat": height_correction(geom),
+            "h_inf": stationary_height(fluid, geom)}
+
+
+def _study_params(fluid: FluidPair, geom: Geometry) -> dict:
+    return {"rho": fluid.rho_l, "mu": fluid.mu_l, "sigma": fluid.sigma,
+            "g": fluid.g, "R": geom.R,
+            # radians(30) does not round-trip exactly; drop the noise
+            "theta_deg": round(math.degrees(geom.theta_e), 12)}
+
+
+def _entry_head(case: CaseSpec, model: str) -> dict:
+    return {"label": case.label, "omega": case.omega_nominal, "model": model,
+            "slip": format_slip(case.slip)}
+
+
 def _summary_entry(res: BenchResult) -> dict:
     case = res.case
-    f, gm = case.fluid, case.geom
     entry = {
-        "label": case.label,
-        "omega": case.omega_nominal,
-        "model": res.model,
-        "slip": format_slip(case.slip),
-        "params": {"rho": f.rho_l, "mu": f.mu_l, "sigma": f.sigma, "g": f.g,
-                   # radians(30) does not round-trip exactly; drop the noise
-                   "R": gm.R, "theta_deg": round(math.degrees(gm.theta_e), 12)},
-        "h_jurin": jurin_height(f, gm),
-        "h_hat": height_correction(gm),
-        "h_inf": res.h_inf_predicted,
+        **_entry_head(case, res.model),
+        **_steady_heights(case.fluid, case.geom),
+        "params": _study_params(case.fluid, case.geom),
         "h_final": res.h_final,
         "rel_stationary_err": res.rel_stationary_err,
         "ca_max": res.ca_max,
@@ -345,16 +357,6 @@ def _summary_entry(res: BenchResult) -> dict:
     if res.diagnostics is not None:
         entry["diagnostics"] = asdict(res.diagnostics)
     return entry
-
-
-def _failure_entry(case: CaseSpec, model: str, exc: Exception) -> dict:
-    return {
-        "label": case.label,
-        "omega": case.omega_nominal,
-        "model": model,
-        "slip": format_slip(case.slip),
-        "error": f"{type(exc).__name__}: {exc}",
-    }
 
 
 def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
@@ -402,7 +404,8 @@ def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
                 res = run_case(case, m, nx=with_pde)
                 entries.append(_summary_entry(res))
             except (CapriseError, ValueError) as exc:
-                entries.append(_failure_entry(case, m, exc))
+                entries.append({**_entry_head(case, m),
+                                "error": f"{type(exc).__name__}: {exc}"})
                 continue
             results.append(res)
             for kind in scalings:

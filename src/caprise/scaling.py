@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FluidPair, Geometry
-from .errors import NonWettingAngle
+from .core import FluidPair, Geometry, _wetting_cos
 from .odemodels import RiseBalance, SlipGroups, Trajectory
 
 SCALING_KINDS = ("I", "II", "III")
@@ -60,9 +59,7 @@ def coefficients(fluid: FluidPair, geom: Geometry, dim: str = "2d") -> ScaleSet:
     plates have n = 1 and the friction factor f = 3; a tube has the factor
     n = 2 of the circular cross-section and the Hagen-Poiseuille f = 4.
     """
-    ct = math.cos(geom.theta_e)
-    if ct <= 1e-14:  # see core.dimensionless_numbers
-        raise NonWettingAngle("scaling coefficients need cos(theta_e) > 0")
+    ct = _wetting_cos(geom)
     if dim == "2d":
         n, f = 1.0, 3.0
     elif dim == "3d":

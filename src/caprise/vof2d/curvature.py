@@ -65,10 +65,12 @@ def curvature_height_function(alpha: np.ndarray, dx: float,
     """Per-column interface curvature over the half gap.
 
     alpha is the (nx, ny) fraction field on square cells of side dx.
-    Returns kappa (nx,).  The ghost column left of column 0 mirrors it
-    across the symmetry plane; the one right of the last column is the
-    wall's contact-angle ghost.
+    Returns kappa (nx,), zero for a single-phase field.  The ghost column
+    left of column 0 mirrors it across the symmetry plane; the one right
+    of the last column is the wall's contact-angle ghost.
     """
+    if float(alpha.max() - alpha.min()) < 1e-12:
+        return np.zeros(alpha.shape[0])
     h = [_height_with_widening(col, j, dx)
          for col, j in zip(alpha, _topmost_half_full(alpha))]
     h.insert(0, h[0])

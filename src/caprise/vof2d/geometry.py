@@ -15,8 +15,10 @@ import numpy as np
 from ..core import Geometry
 from ..errors import ArcExceedsDomain, MultiValuedColumn
 
-# the fewest cells across a half gap that the stencils support
+# the fewest cells across a half gap that the stencils support, and the
+# most, whose pressure band is 135 MB (see Grid)
 MIN_NX = 4
+MAX_NX = 128
 
 # domain height in half gap widths
 DOMAIN_RADII = 8
@@ -32,8 +34,10 @@ _FLAT_COS = 1e-12
 @dataclass(frozen=True)
 class Grid:
     """Staggered MAC grid on the half gap: nx square cells across [0, R]
-    and DOMAIN_RADII * nx up.  nx must be an integer >= MIN_NX; ny and dx
-    are derived once, as plain attributes."""
+    and DOMAIN_RADII * nx up.  nx must be an integer from MIN_NX to MAX_NX,
+    checked before anything is allocated: the pressure band holds
+    64 (nx + 1) nx^2 bytes, 17 MB at nx 64, 135 MB at 128 and 1.08 GB at
+    256.  ny and dx are derived once, as plain attributes."""
 
     nx: int
     R: float
@@ -45,6 +49,9 @@ class Grid:
             raise ValueError(f"the half gap needs an integer nx >= {MIN_NX} "
                              f"cells, got {self.nx!r}")
         object.__setattr__(self, "nx", int(self.nx))
+        if self.nx > MAX_NX:
+            raise ValueError(f"the half gap takes at most nx = {MAX_NX} "
+                             f"cells, got {self.nx}")
         object.__setattr__(self, "ny", DOMAIN_RADII * self.nx)
         object.__setattr__(self, "dx", self.R / self.nx)
         if not self.dx > 0.0:  # NaN fails too

@@ -169,14 +169,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # one step
 
-    def curvatures(self) -> np.ndarray:
-        alpha = self.state.alpha
-        if float(alpha.max() - alpha.min()) < 1e-12:
-            # single phase, no interface to reconstruct
-            return np.zeros(alpha.shape[0])
-        return curvature_height_function(
-            alpha, self.state.grid.dx, self.setup.geom.theta_e)
-
     def _momentum(self, dt: float):
         """u_star, v_star and the mobilities beta_x, beta_y = 1/rho from the
         fields; wall u is copied, a closed bottom's v_star and beta_y zero."""
@@ -184,7 +176,8 @@ class Simulator:
         fl = self.setup.fluid
         dx = st.grid.dx
         u, v, alpha = st.u, st.v, st.alpha
-        A_pad, kappa = self._pad_alpha(alpha), self.curvatures()
+        A_pad = self._pad_alpha(alpha)
+        kappa = curvature_height_function(alpha, dx, self.setup.geom.theta_e)
         u_full, v_full = self._u_full(), self._v_full()
 
         rho_pad = fl.rho_g + (fl.rho_l - fl.rho_g) * A_pad

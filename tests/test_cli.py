@@ -307,6 +307,15 @@ class TestSim2d:
         assert "t_end" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_mesh_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sim2d", "--omega", "1", "--sigma", "0.04",
+                     "--cells-per-radius", "100000", "--slip", "numerical",
+                     "--out", str(out)]) == 2
+        assert ("error: the half gap takes at most nx = 128 cells, got 100000"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_infinite_slip_length(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sim2d", "--omega", "1", "--sigma", "0.04",
@@ -359,13 +368,15 @@ class TestBench:
         assert all(e["wall_time_s"] is None for e in summary)
 
     def test_coarse_pde_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "bench"
-        assert main(["bench", "--suite", "omega-study", "--models",
-                     "classical", "--with-pde", "2",
-                     "--out-dir", str(out)]) == 2
-        assert ("vof2d with_pde: the half gap needs an integer nx >= 4"
-                in capsys.readouterr().err)
-        assert not (out / "summary.json").exists()
+        for nx, reason in (("2", "needs an integer nx >= 4"),
+                           ("100000", "takes at most nx = 128 cells")):
+            out = tmp_path / f"bench-{nx}"
+            assert main(["bench", "--suite", "omega-study", "--models",
+                         "classical", "--with-pde", nx,
+                         "--out-dir", str(out)]) == 2
+            assert (f"vof2d with_pde: the half gap {reason}"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_repeated_model_or_scaling_exits_2(self, tmp_path, capsys):
         for flag, values in (("--models", ["extended", "extended"]),

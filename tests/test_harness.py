@@ -497,6 +497,10 @@ class TestRunSuite:
             self._assert_refused(tmp_path / f"coarse-{with_pde}", suite,
                                  match=r"with_pde: .*integer nx >= 4",
                                  models=("classical",), with_pde=with_pde)
+        # a pressure band of 64 PB: refused by the grid, not by numpy
+        self._assert_refused(tmp_path / "huge", suite,
+                             match=r"with_pde: .*at most nx = 128 cells, got 100000$",
+                             models=("classical",), with_pde=10**5)
         assert calls == []
 
     def test_work_bound_recorded(self, tmp_path, suite, monkeypatch):

@@ -157,6 +157,11 @@ class TestGrid:
         with pytest.raises(ValueError, match=r"integer nx >= 4 cells, got 3$"):
             Grid(3, 0.005)
 
+    def test_finest_mesh_is_max_nx(self):
+        assert Grid(128, 0.005).ny == 1024
+        with pytest.raises(ValueError, match=r"at most nx = 128 cells, got 129$"):
+            Grid(129, 0.005)
+
     @pytest.mark.parametrize("nx", [8.5, 8.0])
     def test_cell_count_must_be_an_integer(self, nx):
         with pytest.raises(ValueError, match=rf"integer nx >= 4 cells, got {nx}$"):

@@ -83,6 +83,16 @@ class TestCurvature:
         a[:, 20] = 0.4
         k = curvature_height_function(a, grid.dx, math.pi / 2)
         assert np.all(k == 0.0)
+        # a single-phase field has no interface, so no curvature at any angle
+        for fill in (1.0, 0.0):
+            k = curvature_height_function(np.full_like(a, fill), grid.dx,
+                                          GEOM.theta_e)
+            assert k.shape == (grid.nx,) and np.all(k == 0.0)
+        # but one interface-free column in a two-phase field is refused
+        a[3] = 0.0
+        with pytest.raises(StencilInvalid,
+                           match="column holds no interface cell"):
+            curvature_height_function(a, grid.dx, math.pi / 2)
 
     def test_wall_ghost_bends_last_column(self):
         grid = Grid(8, GEOM.R)
@@ -725,8 +735,10 @@ def _same_bits(a, b):
 def _assert_step_matches_reference(sim, dt):
     """_momentum and _project from the current fields must equal the
     reference bit for bit, and so must the divergence diagnostics."""
-    fields = (sim._pad_alpha(sim.state.alpha), sim._u_full(), sim._v_full(),
-              sim.curvatures())
+    st = sim.state
+    fields = (sim._pad_alpha(st.alpha), sim._u_full(), sim._v_full(),
+              curvature_height_function(st.alpha, st.grid.dx,
+                                        sim.setup.geom.theta_e))
     ref_u_star, ref_v_star, rho_pad = _reference_momentum(sim, dt, *fields)
     u_star, v_star, beta_x, beta_y = sim._momentum(dt)
     assert _same_bits(u_star, ref_u_star)
