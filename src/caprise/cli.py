@@ -12,10 +12,14 @@ import dataclasses
 import json
 import sys
 
-from .core import CaseSpec, SlipSpec, dimensionless_numbers
+from .core import SlipSpec, dimensionless_numbers
 from .errors import CapriseError
 from .harness import (
+    _SCALINGS,
+    _json_text,
+    _sidecar_path,
     _steady_heights,
+    _study_case,
     _study_params,
     compare,
     omega_suite,
@@ -30,10 +34,6 @@ from .odemodels import REDUCED_MODELS
 from .scaling import SCALING_KINDS, coefficients, nondimensionalize
 from .study import crossover_cells, step_counts, synth_params, timestep_limits
 from .vof2d.geometry import DOMAIN_RADII
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _t_end_arg(text: str):
@@ -63,24 +63,15 @@ def _case_args(sub: argparse.ArgumentParser) -> None:
                      help="surface tension [N/m]")
 
 
-def _case(args, slip: SlipSpec, h0: float | None = None) -> CaseSpec:
-    """The study row of --omega/--sigma as a case; h0 replaces 2R if given."""
-    fluid, geom = synth_params(args.omega, args.sigma)
-    if h0 is not None:
-        geom = dataclasses.replace(geom, h0=h0)
-    return CaseSpec(label=f"omega{args.omega:g}", fluid=fluid, geom=geom,
-                    slip=slip, omega_nominal=args.omega)
-
-
 def _cmd_steady(args) -> int:
-    _print_json(_steady_heights(*synth_params(args.omega, args.sigma)))
+    sys.stdout.write(_json_text(_steady_heights(*synth_params(args.omega, args.sigma))))
     return 0
 
 
 def _cmd_params(args) -> int:
     fluid, geom = synth_params(args.omega, args.sigma)
     nums = dimensionless_numbers(fluid, geom)
-    _print_json({
+    sys.stdout.write(_json_text({
         **_study_params(fluid, geom),
         "omega": nums.omega,
         "rho_g": fluid.rho_g,
@@ -90,7 +81,7 @@ def _cmd_params(args) -> int:
         "eo": nums.eo,
         "oh": nums.oh,
         "l_cap": nums.l_cap,
-    })
+    }))
     return 0
 
 
@@ -100,13 +91,13 @@ def _cmd_cost(args) -> int:
     lim = timestep_limits(fluid, geom.R / args.cells)
     n_steps = {kind: {"sigma": counts.n_sigma[i], "mu": counts.n_mu[i]}
                for i, kind in enumerate(SCALING_KINDS)}
-    _print_json({
+    sys.stdout.write(_json_text({
         "dt_sigma_estimate": lim.dt_sigma_estimate,
         "dt_sigma_solver": lim.dt_sigma_solver,
         "dt_mu": lim.dt_mu,
         "n_star_cells": crossover_cells(fluid, geom),
         "n_steps": n_steps,
-    })
+    }))
     return 0
 
 
@@ -114,8 +105,12 @@ def _cmd_ode(args) -> int:
     if args.model == "classical" and args.slip_length is not None:
         raise ValueError("--slip-length applies to the extended model only")
     slip = SlipSpec(args.slip_length or 0.0)  # no length: numerical slip
-    traj = run_case(_case(args, slip, args.h0), args.model,
-                    t_end=args.t_end).trajectory
+    if args.out:
+        _sidecar_path(args.out)  # refuse a bad name before the run
+    case = _study_case(args.omega, args.sigma, lambda R: slip)
+    if args.h0 is not None:
+        case = dataclasses.replace(case, geom=dataclasses.replace(case.geom, h0=args.h0))
+    traj = run_case(case, args.model, t_end=args.t_end).trajectory
     if args.out:
         write_trajectory_csv(traj, args.out)
     else:
@@ -124,6 +119,7 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_scale(args) -> int:
+    _sidecar_path(args.out)  # refuse a bad name before the input is read
     traj = read_trajectory_csv(args.input)
     fluid, geom = synth_params(args.omega, args.sigma)
     coeffs = coefficients(fluid, geom, "2d" if args.dim == 2 else "3d")
@@ -133,8 +129,9 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_sim2d(args) -> int:
-    res = run_case(_case(args, args.slip), "vof2d", t_end=args.t_end,
-                   nx=args.cells_per_radius)
+    _sidecar_path(args.out)  # refuse a bad name before the run
+    res = run_case(_study_case(args.omega, args.sigma, lambda R: args.slip),
+                   "vof2d", t_end=args.t_end, nx=args.cells_per_radius)
     write_trajectory_csv(res.trajectory, args.out)
     print(json.dumps(dataclasses.asdict(res.diagnostics), sort_keys=True),
           file=sys.stderr)
@@ -149,7 +146,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_compare(args) -> int:
     metrics = compare(read_trajectory_csv(args.a), read_trajectory_csv(args.b))
-    _print_json(dataclasses.asdict(metrics))
+    sys.stdout.write(_json_text(dataclasses.asdict(metrics)))
     return 0
 
 
@@ -212,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--models", nargs="+", choices=REDUCED_MODELS,
                      default=REDUCED_MODELS)
     sub.add_argument("--scalings", nargs="+",
-                     choices=("none",) + SCALING_KINDS, default=["none"])
+                     choices=_SCALINGS, default=["none"])
     sub.add_argument("--with-pde", type=int, default=None,
                      help="cells per radius; adds vof2d after the models")
     sub.add_argument("--out-dir", required=True)
@@ -230,14 +227,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # covers the CapriseError subclasses that signal bad inputs,
-        # plus unreadable or unwritable files
+    except (ValueError, OSError, CapriseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapriseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # ValueError covers the CapriseError subclasses that signal bad
+        # inputs, OSError unreadable or unwritable files
+        return 2 if isinstance(exc, (ValueError, OSError)) else 3
 
 
 if __name__ == "__main__":

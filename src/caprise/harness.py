@@ -4,11 +4,12 @@ metrics, and suite execution with CSV / summary JSON export.
 File contracts are bit-exact so reruns can be diffed:
   * trajectory CSV: UTF-8, LF endings, header ``t,h,hdot``, then three
     values per line at 17 significant digits, no trailing separator;
-  * every CSV file gets a ``<name>.scale.json`` sidecar recording the
-    scaling kind (``none``: rates 1.0), the t/h rates and h_inf if known;
+  * a trajectory file ``<stem>.csv`` gets a ``<stem>.scale.json`` sidecar
+    recording the scaling kind (``none``: rates 1.0), the t/h rates and
+    h_inf if known; other names are refused for writing and read bare;
   * one ``summary.json`` per suite, a list with one entry per (case,
     model) pair in input order.  Failed cases appear as entries with an
-    ``error`` field instead of results.
+    ``error`` field instead of results.  JSON is strict: no NaN or inf.
 """
 
 from __future__ import annotations
@@ -61,19 +62,23 @@ SLIP_VARIANTS = {
 }
 DEFAULT_SLIP = "navier-r5"
 
+_SCALINGS = ("none",) + SCALING_KINDS  # none: dimensional
+
+
+def _study_case(omega: float, sigma: float, wall) -> CaseSpec:
+    """The study row (omega, sigma) as a case; wall(R) is its SlipSpec."""
+    fluid, geom = synth_params(omega, sigma)
+    return CaseSpec(label=f"omega{omega:g}", fluid=fluid, geom=geom,
+                    slip=wall(geom.R), omega_nominal=omega)
+
 
 def omega_suite(slip_variant: str = DEFAULT_SLIP) -> list[CaseSpec]:
     """The five benchmark cases, all with the same wall model."""
     if slip_variant not in SLIP_VARIANTS:
         raise ValueError(f"unknown slip variant {slip_variant!r}; "
                          f"choose from {sorted(SLIP_VARIANTS)}")
-    cases = []
-    for omega, sigma in OMEGA_SUITE:
-        fluid, geom = synth_params(omega, sigma)
-        cases.append(CaseSpec(label=f"omega{omega:g}", fluid=fluid, geom=geom,
-                              slip=SLIP_VARIANTS[slip_variant](geom.R),
-                              omega_nominal=omega))
-    return cases
+    return [_study_case(omega, sigma, SLIP_VARIANTS[slip_variant])
+            for omega, sigma in OMEGA_SUITE]
 
 
 def format_slip(slip: SlipSpec) -> str:
@@ -119,18 +124,13 @@ class DeviationMetrics:
     peak_count_b: int
 
 
-def _rel(num: float, den: float) -> float:
-    if num == 0.0:
-        return 0.0
-    return num / den if den != 0.0 else math.inf
-
-
 def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
     """Deviation metrics of a against reference b.
 
     Both are resampled by linear interpolation onto the union of their
-    time grids restricted to the overlap; the norms are normalized by b.
-    Both must be in one scaling; one without a "scaling" is dimensional.
+    time grids restricted to the overlap; the norms are normalized by b,
+    so a b that is zero on the overlap is refused.  Both must be in one
+    scaling; one without a "scaling" is dimensional.
     """
     ka, kb = (tr.metadata.get("scaling", "none") for tr in (a, b))
     if ka != kb:
@@ -145,9 +145,12 @@ def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
     tg = tg[(tg >= lo) & (tg <= hi)]
     ha = np.interp(tg, a.t, a.h)
     hb = np.interp(tg, b.t, b.h)
+    if not np.any(hb):
+        raise ValueError(f"reference trajectory is zero on the overlap "
+                         f"[{lo:g}, {hi:g}]; relative norms need a nonzero one")
     diff = ha - hb
-    l2 = _rel(float(np.linalg.norm(diff)), float(np.linalg.norm(hb)))
-    linf = _rel(float(np.max(np.abs(diff))), float(np.max(np.abs(hb))))
+    l2 = float(np.linalg.norm(diff) / np.linalg.norm(hb))
+    linf = float(np.max(np.abs(diff)) / np.max(np.abs(hb)))
 
     ma, mb = ([p for p in detect_peaks(tr) if p.is_max] if len(tr) >= 3 else []
               for tr in (a, b))
@@ -170,7 +173,19 @@ def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
 
 
 # ----------------------------------------------------------------------
-# CSV contract
+# file contract
+
+
+def _json_text(obj) -> str:
+    """obj as a JSON document; strict, so NaN or infinity raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _sidecar_path(path: str | Path) -> Path:
+    """<stem>.scale.json for <stem>.csv; any other name has no sidecar."""
+    if Path(path).suffix != ".csv":
+        raise ValueError(f"a trajectory file is named <stem>.csv, got {str(path)!r}")
+    return Path(path).with_suffix(".scale.json")
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
@@ -183,9 +198,9 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write the CSV contract bytes (UTF-8, LF endings) and its sidecar."""
+    write_scale_sidecar(path, traj.metadata)  # first: it refuses bad input
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(trajectory_csv_text(traj))
-    write_scale_sidecar(path, traj.metadata)
 
 
 def write_scale_sidecar(csv_path: str | Path, metadata: dict) -> Path:
@@ -196,15 +211,13 @@ def write_scale_sidecar(csv_path: str | Path, metadata: dict) -> Path:
                "h_rate": metadata.get("h_rate", 1.0)}
     if "h_inf" in metadata:
         sidecar["h_inf"] = metadata["h_inf"]
-    target = Path(csv_path).with_suffix(".scale.json")
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    target = _sidecar_path(csv_path)
+    target.write_text(_json_text(sidecar), encoding="utf-8", newline="\n")
     return target
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
-    """Read a trajectory CSV; its ``.scale.json`` sidecar, when present
+    """Read a trajectory CSV; the sidecar of a <stem>.csv, when present
     (not for stdout captures), is checked and merged into the metadata."""
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -218,14 +231,16 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     if data.shape[1] != 3:
         raise ValueError("trajectory CSV must hold rows of t,h,hdot")
     meta: dict = {}
-    sidecar = path.with_suffix(".scale.json")
-    if sidecar.exists():
+    try:
+        sidecar = _sidecar_path(path)
+    except ValueError:  # not <stem>.csv: read bare
+        sidecar = None
+    if sidecar is not None and sidecar.exists():
         # integers parse as floats, so an oversized one is inf
         side = json.loads(sidecar.read_text(encoding="utf-8"), parse_int=float)
-        kinds = ("none",) + SCALING_KINDS
-        if not (isinstance(side, dict) and side.get("scaling") in kinds):
+        if not (isinstance(side, dict) and side.get("scaling") in _SCALINGS):
             raise ValueError(f"scale sidecar must be a JSON object with scaling "
-                             f"in {kinds}")
+                             f"in {_SCALINGS}")
         for key in ("t_rate", "h_rate"):
             if not (type(side.get(key)) is float and 0.0 < side[key] < math.inf):
                 raise ValueError(f"scale sidecar {key} must be finite and positive")
@@ -348,8 +363,7 @@ def _summary_entry(res: BenchResult) -> dict:
         "rel_stationary_err": res.rel_stationary_err,
         "ca_max": res.ca_max,
         "t_settle": res.t_settle,
-        "peaks": [{"t": p.t, "h": p.h, "is_max": p.is_max}
-                  for p in res.peaks],
+        "peaks": [asdict(p) for p in res.peaks],
         "n_steps": res.step_count,
         # no run records its wall time; the key stays for the byte contract
         "wall_time_s": None,
@@ -382,10 +396,9 @@ def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
         if m not in REDUCED_MODELS:
             raise ValueError(f"unknown model {m!r}; choose from {REDUCED_MODELS}, "
                              "and add vof2d with with_pde")
-    allowed = ("none",) + SCALING_KINDS
     for k in scalings:
-        if k not in allowed:
-            raise ValueError(f"unknown scaling {k!r}; choose from {allowed}")
+        if k not in _SCALINGS:
+            raise ValueError(f"unknown scaling {k!r}; choose from {_SCALINGS}")
     if with_pde is not None:
         for case in selection:  # the grid owns the mesh rule
             try:
@@ -412,7 +425,6 @@ def run_suite(selection, *, models: tuple[str, ...] = REDUCED_MODELS,
                 traj = res.trajectory if kind == "none" else nondimensionalize(
                     res.trajectory, kind, coefficients(case.fluid, case.geom))
                 write_trajectory_csv(traj, out / f"{case.label}_{m}_{kind}.csv")
-    with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "summary.json").write_text(_json_text(entries), encoding="utf-8",
+                                      newline="\n")
     return results

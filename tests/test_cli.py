@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from caprise.cli import main
-from caprise.core import CaseSpec, SlipSpec, stationary_height
+from caprise.core import SlipSpec, stationary_height
 from caprise.errors import StepSizeUnderflow
-from caprise.harness import (compare, read_trajectory_csv, run_case,
-                             trajectory_csv_text, write_trajectory_csv)
+from caprise.harness import (_study_case, compare, read_trajectory_csv,
+                             run_case, trajectory_csv_text,
+                             write_trajectory_csv)
 from caprise.odemodels import ModelSpec, Trajectory, integrate
 from caprise.scaling import auto_t_end, coefficients, units
 from caprise.study import synth_params
@@ -26,9 +27,7 @@ def run_ok(capsys, argv):
 def _in_memory_overshoot_ratio(omega, sigma, slip_length):
     """compare() of the classical and extended run_case trajectories of
     the study row, as `caprise ode` builds its case."""
-    fluid, geom = synth_params(omega, sigma)
-    case = CaseSpec(label=f"omega{omega:g}", fluid=fluid, geom=geom,
-                    slip=SlipSpec(slip_length), omega_nominal=omega)
+    case = _study_case(omega, sigma, lambda R: SlipSpec(slip_length))
     cls, ext = (run_case(case, m).trajectory for m in ("classical", "extended"))
     return compare(cls, ext).first_peak_overshoot_ratio
 
@@ -84,6 +83,22 @@ class TestQueries:
                            "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", [
+        ["ode", "--model", "classical"],
+        ["sim2d", "--cells-per-radius", "4", "--slip", "numerical"]],
+        ids=["ode", "sim2d"])
+    def test_other_output_name_is_refused_before_a_run(self, tmp_path, capsys,
+                                                       monkeypatch, cmd):
+        def no_run(*args, **kwargs):
+            pytest.fail("a run started before the output name was checked")
+        monkeypatch.setattr("caprise.cli.run_case", no_run)
+        monkeypatch.setattr(Simulator, "step", no_run)
+        out = tmp_path / "x.txt"
+        assert main(cmd + ["--omega", "1", "--sigma", "0.04",
+                           "--out", str(out)]) == 2
+        assert "named <stem>.csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_cost_rejects_zero_cells(self, capsys):
         assert main(["cost", "--omega", "1", "--sigma", "0.04",
@@ -236,6 +251,21 @@ class TestScale:
         assert "already in scaling II" in capsys.readouterr().err
         assert (dst.read_bytes(), dst.with_suffix(".scale.json").read_bytes()) \
             == before
+
+    def test_other_output_name_exits_2(self, tmp_path, capsys):
+        # rise.txt shared rise.csv's sidecar: scaling wrote III into it, and
+        # rise.csv then read as already scaled
+        src = tmp_path / "rise.csv"
+        run_ok(capsys, ["ode", "--model", "extended", "--omega", "1",
+                        "--sigma", "0.04", "--t-end", "0.1", "--out", str(src)])
+        sidecar = (tmp_path / "rise.scale.json").read_bytes()
+        assert main(["scale", "--input", str(src), "--scaling", "III",
+                     "--omega", "1", "--sigma", "0.04",
+                     "--out", str(tmp_path / "rise.txt")]) == 2
+        assert "named <stem>.csv" in capsys.readouterr().err
+        assert (tmp_path / "rise.scale.json").read_bytes() == sidecar
+        assert not (tmp_path / "rise.txt").exists()
+        assert read_trajectory_csv(src).metadata["scaling"] == "none"
 
     def test_missing_input(self, tmp_path):
         assert main(["scale", "--input", str(tmp_path / "nope.csv"),
@@ -440,12 +470,26 @@ class TestCompareCmd:
                                          "--b", str(a)]))
         assert out["l2_rel"] == 0.0 and out["linf_rel"] == 0.0
 
-    def test_disjoint_ranges(self, tmp_path):
+    @pytest.mark.parametrize("shift, h_b, match", [
+        (5.0, 1.0, "share no interval"),
+        # the relative norms were printed as Infinity, which is not JSON
+        (0.0, 0.0, "reference trajectory is zero on the overlap"),
+        # |h|^2 underflows, so both l2 norms are 0: the strict encoder
+        # refuses the NaN l2_rel
+        (0.0, 1e-170, "not JSON compliant"),
+    ], ids=["disjoint", "zero", "norm-underflow"])
+    def test_unusable_reference_exits_2(self, tmp_path, capsys, shift, h_b,
+                                        match):
         t = np.linspace(0.0, 1.0, 5)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trajectory_csv(Trajectory(t=t, h=t + 1.0, v=t), a)
-        write_trajectory_csv(Trajectory(t=t + 5.0, h=t + 1.0, v=t), b)
-        assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
+        write_trajectory_csv(Trajectory(t=t, h=np.full(5, 2.0 * h_b), v=t), a)
+        write_trajectory_csv(Trajectory(t=t + shift, h=np.full(5, h_b), v=t), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 0/0 in numpy
+            assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert match in captured.err
 
     def test_first_maximum_at_time_zero(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

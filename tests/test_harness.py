@@ -143,11 +143,17 @@ class TestCompare:
         assert errs[1] <= 1e-6
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
-    def test_no_overlap(self, osc_pair):
+    @pytest.mark.parametrize("shift, factor, error, match", [
+        (2.0, 1.0, NoOverlap, "share no interval"),
+        # the relative norms were inf, which is not JSON
+        (0.0, 0.0, ValueError, r"reference trajectory is zero on the overlap \[0, "),
+    ], ids=["disjoint", "zero"])
+    def test_unusable_reference_refused(self, osc_pair, shift, factor, error,
+                                        match):
         _, ext = osc_pair
         a = ext.trajectory
-        b = Trajectory(t=a.t + 2.0 * a.t[-1], h=a.h, v=a.v)
-        with pytest.raises(NoOverlap):
+        b = Trajectory(t=a.t + shift * a.t[-1], h=factor * a.h, v=a.v)
+        with pytest.raises(error, match=match):
             compare(a, b)
 
     @pytest.mark.parametrize("ka, kb", [("III", None), ("III", "I"),
@@ -286,6 +292,34 @@ class TestCsvContract:
         assert back.metadata["scaling"] == "II"
         assert back.metadata["t_rate"] == 2.0
         assert back.metadata["h_inf"] == 0.5
+
+    @pytest.mark.parametrize("name, h_inf, match", [
+        # rise.csv, rise.txt and rise all paired with rise.scale.json
+        ("traj.txt", 0.5, "named <stem>.csv"),
+        ("traj", 0.5, "named <stem>.csv"),
+        ("traj.CSV", 0.5, "named <stem>.csv"),
+        ("traj.csv", math.inf, "not JSON compliant"),
+    ], ids=["txt", "no-suffix", "upper-case", "h_inf-inf"])
+    def test_refused_before_writing(self, tmp_path, osc_pair, name, h_inf, match):
+        a = osc_pair[1].trajectory
+        traj = Trajectory(t=a.t, h=a.h, v=a.v, metadata={"h_inf": h_inf})
+        with pytest.raises(ValueError, match=match):
+            write_trajectory_csv(traj, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_other_names_read_bare(self, tmp_path, osc_pair):
+        # a stdout capture next to a scaled CSV of the same stem
+        traj = osc_pair[1].trajectory
+        scaled = Trajectory(t=traj.t, h=traj.h, v=traj.v,
+                            metadata={"scaling": "II", "t_rate": 2.0,
+                                      "h_rate": 3.0})
+        write_trajectory_csv(scaled, tmp_path / "rise.csv")
+        for name in ("rise.txt", "rise"):
+            (tmp_path / name).write_text(trajectory_csv_text(traj))
+            back = read_trajectory_csv(tmp_path / name)
+            assert back.metadata == {}
+            assert np.array_equal(back.h, traj.h)
+        assert read_trajectory_csv(tmp_path / "rise.csv").metadata["scaling"] == "II"
 
     def test_sidecar_integer_rates_read_as_floats(self, tmp_path):
         path = tmp_path / "traj.csv"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from caprise.core import SlipSpec, stationary_height
+from caprise.odemodels import ModelSpec, integrate
 from caprise.scaling import auto_t_end
 from caprise.study import synth_params
 from caprise.vof2d import (CaseSetup2D, Grid, SimState, Simulator,
@@ -315,6 +316,86 @@ class TestDeterminism:
         assert np.array_equal(t1.h, t2.h)
         assert np.array_equal(t1.v, t2.v)
         assert d1.n_steps == d2.n_steps
+
+
+def _in_units(lam, tau, mass, slip=SLIP):
+    """FLUID, GEOM and slip in units whose length, time and mass are
+    1/lam m, 1/tau s and 1/mass kg: R, h0 and L scale by lam, g by
+    lam/tau^2, rho by mass/lam^3, sigma by mass/tau^2, mu by mass/(lam tau)."""
+    rho, mu = mass / lam**3, mass / (lam * tau)
+    fluid = replace(FLUID, rho_l=FLUID.rho_l * rho, rho_g=FLUID.rho_g * rho,
+                    mu_l=FLUID.mu_l * mu, mu_g=FLUID.mu_g * mu,
+                    sigma=FLUID.sigma * mass / tau**2, g=FLUID.g * lam / tau**2)
+    geom = replace(GEOM, R=GEOM.R * lam, h0=GEOM.h0 * lam)
+    return fluid, geom, SlipSpec(slip.L * lam)
+
+
+def _rise_in_units(slip, lam=1.0, tau=1.0, mass=1.0):
+    """The omega 1 rise at nx 4 to the auto horizon (677 steps), run in
+    the units of _in_units."""
+    fluid, geom, slip = _in_units(lam, tau, mass, slip)
+    return Simulator(CaseSetup2D(fluid=fluid, geom=geom, slip=slip, nx=4,
+                                 t_end=auto_t_end(FLUID, GEOM) * tau)).run()
+
+
+_WALLS = {"navier-r5": SLIP, "numerical": SlipSpec()}
+# power-of-two unit changes: every product by a factor is exact
+_POW2_UNITS = [pytest.param((0.25, 8.0, 1024.0), id="0.25-8-1024"),
+               pytest.param((4.0, 2.0, 4.0), id="4-2-4")]
+_UNIT_FREE = ("cfl_max", "div_step_rel_max", "div_reduction_max",
+              "vol_balance_rel_max", "vol_drift_rel", "alpha_overshoot_max")
+
+
+@pytest.fixture(scope="module")
+def si_rises():
+    return {name: _rise_in_units(slip) for name, slip in _WALLS.items()}
+
+
+class TestDimensionalSimilarity:
+    """The same run in other units: a dimensional constant hidden in the
+    solver (an absolute threshold on a mobility, a velocity or a pressure,
+    a coefficient fixed in m^2/s) passes every one-regime oracle but
+    shows here."""
+
+    @pytest.mark.parametrize("units", _POW2_UNITS)
+    @pytest.mark.parametrize("wall", list(_WALLS))
+    def test_power_of_two_units_are_bit_equal(self, si_rises, wall, units):
+        lam, tau, mass = units
+        ref, ref_diag = si_rises[wall]
+        traj, diag = _rise_in_units(_WALLS[wall], lam, tau, mass)
+        assert diag.n_steps == ref_diag.n_steps == 677
+        assert np.array_equal(traj.t / tau, ref.t)
+        assert np.array_equal(traj.h / lam, ref.h)
+        assert np.array_equal(traj.v * tau / lam, ref.v)
+        assert (diag.dt_min, diag.dt_max) == (ref_diag.dt_min * tau,
+                                              ref_diag.dt_max * tau)
+        for name in _UNIT_FREE:
+            assert getattr(diag, name) == getattr(ref_diag, name), name
+        assert diag.clipped_area_total == ref_diag.clipped_area_total * lam**2
+
+    def test_other_units_agree_to_rounding(self, si_rises):
+        # factors that are not powers of two round; measured 2.4e-15
+        lam, tau, mass = 3.0, 1.7, 5.0
+        ref, ref_diag = si_rises["navier-r5"]
+        traj, diag = _rise_in_units(SLIP, lam, tau, mass)
+        assert diag.n_steps == ref_diag.n_steps
+        assert np.max(np.abs(traj.h / lam - ref.h)) <= 1e-12 * np.max(ref.h)
+
+    @pytest.mark.parametrize("units", _POW2_UNITS)
+    @pytest.mark.parametrize("model", ["classical", "extended"])
+    def test_reduced_odes_agree_to_tolerance(self, model, units):
+        # not bitwise: the step controller's DEFAULT_ATOL (odemodels) is an
+        # absolute 1e-12 applied to h in m and v in m/s, so its weight
+        # against rtol changes with the units
+        lam, tau, mass = units
+        slip = SLIP if model == "extended" else SlipSpec()
+        ref = integrate(ModelSpec(model, slip), FLUID, GEOM,
+                        auto_t_end(FLUID, GEOM))
+        fluid, geom, slip = _in_units(lam, tau, mass, slip)
+        traj = integrate(ModelSpec(model, slip), fluid, geom,
+                         auto_t_end(FLUID, GEOM) * tau)
+        assert np.array_equal(traj.t / tau, ref.t)
+        assert np.max(np.abs(traj.h / lam - ref.h)) <= 1e-9 * np.max(ref.h)
 
 
 class TestRefusedBeforeFirstStep:
