@@ -129,8 +129,8 @@ def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
 
     Both are resampled by linear interpolation onto the union of their
     time grids restricted to the overlap; the norms are normalized by b,
-    so a b that is zero on the overlap is refused.  Both must be in one
-    scaling; one without a "scaling" is dimensional.
+    so a b whose 2-norm on the overlap is zero, or underflows, is refused.
+    Both must be in one scaling; one without a "scaling" is dimensional.
     """
     ka, kb = (tr.metadata.get("scaling", "none") for tr in (a, b))
     if ka != kb:
@@ -145,11 +145,12 @@ def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
     tg = tg[(tg >= lo) & (tg <= hi)]
     ha = np.interp(tg, a.t, a.h)
     hb = np.interp(tg, b.t, b.h)
-    if not np.any(hb):
+    norm_b = np.linalg.norm(hb)
+    if not norm_b > 0.0:
         raise ValueError(f"reference trajectory is zero on the overlap "
-                         f"[{lo:g}, {hi:g}]; relative norms need a nonzero one")
+                         f"[{lo:g}, {hi:g}], or its norm underflows")
     diff = ha - hb
-    l2 = float(np.linalg.norm(diff) / np.linalg.norm(hb))
+    l2 = float(np.linalg.norm(diff) / norm_b)
     linf = float(np.max(np.abs(diff)) / np.max(np.abs(hb)))
 
     ma, mb = ([p for p in detect_peaks(tr) if p.is_max] if len(tr) >= 3 else []

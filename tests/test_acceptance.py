@@ -7,6 +7,7 @@ The 2D solver criteria share one module-scoped set of runs, so the
 first of them pays the few minutes of simulation time for all three.
 """
 
+import dataclasses
 import math
 import sys
 import time
@@ -412,6 +413,26 @@ def test_vof2d_temporal_self_convergence(pde_runs, name, monkeypatch):
           file=sys.stderr)
     assert d_time < 1e-3
     assert d_time < 0.1 * d_mesh
+
+
+def test_vof2d_slip_finding(pde_runs):
+    """The paper's slip finding: at omega = 1, nx 8, the 2D rise overshoots
+    less, against the extended ODE on the same wall, as the slip shrinks."""
+    base = _pde_setup("navier", 8)
+    r50 = dataclasses.replace(base, slip=SlipSpec.navier(base.geom.R / 50.0))
+    runs = {"R/5": (pde_runs[("navier", 8)][0], base.slip),
+            "R/50": (Simulator(r50).run()[0], r50.slip),
+            "numerical": (pde_runs[("numerical", 8)][0], SlipSpec())}
+    ratios = {}
+    for wall, (traj, slip) in runs.items():
+        ode = integrate(ModelSpec("extended", slip), base.fluid, base.geom,
+                        base.t_end)
+        ratios[wall] = compare(traj, ode).first_peak_overshoot_ratio
+    # measured 0.766, 0.450 and 0.344
+    print("2D/extended first-overshoot ratios: " + ", ".join(
+        f"{wall} {r}" for wall, r in ratios.items()), file=sys.stderr)
+    assert None not in ratios.values()
+    assert ratios["R/5"] > ratios["R/50"] > ratios["numerical"]
 
 
 def test_criterion_13_bench_determinism(tmp_path):

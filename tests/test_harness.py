@@ -147,7 +147,9 @@ class TestCompare:
         (2.0, 1.0, NoOverlap, "share no interval"),
         # the relative norms were inf, which is not JSON
         (0.0, 0.0, ValueError, r"reference trajectory is zero on the overlap \[0, "),
-    ], ids=["disjoint", "zero"])
+        # |h|^2 underflows, so the l2 norm it would divide by is 0
+        (0.0, 1e-170, ValueError, "or its norm underflows"),
+    ], ids=["disjoint", "zero", "norm-underflow"])
     def test_unusable_reference_refused(self, osc_pair, shift, factor, error,
                                         match):
         _, ext = osc_pair

@@ -368,6 +368,66 @@ class TestSinglePhaseMomentum:
             assert np.all(v_star[:, 0] == pytest.approx(-fluid.g * dt))
 
 
+def _taylor_green_forcing(nx, U, dt=1e-4):
+    """(u_star - u)/dt and (v_star - v)/dt from _momentum on the interior
+    faces of a Taylor-Green cell on the half gap, u = U sin(pi x/R)
+    cos(pi y/R) and v = -U cos(pi x/R) sin(pi y/R), whose normal flow and
+    shear vanish on every boundary.  Returns the forcing, the face
+    velocities and each face's coordinate along its velocity (x for u,
+    y for v), flattened alike, and the kinematic viscosity."""
+    fluid = FluidPair(rho_l=100.0, rho_g=100.0, mu_l=1e-3, mu_g=1e-3,
+                      sigma=0.01, g=9.81)
+    grid = Grid(nx, GEOM.R)
+    # one phase, so the gas ghost row above the top is inert; free slip
+    setup = CaseSetup2D(fluid=fluid, geom=GEOM, slip=SlipSpec(1e150), nx=nx,
+                        t_end=1.0, gravity_on=False)
+    sim = Simulator(setup, state=SimState(grid, np.ones((nx, grid.ny))))
+    k, dx = math.pi / GEOM.R, grid.dx
+    xu, yu = np.meshgrid(np.arange(nx + 1) * dx,
+                         (np.arange(grid.ny) + 0.5) * dx, indexing="ij")
+    xv, yv = np.meshgrid((np.arange(nx) + 0.5) * dx,
+                         np.arange(grid.ny + 1) * dx, indexing="ij")
+    st = sim.state
+    st.u[1:-1] = U * (np.sin(k * xu) * np.cos(k * yu))[1:-1]
+    st.v[:] = -U * np.cos(k * xv) * np.sin(k * yv)
+    u_star, v_star, _, _ = sim._momentum(dt)
+    inner_u, inner_v = np.s_[1:-1, :], np.s_[:, 1:-1]
+
+    def faces(on_u, on_v):
+        return np.concatenate((on_u[inner_u].ravel(), on_v[inner_v].ravel()))
+
+    return (faces((u_star - st.u) / dt, (v_star - st.v) / dt),
+            faces(st.u, st.v), faces(xu, yv), fluid.mu_l / fluid.rho_l)
+
+
+class TestMomentumTruncationOrder:
+    """The momentum's convective and viscous terms converge to the exact
+    ones of a Taylor-Green cell at their orders: first for the upwind
+    convection, second for the centred viscous stress."""
+
+    def test_orders_on_a_taylor_green_cell(self):
+        U, k = 0.01, math.pi / GEOM.R
+        conv_err, visc_err = [], []
+        for nx in (8, 16, 32):
+            force, vel, s, nu = _taylor_green_forcing(nx, U)
+            # convection is quadratic in U and viscosity linear, so the
+            # forcing at 2U separates them
+            conv = -(_taylor_green_forcing(nx, 2.0 * U)[0] - 2.0 * force) / 2.0
+            visc = force + conv
+            conv_exact = 0.5 * k * U * U * np.sin(2.0 * k * s)
+            visc_exact = -2.0 * k * k * nu * vel
+            conv_err.append(np.abs(conv - conv_exact).max()
+                            / np.abs(conv_exact).max())
+            visc_err.append(np.abs(visc - visc_exact).max()
+                            / np.abs(visc_exact).max())
+        # measured 0.373, 0.194, 0.098 and 1.28e-2, 3.21e-3, 8.03e-4
+        conv_order = np.log2(np.array(conv_err[:-1]) / conv_err[1:])
+        visc_order = np.log2(np.array(visc_err[:-1]) / visc_err[1:])
+        print(f"convection orders {conv_order}, viscosity orders {visc_order}")
+        assert np.all(conv_order >= 0.8)
+        assert np.all(visc_order >= 1.8)
+
+
 class TestAdvection:
     def _blob_sim(self):
         grid = Grid(8, 1.0)
@@ -510,12 +570,16 @@ def _assert_sweeps_match_reference(sim, dt):
     st.alpha = a0
 
 
-def _recorded_rise(steps, every, **options):
+def _recorded_rise(steps, every, tau=1.0, **options):
     """(simulator, dt) snapshots of a rise every few hundred steps; nx 8
-    and Navier slip R/5 unless the options say otherwise."""
+    and Navier slip R/5 unless the options say otherwise.  Time is counted
+    in units of 1/tau s: mu reads mu/tau, sigma and g read /tau^2."""
     fluid, geom = synth_params(1.0, 0.04)
+    fluid = dataclasses.replace(fluid, mu_l=fluid.mu_l / tau,
+                                mu_g=fluid.mu_g / tau,
+                                sigma=fluid.sigma / tau**2, g=fluid.g / tau**2)
     options = {"nx": 8, "slip": SlipSpec.navier(geom.R / 5), **options}
-    setup = CaseSetup2D(fluid=fluid, geom=geom, t_end=1.0, **options)
+    setup = CaseSetup2D(fluid=fluid, geom=geom, t_end=tau, **options)
     sim = Simulator(setup)
     for k in range(1, steps + 1):
         sim.step(compute_dt(sim.state, fluid))
@@ -830,14 +894,18 @@ class TestBoundaryPins:
 
 class TestProjectionResidual:
     """_project checks the divergence it leaves, which is dt times the
-    pressure solve's residual, against _POISSON_TOL."""
+    pressure solve's residual, against _POISSON_TOL times the one before."""
 
-    @pytest.mark.parametrize("scale, refused", [(1e-6, True), (1e-9, False)],
-                             ids=["1e-6", "1e-9"])
+    @pytest.mark.parametrize("scale, refused, tau", [
+        (1e-6, True, 1.0), (1e-9, False, 1.0),
+        (1e-6, True, 2.0**20), (1e-9, False, 2.0**20),
+    ], ids=["1e-6", "1e-9", "1e-6-tau=2^20", "1e-9-tau=2^20"])
     def test_inaccurate_pressure_is_refused(self, monkeypatch, scale,
-                                            refused):
-        # p scaled by 1 + scale leaves about scale times the divergence
-        sim, dt = next(_recorded_rise(100, 100))
+                                            refused, tau):
+        # p scaled by 1 + scale leaves about scale times the divergence, in
+        # any time unit: an absolute floor in s or 1/s would let it through
+        # in one of them
+        sim, dt = next(_recorded_rise(100, 100, tau=tau))
         fields = sim._momentum(dt)
         exact = solver.poisson_solve
         monkeypatch.setattr(solver, "poisson_solve",
