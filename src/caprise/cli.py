@@ -32,7 +32,7 @@ from .harness import (
 )
 from .odemodels import REDUCED_MODELS
 from .scaling import SCALING_KINDS, coefficients, nondimensionalize
-from .study import crossover_cells, step_counts, synth_params, timestep_limits
+from .study import cost_table, synth_params
 from .vof2d.geometry import DOMAIN_RADII
 
 
@@ -86,18 +86,8 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    fluid, geom = synth_params(args.omega, args.sigma)
-    counts = step_counts(fluid, geom, args.cells)
-    lim = timestep_limits(fluid, geom.R / args.cells)
-    n_steps = {kind: {"sigma": counts.n_sigma[i], "mu": counts.n_mu[i]}
-               for i, kind in enumerate(SCALING_KINDS)}
-    sys.stdout.write(_json_text({
-        "dt_sigma_estimate": lim.dt_sigma_estimate,
-        "dt_sigma_solver": lim.dt_sigma_solver,
-        "dt_mu": lim.dt_mu,
-        "n_star_cells": crossover_cells(fluid, geom),
-        "n_steps": n_steps,
-    }))
+    sys.stdout.write(_json_text(cost_table(*synth_params(args.omega, args.sigma),
+                                           args.cells)))
     return 0
 
 

@@ -129,7 +129,8 @@ def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
 
     Both are resampled by linear interpolation onto the union of their
     time grids restricted to the overlap; the norms are normalized by b,
-    so a b whose 2-norm on the overlap is zero, or underflows, is refused.
+    so a b whose 2-norm on the overlap is zero, underflows or overflows is
+    refused, and so is a difference whose 2-norm overflows.
     Both must be in one scaling; one without a "scaling" is dimensional.
     """
     ka, kb = (tr.metadata.get("scaling", "none") for tr in (a, b))
@@ -145,12 +146,17 @@ def compare(a: Trajectory, b: Trajectory) -> DeviationMetrics:
     tg = tg[(tg >= lo) & (tg <= hi)]
     ha = np.interp(tg, a.t, a.h)
     hb = np.interp(tg, b.t, b.h)
-    norm_b = np.linalg.norm(hb)
-    if not norm_b > 0.0:
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        diff = ha - hb
+        norm_b = np.linalg.norm(hb)
+        norm_d = np.linalg.norm(diff)
+    if not 0.0 < norm_b < math.inf:
         raise ValueError(f"reference trajectory is zero on the overlap "
-                         f"[{lo:g}, {hi:g}], or its norm underflows")
-    diff = ha - hb
-    l2 = float(np.linalg.norm(diff) / norm_b)
+                         f"[{lo:g}, {hi:g}], or its norm underflows or overflows")
+    if not norm_d < math.inf:
+        raise ValueError(f"the 2-norm of the difference from the reference "
+                         f"overflows on the overlap [{lo:g}, {hi:g}]")
+    l2 = float(norm_d / norm_b)
     linf = float(np.max(np.abs(diff)) / np.max(np.abs(hb)))
 
     ma, mb = ([p for p in detect_peaks(tr) if p.is_max] if len(tr) >= 3 else []

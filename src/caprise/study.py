@@ -35,29 +35,18 @@ STUDY_H0_FACTOR = 2.0    # h0 = 2R
 
 @dataclass(frozen=True)
 class DtLimits:
-    """Explicit-solver timestep ceilings for mesh size dx.
+    """The 2D solver's explicit timestep ceilings for mesh size dx.
 
-    The capillary limit comes in two variants.  The cost estimate is
-    Brackbill, Kothe & Zemach's (1992) bound with the liquid density
-    alone.  The solver form is the time the shortest resolved capillary
+    The capillary ceiling is the time the shortest resolved capillary
     wave, wavelength 2 dx, takes to cross one cell: with Lamb's (1932,
     section 267) two-fluid phase speed c(k)^2 = sigma k/(rho_l+rho_g)
     at k = pi/dx it is dx/c = sqrt((rho_l+rho_g) dx^3/(pi sigma)),
     a factor sqrt(2) above Denner & van Wachem's (2015, JCP 285) bound
-    and 2 above Brackbill's with the same densities.
+    and 2 above Brackbill, Kothe & Zemach's (1992) with the same densities.
     """
 
-    dt_sigma_estimate: float  # sqrt(rho_l dx^3/(4 pi sigma)) [s]
     dt_sigma_solver: float    # dx/c(pi/dx) = sqrt((rho_l+rho_g) dx^3/(pi sigma)) [s]
     dt_mu: float              # rho_l dx^2/(6 mu_l) [s]
-
-
-@dataclass(frozen=True)
-class StepCounts:
-    """Steps to reach scaled time 1, per scaling and limiting mechanism."""
-
-    n_sigma: tuple[float, float, float]  # scalings I, II, III with dt_sigma
-    n_mu: tuple[float, float, float]     # scalings I, II, III with dt_mu
 
 
 def synth_params(omega: float, sigma: float) -> tuple[FluidPair, Geometry]:
@@ -87,21 +76,13 @@ def synth_params(omega: float, sigma: float) -> tuple[FluidPair, Geometry]:
 
 
 def timestep_limits(fluid: FluidPair, dx: float) -> DtLimits:
-    """Capillary and viscous timestep ceilings at mesh size dx.
-
-    dt_sigma_estimate (Brackbill et al. 1992, liquid density) feeds the
-    published cost table through step_counts; dt_sigma_solver, the time
-    the 2 dx capillary wave takes to cross one cell at Lamb's two-fluid
-    phase speed, and dt_mu cap the 2D solver's step.
-    """
+    """The 2D solver's capillary and viscous timestep ceilings at mesh size dx."""
     if not dx > 0.0:
         raise ValueError("dx must be positive")
-    dt_sigma_est = math.sqrt(fluid.rho_l * dx**3 / (4.0 * math.pi * fluid.sigma))
     dt_sigma_sol = math.sqrt((fluid.rho_l + fluid.rho_g) * dx**3
                              / (math.pi * fluid.sigma))
     dt_mu = fluid.rho_l * dx**2 / (6.0 * fluid.mu_l)
-    return DtLimits(dt_sigma_estimate=dt_sigma_est, dt_sigma_solver=dt_sigma_sol,
-                    dt_mu=dt_mu)
+    return DtLimits(dt_sigma_solver=dt_sigma_sol, dt_mu=dt_mu)
 
 
 def crossover_cells(fluid: FluidPair, geom: Geometry) -> float:
@@ -114,19 +95,28 @@ def crossover_cells(fluid: FluidPair, geom: Geometry) -> float:
     return math.pi / (9.0 * oh * oh)
 
 
-def step_counts(fluid: FluidPair, geom: Geometry, n_cells: float) -> StepCounts:
-    """Number of explicit steps to reach scaled time 1 in each scaling.
+def cost_table(fluid: FluidPair, geom: Geometry, n_cells: float) -> dict:
+    """The published cost table at dx = R/n_cells, as `caprise cost` prints it.
 
-    N^{k,.} = 1/(t_rate_k * dt_.) with the estimate-mode capillary limit
-    (liquid density only) and dx = R/n_cells.  Exact products, no dropped
-    prefactors.
+    dt_sigma_estimate is Brackbill, Kothe & Zemach's (1992) capillary
+    bound with the liquid density alone; the solver's two ceilings come
+    from timestep_limits.  n_steps[kind] holds N^{k,.} = 1/(t_rate_k dt_.),
+    the steps to scaled time 1 under the estimate ("sigma") and dt_mu
+    ("mu").  Exact products, no dropped prefactors.
     """
     if not n_cells >= 1.0:
         raise ValueError("n_cells must be >= 1")
     dx = geom.R / n_cells
     lim = timestep_limits(fluid, dx)
+    dt_sigma_est = math.sqrt(fluid.rho_l * dx**3 / (4.0 * math.pi * fluid.sigma))
     s = scaling.coefficients(fluid, geom, "2d")
-    rates = [scaling.units(kind, s).t_rate for kind in scaling.SCALING_KINDS]
-    n_sigma = tuple(1.0 / (r * lim.dt_sigma_estimate) for r in rates)
-    n_mu = tuple(1.0 / (r * lim.dt_mu) for r in rates)
-    return StepCounts(n_sigma=n_sigma, n_mu=n_mu)
+    rates = {kind: scaling.units(kind, s).t_rate for kind in scaling.SCALING_KINDS}
+    return {
+        "dt_sigma_estimate": dt_sigma_est,
+        "dt_sigma_solver": lim.dt_sigma_solver,
+        "dt_mu": lim.dt_mu,
+        "n_star_cells": crossover_cells(fluid, geom),
+        "n_steps": {kind: {"sigma": 1.0 / (r * dt_sigma_est),
+                           "mu": 1.0 / (r * lim.dt_mu)}
+                    for kind, r in rates.items()},
+    }

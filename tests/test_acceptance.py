@@ -37,7 +37,7 @@ from caprise.scaling import (
     scaled_balance,
     units,
 )
-from caprise.study import crossover_cells, step_counts, synth_params
+from caprise.study import cost_table, crossover_cells, synth_params
 from caprise.vof2d import CaseSetup2D, Simulator, compute_dt
 from caprise.vof2d import solver as vof2d_solver
 from caprise.vof2d.solver import _POISSON_TOL
@@ -170,9 +170,9 @@ def test_criterion_02_cell_count_table():
         worst = max(worst, rel)
         if rel > 1e-2:
             fails.append(f"crossover({omega:g}) = {ns:.4g} vs {n_star}")
-        sc = step_counts(fluid, geom, 32.0)
-        for tab, ours, tag in ((row_s, sc.n_sigma, "sigma"),
-                               (row_m, sc.n_mu, "mu")):
+        n_steps = cost_table(fluid, geom, 32.0)["n_steps"]
+        for tab, tag in ((row_s, "sigma"), (row_m, "mu")):
+            ours = [n_steps[kind][tag] for kind in SCALING_KINDS]
             if abs(ours[1] - tab[1]) / tab[1] > 2e-2:
                 fails.append(f"II {tag}({omega:g}) = {ours[1]:.4g} vs {tab[1]:g}")
             # I and III only reproduce the table up to known constant factors

@@ -10,12 +10,12 @@ import pytest
 from caprise.cli import main
 from caprise.core import SlipSpec, stationary_height
 from caprise.errors import StepSizeUnderflow
-from caprise.harness import (_study_case, compare, read_trajectory_csv,
-                             run_case, trajectory_csv_text,
-                             write_trajectory_csv)
+from caprise.harness import (_json_text, _study_case, compare,
+                             read_trajectory_csv, run_case,
+                             trajectory_csv_text, write_trajectory_csv)
 from caprise.odemodels import ModelSpec, Trajectory, integrate
 from caprise.scaling import auto_t_end, coefficients, units
-from caprise.study import synth_params
+from caprise.study import cost_table, synth_params
 from caprise.vof2d import CaseSetup2D, Simulator
 
 
@@ -56,6 +56,15 @@ class TestQueries:
         assert set(out["n_steps"]) == {"I", "II", "III"}
         assert all(set(v) == {"sigma", "mu"} for v in out["n_steps"].values())
         assert out["dt_sigma_solver"] > 0.0
+
+    # omega 1 and the rows where scaling III and scaling I lead the
+    # capillary column
+    @pytest.mark.parametrize("omega, sigma, cells", [
+        (1.0, 0.04, 32), (0.1, 0.2, 4), (100.0, 0.001, 64)])
+    def test_cost_prints_the_cost_table(self, capsys, omega, sigma, cells):
+        out = run_ok(capsys, ["cost", "--omega", str(omega), "--sigma",
+                              str(sigma), "--cells", str(cells)])
+        assert out == _json_text(cost_table(*synth_params(omega, sigma), cells))
 
     # rows whose density, gravity or dimensionless numbers overflow or
     # vanish in floats: synth_params refuses them
@@ -103,7 +112,7 @@ class TestQueries:
     def test_cost_rejects_zero_cells(self, capsys):
         assert main(["cost", "--omega", "1", "--sigma", "0.04",
                      "--cells", "0"]) == 2
-        # step_counts refuses it, before any division by the cell count
+        # cost_table refuses it, before any division by the cell count
         assert "n_cells must be >= 1" in capsys.readouterr().err
 
 
@@ -477,7 +486,10 @@ class TestCompareCmd:
         # |h|^2 underflows, so the l2 norm it would divide by is 0; no
         # numpy warning may escape
         (0.0, 1e-170, "zero on the overlap [0, 1], or its norm underflows"),
-    ], ids=["disjoint", "zero", "norm-underflow"])
+        # |h|^2 overflows, so the l2 norm it would divide by is inf
+        (0.0, 1e160, "zero on the overlap [0, 1], or its norm underflows "
+         "or overflows"),
+    ], ids=["disjoint", "zero", "norm-underflow", "norm-overflow"])
     def test_unusable_reference_exits_2(self, tmp_path, capsys, shift, h_b,
                                         match):
         t = np.linspace(0.0, 1.0, 5)

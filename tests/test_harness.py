@@ -143,18 +143,26 @@ class TestCompare:
         assert errs[1] <= 1e-6
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
-    @pytest.mark.parametrize("shift, factor, error, match", [
-        (2.0, 1.0, NoOverlap, "share no interval"),
+    @pytest.mark.parametrize("shift, factor_a, factor, error, match", [
+        (2.0, 1.0, 1.0, NoOverlap, "share no interval"),
         # the relative norms were inf, which is not JSON
-        (0.0, 0.0, ValueError, r"reference trajectory is zero on the overlap \[0, "),
+        (0.0, 1.0, 0.0, ValueError,
+         r"reference trajectory is zero on the overlap \[0, "),
         # |h|^2 underflows, so the l2 norm it would divide by is 0
-        (0.0, 1e-170, ValueError, "or its norm underflows"),
-    ], ids=["disjoint", "zero", "norm-underflow"])
-    def test_unusable_reference_refused(self, osc_pair, shift, factor, error,
-                                        match):
+        (0.0, 1.0, 1e-170, ValueError, "or its norm underflows"),
+        # |h|^2 overflows, so the l2 norm it would divide by is inf
+        (0.0, 1.0, 1e160, ValueError, "or its norm underflows or overflows"),
+        # the reference's norm is finite, the difference's is not
+        (0.0, 1e200, 1.0, ValueError,
+         "the 2-norm of the difference from the reference overflows"),
+    ], ids=["disjoint", "zero", "norm-underflow", "norm-overflow",
+            "diff-overflow"])
+    def test_unusable_reference_refused(self, osc_pair, shift, factor_a,
+                                        factor, error, match):
         _, ext = osc_pair
-        a = ext.trajectory
-        b = Trajectory(t=a.t + shift * a.t[-1], h=factor * a.h, v=a.v)
+        a = dataclasses.replace(ext.trajectory, h=factor_a * ext.trajectory.h)
+        b = Trajectory(t=a.t + shift * a.t[-1], h=factor * ext.trajectory.h,
+                       v=a.v)
         with pytest.raises(error, match=match):
             compare(a, b)
 

@@ -1,15 +1,18 @@
 """Parameter synthesis and the timestep cost analysis."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 from caprise.core import FluidPair, Geometry, dimensionless_numbers, jurin_height
+from caprise.scaling import SCALING_KINDS
 from caprise.study import (
     STUDY_R,
+    DtLimits,
+    cost_table,
     crossover_cells,
-    step_counts,
     synth_params,
     timestep_limits,
 )
@@ -97,23 +100,35 @@ def test_timestep_limits_frozen():
     fluid = FluidPair(rho_l=83.1, rho_g=0.0831, mu_l=0.01, mu_g=1e-5,
                       sigma=0.04, g=4.17)
     lim = timestep_limits(fluid, 0.005 / 32)
-    assert lim.dt_sigma_estimate == pytest.approx(2.5112828063850368e-5, rel=1e-12)
-    assert lim.dt_sigma_estimate == pytest.approx(2.5113e-5, rel=1e-4)
+    # the cost table's estimate at the same dx, R/32 = 0.005/32
+    geom = Geometry(R=0.005, theta_e=math.radians(30.0), h0=0.01)
+    dt_sigma_estimate = cost_table(fluid, geom, 32)["dt_sigma_estimate"]
+    assert dt_sigma_estimate == pytest.approx(2.5112828063850368e-5, rel=1e-12)
+    assert dt_sigma_estimate == pytest.approx(2.5113e-5, rel=1e-4)
     assert lim.dt_mu == pytest.approx(3.38134765625e-5, rel=1e-12)
     assert lim.dt_mu == pytest.approx(3.3813e-5, rel=1e-4)
     # the solver variant (one-cell crossing of the 2 dx capillary wave)
     # carries the gas density too and sits 2 above Brackbill's bound
     assert lim.dt_sigma_solver == pytest.approx(5.025076268069472e-5, rel=1e-12)
-    assert lim.dt_sigma_solver / lim.dt_sigma_estimate == pytest.approx(
+    assert lim.dt_sigma_solver / dt_sigma_estimate == pytest.approx(
         2.0 * math.sqrt(1.001), rel=1e-12)
 
 
+def test_timestep_limits_are_the_solver_ceilings_only():
+    # the cost table's estimate is no ceiling of the 2D step, so no step
+    # computes it
+    assert [f.name for f in dataclasses.fields(DtLimits)] == [
+        "dt_sigma_solver", "dt_mu"]
+
+
 def test_timestep_limits_power_law():
-    fluid, _ = synth_params(1.0, 0.04)
+    fluid, geom = synth_params(1.0, 0.04)
     a = timestep_limits(fluid, 1e-4)
     b = timestep_limits(fluid, 5e-5)
-    assert a.dt_sigma_estimate / b.dt_sigma_estimate == pytest.approx(2**1.5,
-                                                                      rel=1e-12)
+    # the cost table's estimate at dx = R/50 and R/100, 1e-4 and 5e-5
+    est_a, est_b = (cost_table(fluid, geom, n)["dt_sigma_estimate"]
+                    for n in (50, 100))
+    assert est_a / est_b == pytest.approx(2**1.5, rel=1e-12)
     assert a.dt_mu / b.dt_mu == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(ValueError):
         timestep_limits(fluid, -1e-4)
@@ -136,46 +151,46 @@ def test_crossover_property():
     # dt_sigma dominates below N*, dt_mu above
     fluid, geom = synth_params(1.0, 0.04)
     n_star = crossover_cells(fluid, geom)
-    lo = timestep_limits(fluid, geom.R / math.floor(n_star))
-    hi = timestep_limits(fluid, geom.R / math.ceil(n_star))
-    assert lo.dt_sigma_estimate <= lo.dt_mu
-    assert hi.dt_mu <= hi.dt_sigma_estimate
+    lo = cost_table(fluid, geom, math.floor(n_star))
+    hi = cost_table(fluid, geom, math.ceil(n_star))
+    assert lo["dt_sigma_estimate"] <= lo["dt_mu"]
+    assert hi["dt_mu"] <= hi["dt_sigma_estimate"]
 
 
 def test_step_counts_frozen_omega_one():
     fluid, geom = synth_params(1.0, 0.04)
-    sc = step_counts(fluid, geom, 32)
-    assert sc.n_sigma[1] == pytest.approx(2758.1925111574496, rel=1e-9)
-    assert sc.n_mu[1] == pytest.approx(2048.0, rel=1e-9)
+    ii = cost_table(fluid, geom, 32)["n_steps"]["II"]
+    assert ii["sigma"] == pytest.approx(2758.1925111574496, rel=1e-9)
+    assert ii["mu"] == pytest.approx(2048.0, rel=1e-9)
     # table prints 2.76e3 and 2.05e3
-    assert sc.n_sigma[1] == pytest.approx(2.76e3, rel=1e-2)
-    assert sc.n_mu[1] == pytest.approx(2.05e3, rel=1e-2)
+    assert ii["sigma"] == pytest.approx(2.76e3, rel=1e-2)
+    assert ii["mu"] == pytest.approx(2.05e3, rel=1e-2)
 
 
 def test_step_counts_scaling_ii_sigma_constant_across_rows():
     vals = []
     for omega, (sigma, _, _) in TABLE_ROWS.items():
         fluid, geom = synth_params(omega, sigma)
-        vals.append(step_counts(fluid, geom, 32).n_sigma[1])
+        vals.append(cost_table(fluid, geom, 32)["n_steps"]["II"]["sigma"])
     assert all(v == pytest.approx(vals[0], rel=1e-9) for v in vals)
 
 
 def test_step_counts_power_laws():
     fluid, geom = synth_params(0.5, 0.1)
-    a = step_counts(fluid, geom, 16)
-    b = step_counts(fluid, geom, 32)
-    for k in range(3):
-        assert b.n_sigma[k] / a.n_sigma[k] == pytest.approx(2**1.5, rel=1e-12)
-        assert b.n_mu[k] / a.n_mu[k] == pytest.approx(4.0, rel=1e-12)
+    a = cost_table(fluid, geom, 16)["n_steps"]
+    b = cost_table(fluid, geom, 32)["n_steps"]
+    for kind in SCALING_KINDS:
+        assert b[kind]["sigma"] / a[kind]["sigma"] == pytest.approx(2**1.5,
+                                                                    rel=1e-12)
+        assert b[kind]["mu"] / a[kind]["mu"] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_step_counts_internal_consistency():
     fluid, geom = synth_params(10.0, 0.01)
-    lim = timestep_limits(fluid, geom.R / 32)
-    sc = step_counts(fluid, geom, 32)
-    for k in range(3):
-        assert sc.n_sigma[k] / sc.n_mu[k] == pytest.approx(
-            lim.dt_mu / lim.dt_sigma_estimate, rel=1e-12)
+    table = cost_table(fluid, geom, 32)
+    for n in table["n_steps"].values():
+        assert n["sigma"] / n["mu"] == pytest.approx(
+            table["dt_mu"] / table["dt_sigma_estimate"], rel=1e-12)
 
 
 def test_step_counts_bold_ordering():
@@ -183,10 +198,12 @@ def test_step_counts_bold_ordering():
     # as omega grows
     for omega in (0.1, 0.5, 1.0):
         fluid, geom = synth_params(omega, TABLE_ROWS[omega][0])
-        sc = step_counts(fluid, geom, 32)
+        n_sigma = {kind: n["sigma"] for kind, n
+                   in cost_table(fluid, geom, 32)["n_steps"].items()}
         # at omega=1 all three tie up to rounding
-        assert sc.n_sigma[2] >= max(sc.n_sigma) * (1.0 - 1e-9)
+        assert n_sigma["III"] >= max(n_sigma.values()) * (1.0 - 1e-9)
     for omega in (10.0, 100.0):
         fluid, geom = synth_params(omega, TABLE_ROWS[omega][0])
-        sc = step_counts(fluid, geom, 32)
-        assert sc.n_sigma[0] >= max(sc.n_sigma) * (1.0 - 1e-9)
+        n_sigma = {kind: n["sigma"] for kind, n
+                   in cost_table(fluid, geom, 32)["n_steps"].items()}
+        assert n_sigma["I"] >= max(n_sigma.values()) * (1.0 - 1e-9)
